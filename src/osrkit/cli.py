@@ -3,7 +3,8 @@
 Subcommands: gen-data, train, eval, sweep, grad-check. All accept
 ``--config`` (INI file, see config.py), ``--seed`` (overrides every seed
 in the config), and ``--out`` (output directory). Exit codes: 0 success,
-1 validation/usage error, 2 numeric failure.
+1 validation/usage error or a sweep in which every cell failed, 2 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ def _parse_param_values(raw: str):
     for v in values.split(","):
         v = v.strip()
         if name.endswith("_metric"):
-            parsed.append(Metric(v.lower()))
+            try:
+                parsed.append(Metric(v.lower()))
+            except ValueError:
+                raise UsageError(f"--param {name}: unknown metric {v!r}") from None
         else:
             try:
                 parsed.append(int(v) if v.isdigit() else float(v))
@@ -140,9 +144,11 @@ def _cmd_sweep(args) -> int:
     rows = sweep(cfg.train, cells, split)
     path = out / "sweep.csv"
     write_sweep_csv(path, rows)
-    failed = sum(1 for r in rows if r.error is not None)
-    print(f"wrote {len(rows)} rows to {path}" + (f" ({failed} failed)" if failed else ""))
-    return 0
+    failed = [r for r in rows if r.error is not None]
+    for r in failed:
+        print(f"cell {r.overrides} failed: {r.error}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {path}" + (f" ({len(failed)} failed)" if failed else ""))
+    return 1 if len(failed) == len(rows) else 0
 
 
 def _cmd_grad_check(args) -> int:

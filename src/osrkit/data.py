@@ -15,7 +15,7 @@ groups, float64 features, all little-endian).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class LabeledDataset:
     inputs: np.ndarray     # B x D_in
     labels: np.ndarray     # B, original class ids
     group_ids: np.ndarray  # B, for fold splitting
-    class_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -48,16 +47,12 @@ class LabeledDataset:
             raise DataError("labels and group_ids must match the number of rows")
         if (self.labels < 0).any() or (self.group_ids < 0).any():
             raise DataError("labels and group_ids must be non-negative")
-        if not self.class_names:
-            self.class_names = [f"class{c}" for c in range(int(self.labels.max()) + 1)]
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
     def subset(self, mask: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            self.inputs[mask], self.labels[mask], self.group_ids[mask], list(self.class_names)
-        )
+        return LabeledDataset(self.inputs[mask], self.labels[mask], self.group_ids[mask])
 
 
 @dataclass
@@ -91,12 +86,6 @@ class OpenSetSplit:
     @property
     def num_known(self) -> int:
         return len(self.label_map)
-
-    def original_label(self, remapped: int) -> int:
-        for orig, new in self.label_map.items():
-            if new == remapped:
-                return orig
-        raise KeyError(remapped)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ The open-set score of a sample is its maximum classification logit;
 higher means more known-like, and no threshold is ever baked in. AUROC is
 computed from the Mann-Whitney rank statistic (ties credited 0.5) and is
 cross-checked in tests against the trapezoidal area under the exact ROC
-curve. OSCR sweeps every distinct score value and integrates the correct
-classification rate on knowns against the false positive rate on
-unknowns.
+curve. The ROC and OSCR curves come from one descending sweep over the
+open-set scores: a stable sort, then cumulative counts read at the last
+sample of each run of tied scores, so every distinct score is a
+threshold. OSCR integrates the correct classification rate on knowns
+against the false positive rate on unknowns. ``evaluate`` embeds each
+test set, stacks the logits, and scores and classifies them once.
 """
 
 from __future__ import annotations
@@ -60,19 +63,34 @@ def _as_score_flags(scores, is_known) -> tuple[np.ndarray, np.ndarray]:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks, ties receiving the mean of their rank span."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    start = 0
-    for i in range(1, x.size + 1):
-        if i == x.size or sx[i] != sx[start]:
-            ranks[order[start:i]] = 0.5 * (start + 1 + i)
-            start = i
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # 1-based rank of the last member of each tie run
+    return 0.5 * (end - counts + 1 + end)[inverse]
 
 
-def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
-    return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) * 0.5).sum())
+def _sweep(s: np.ndarray, hits: np.ndarray, k: np.ndarray) -> Curve:
+    """Exact descending sweep over every distinct score.
+
+    Returns (threshold, fpr, rate) triples starting at (+inf, 0, 0), where
+    a sample counts as selected when its score is >= the threshold, rate
+    is the share of knowns that are selected hits and fpr the share of
+    unknowns that are selected.
+    """
+    order = np.argsort(-s, kind="stable")
+    desc = s[order]
+    last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
+    rate = np.cumsum(hits[order])[last] / int(k.sum())
+    fpr = np.cumsum(~k[order])[last] / int((~k).sum())
+    thresholds = np.unique(s)[::-1]  # names each tie run as np.unique does, -0.0 included
+    return [(float("inf"), 0.0, 0.0)] + list(
+        zip(thresholds.tolist(), fpr.tolist(), rate.tolist())
+    )
+
+
+def _curve_area(curve: Curve) -> float:
+    """Trapezoidal area under the (fpr, rate) points of a curve."""
+    _, x, y = np.array(curve).T
+    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) * 0.5).sum())
 
 
 def auroc(scores, is_known) -> float:
@@ -92,24 +110,17 @@ def roc_points(scores, is_known) -> Curve:
     sample counts as predicted-known when its score is >= the threshold.
     """
     s, k = _as_score_flags(scores, is_known)
-    n_known = int(k.sum())
-    n_unknown = s.size - n_known
-    thresholds = np.unique(s)[::-1]
-    curve: Curve = [(float("inf"), 0.0, 0.0)]
-    for t in thresholds:
-        sel = s >= t
-        tpr = float((sel & k).sum() / n_known)
-        fpr = float((sel & ~k).sum() / n_unknown)
-        curve.append((float(t), fpr, tpr))
-    return curve
+    return _sweep(s, k, k)
 
 
 def roc_auc_trapezoid(scores, is_known) -> float:
     """Trapezoidal area under the exact ROC curve (cross-check for auroc)."""
-    curve = roc_points(scores, is_known)
-    fpr = np.array([p[1] for p in curve])
-    tpr = np.array([p[2] for p in curve])
-    return _trapezoid(fpr, tpr)
+    return _curve_area(roc_points(scores, is_known))
+
+
+def _oscr(s: np.ndarray, k: np.ndarray, correct: np.ndarray) -> tuple[float, Curve]:
+    curve = _sweep(s, k & correct, k)
+    return _curve_area(curve), curve
 
 
 def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
@@ -120,70 +131,49 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     >= t. ``true_labels`` is only consulted at known positions.
     """
     z = as_matrix(logits, "logits")
-    s = openset_score(z)
-    _, k = _as_score_flags(s, is_known)
+    s, k = _as_score_flags(openset_score(z), is_known)
     y = np.asarray(true_labels)
     if y.shape != (z.shape[0],):
         raise EvalError(f"true_labels must have length {z.shape[0]}")
-    pred = predict_closed(z)
-    correct_known = k & (pred == y)
-    n_known = int(k.sum())
-    n_unknown = s.size - n_known
-    thresholds = np.unique(s)[::-1]
-    curve: Curve = [(float("inf"), 0.0, 0.0)]
-    for t in thresholds:
-        sel = s >= t
-        ccr = float((sel & correct_known).sum() / n_known)
-        fpr = float((sel & ~k).sum() / n_unknown)
-        curve.append((float(t), fpr, ccr))
-    fpr = np.array([p[1] for p in curve])
-    ccr = np.array([p[2] for p in curve])
-    return _trapezoid(fpr, ccr), curve
+    return _oscr(s, k, predict_closed(z) == y)
 
 
 def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig) -> EvalReport:
     """Score a frozen model on an open-set split (known + unknown test sets)."""
     config.validate()
-    if len(split.test_known) == 0 or len(split.test_unknown) == 0:
+    if bank.num_classes != split.num_known:
+        raise EvalError(
+            f"model has {bank.num_classes} classes but the split has {split.num_known} known"
+        )
+    n_known, n_unknown = len(split.test_known), len(split.test_unknown)
+    if n_known == 0 or n_unknown == 0:
         raise EvalError("split must contain known and unknown test samples")
-    feats_known, _ = embed_forward(embedder, split.test_known.inputs)
-    feats_unknown, _ = embed_forward(embedder, split.test_unknown.inputs)
-    logits_known = classification_logits(
-        feats_known, bank, config.classification_metric, config.tau
+    logits = np.vstack([
+        classification_logits(
+            embed_forward(embedder, part.inputs)[0], bank,
+            config.classification_metric, config.tau,
+        )
+        for part in (split.test_known, split.test_unknown)
+    ])
+    is_known = np.arange(n_known + n_unknown) < n_known
+    correct = predict_closed(logits) == np.append(split.test_known.labels, np.full(n_unknown, -1))
+    s, k = _as_score_flags(openset_score(logits), is_known)
+    oscr_value, oscr_curve = _oscr(s, k, correct)
+    return EvalReport(
+        float(correct[:n_known].mean()), auroc(s, k), oscr_value, roc_points(s, k), oscr_curve
     )
-    logits_unknown = classification_logits(
-        feats_unknown, bank, config.classification_metric, config.tau
-    )
-    preds = predict_closed(logits_known)
-    closed_acc = float((preds == split.test_known.labels).mean())
-
-    logits = np.vstack([logits_known, logits_unknown])
-    is_known = np.concatenate(
-        [np.ones(len(split.test_known), dtype=bool), np.zeros(len(split.test_unknown), dtype=bool)]
-    )
-    labels = np.concatenate(
-        [split.test_known.labels, np.full(len(split.test_unknown), -1, dtype=np.int64)]
-    )
-    scores = openset_score(logits)
-    auc = auroc(scores, is_known)
-    roc = roc_points(scores, is_known)
-    oscr_value, oscr_curve = oscr(logits, labels, is_known)
-    return EvalReport(closed_acc, auc, oscr_value, roc, oscr_curve)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_curve_csv(path, header: str, curve: Curve) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for point in curve:
+            fh.write(",".join(f"{x:.17g}" for x in point) + "\n")
 
 
 def write_roc_csv(path, curve: Curve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,fpr,tpr\n")
-        for t, fpr, tpr in curve:
-            fh.write(f"{_fmt(t)},{_fmt(fpr)},{_fmt(tpr)}\n")
+    _write_curve_csv(path, "threshold,fpr,tpr", curve)
 
 
 def write_oscr_csv(path, curve: Curve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,fpr,ccr\n")
-        for t, fpr, ccr in curve:
-            fh.write(f"{_fmt(t)},{_fmt(fpr)},{_fmt(ccr)}\n")
+    _write_curve_csv(path, "threshold,fpr,ccr", curve)

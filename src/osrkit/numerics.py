@@ -25,7 +25,7 @@ class Metric(Enum):
     distance ``|f - p|^2 / D`` inside the margin hinge (see
     ``paired_distances``). ANGULAR is the cosine of the angle between the
     vectors. MANHATTAN and CHEBYSHEV are the plain L1 / Linf distances and
-    are only meaningful inside the margin hinge.
+    exist only for the margin hinge: ``pairwise_scores`` rejects them.
     """
 
     EUCLIDEAN = "euclidean"
@@ -63,6 +63,10 @@ def _row_norms(a: np.ndarray, name: str) -> np.ndarray:
     return norms
 
 
+def _not_a_score_metric(metric) -> ConfigError:
+    return ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")
+
+
 def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
     """Score every feature row against every point row.
 
@@ -70,8 +74,8 @@ def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
 
     - EUCLIDEAN:  |f_b - p_k|^2 / D - f_b . p_k   (composite classification score)
     - ANGULAR:    cos(f_b, p_k), clipped to [-1, 1]
-    - MANHATTAN:  sum_i |f_bi - p_ki|
-    - CHEBYSHEV:  max_i |f_bi - p_ki|
+
+    These are the two classification metrics; any other raises ConfigError.
     """
     f = as_matrix(features, "features")
     p = as_matrix(points, "points")
@@ -90,12 +94,7 @@ def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
         pn = _row_norms(p, "points")
         cos = (f / fn[:, None]) @ (p / pn[:, None]).T
         return np.clip(cos, -1.0, 1.0)
-    diff = np.abs(f[:, None, :] - p[None, :, :])
-    if metric is Metric.MANHATTAN:
-        return diff.sum(axis=2)
-    if metric is Metric.CHEBYSHEV:
-        return diff.max(axis=2)
-    raise ConfigError(f"unknown metric {metric!r}")
+    raise _not_a_score_metric(metric)
 
 
 def pairwise_scores_backward(
@@ -103,9 +102,8 @@ def pairwise_scores_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain a B x K upstream gradient through ``pairwise_scores``.
 
-    Returns (grad_features, grad_points). Kinks (L1 sign at zero, Linf
-    argmax ties, cosine at the clip boundary) take the standard
-    lowest-index / zero subgradient.
+    Returns (grad_features, grad_points). The cosine at the clip boundary
+    takes the unclipped gradient.
     """
     f = as_matrix(features, "features")
     p = as_matrix(points, "points")
@@ -131,23 +129,7 @@ def pairwise_scores_backward(
         grad_f = (g @ v - (g * cos).sum(axis=1)[:, None] * u) / fn[:, None]
         grad_p = (g.T @ u - (g * cos).sum(axis=0)[:, None] * v) / pn[:, None]
         return grad_f, grad_p
-    diff = f[:, None, :] - p[None, :, :]
-    if metric is Metric.MANHATTAN:
-        s = np.sign(diff)
-        grad_f = np.einsum("bk,bkd->bd", g, s)
-        grad_p = -np.einsum("bk,bkd->kd", g, s)
-        return grad_f, grad_p
-    if metric is Metric.CHEBYSHEV:
-        idx = np.abs(diff).argmax(axis=2)  # first max wins
-        hot = np.zeros_like(diff)
-        b_ix, k_ix = np.meshgrid(
-            np.arange(f.shape[0]), np.arange(p.shape[0]), indexing="ij"
-        )
-        hot[b_ix, k_ix, idx] = np.sign(diff[b_ix, k_ix, idx])
-        grad_f = np.einsum("bk,bkd->bd", g, hot)
-        grad_p = -np.einsum("bk,bkd->kd", g, hot)
-        return grad_f, grad_p
-    raise ConfigError(f"unknown metric {metric!r}")
+    raise _not_a_score_metric(metric)
 
 
 def paired_distances(features, points, metric: Metric) -> np.ndarray:

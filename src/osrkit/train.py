@@ -9,13 +9,14 @@ every optimizer step.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, predict_closed
 from .losses import LossConfig, classification_logits, total_loss
 from .model import Embedder, ModelConfig, ReciprocalBank, embed_backward, embed_forward, init_model
@@ -271,40 +272,55 @@ def margin_metric_cells() -> list[dict[str, object]]:
             for m in (Metric.EUCLIDEAN, Metric.ANGULAR, Metric.MANHATTAN, Metric.CHEBYSHEV)]
 
 
+def _check_kind(name: str, current: object, value: object) -> None:
+    """Reject a sweep value that cannot fill the field it overrides."""
+    if isinstance(current, float):
+        ok = isinstance(value, numbers.Real)
+    elif isinstance(current, int):
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, type(current))
+    if not ok:
+        raise ConfigError(
+            f"sweep parameter {name!r} needs a {type(current).__name__}, got {value!r}"
+        )
+
+
 def _apply_overrides(config: TrainConfig, overrides: dict[str, object]) -> TrainConfig:
-    loss_fields = {f.name for f in dataclasses.fields(LossConfig)}
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    model_fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    loss_over = {}
-    train_over = {}
-    model_over = {}
+    """Route each override to every config that has the field (``seed``
+    sets both the training and the model-init seed)."""
+    loss_over: dict[str, object] = {}
+    train_over: dict[str, object] = {}
+    model_over: dict[str, object] = {}
+    targets = ((config.loss, loss_over), (config, train_over), (config.model, model_over))
     for name, value in overrides.items():
-        if name in loss_fields:
-            loss_over[name] = value
-        elif name in train_fields:
-            train_over[name] = value
-        elif name in model_fields:
-            model_over[name] = value
-        else:
+        owners = [(obj, over) for obj, over in targets
+                  if name in {f.name for f in dataclasses.fields(obj)}]
+        if not owners:
             raise ConfigError(f"unknown sweep parameter {name!r}")
+        for obj, over in owners:
+            _check_kind(name, getattr(obj, name), value)
+            over[name] = value
     cfg = replace(config, **train_over)
-    if loss_over:
-        cfg = replace(cfg, loss=replace(config.loss, **loss_over))
-    if model_over:
-        cfg = replace(cfg, model=replace(config.model, **model_over))
-    return cfg
+    return replace(cfg, loss=replace(cfg.loss, **loss_over),
+                   model=replace(cfg.model, **model_over))
 
 
 def sweep(base: TrainConfig, cells: list[dict[str, object]], split) -> list[SweepRow]:
-    """Train and evaluate one run per cell; failures mark the row, not the run."""
+    """Train and evaluate one run per cell.
+
+    Every cell's overrides are checked before the first one trains. A cell
+    that then fails with a toolkit error marks its row and the sweep goes
+    on; any other exception is a bug and propagates.
+    """
     rows = []
-    for overrides in cells:
-        cfg = _apply_overrides(base, overrides)
+    configs = [_apply_overrides(base, overrides) for overrides in cells]
+    for overrides, cfg in zip(cells, configs):
         try:
             embedder, bank, _ = train(split, cfg)
             report = evaluate(embedder, bank, split, cfg.loss)
             rows.append(SweepRow(overrides, report.closed_accuracy, report.auroc, report.oscr))
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        except OsrkitError as exc:
             rows.append(SweepRow(overrides, None, None, None, error=str(exc)))
     return rows
 

@@ -125,6 +125,38 @@ class TestCli:
         assert code == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
+    def test_sweep_all_cells_failed_exit_one(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main([
+            "sweep", "--config", str(config_file), "--grid", "custom",
+            "--param", "tau=-1,-2", "--out", str(out),
+        ])
+        assert code == 1
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines[1:]] == ["error", "error"]
+        assert "tau must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["epochs=abc,x", "epochs=2.5", "margin_metric=bogus"])
+    def test_sweep_malformed_value_exit_one(self, config_file, tmp_path, param):
+        code = main([
+            "sweep", "--config", str(config_file), "--grid", "custom",
+            "--param", param, "--out", str(tmp_path / "sw"),
+        ])
+        assert code == 1
+
+    def test_eval_class_count_mismatch_exit_one(self, config_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--out", str(out)]) == 0
+        other = tmp_path / "three.ini"
+        other.write_text(FAST_CONFIG.replace("known_classes = 0,1\nunknown_classes = 2,3",
+                                             "known_classes = 0,1,2\nunknown_classes = 3"))
+        code = main([
+            "eval", "--config", str(other),
+            "--checkpoint", str(out / "model.osrp"), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert "2 classes" in capsys.readouterr().err
+
     def test_grad_check_exit_zero(self, capsys):
         assert main(["grad-check", "--instances", "2"]) == 0
         out = capsys.readouterr().out

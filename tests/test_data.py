@@ -111,7 +111,6 @@ class TestApplySplit:
         split = apply_split(dataset, spec, 0.25, seed=2)
         assert split.label_map == {5: 0, 2: 1, 0: 2}
         assert set(np.unique(split.train.labels)) == {0, 1, 2}
-        assert split.original_label(1) == 2
 
     def test_empty_unknown_rejected(self, dataset):
         with pytest.raises(ConfigError):

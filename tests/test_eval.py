@@ -56,6 +56,26 @@ def brute_force_oscr(logits, labels, is_known):
     return area
 
 
+def loop_curve(scores, hits, is_known):
+    """Per-threshold oracle: recount every sample at each distinct score."""
+    s = np.asarray(scores, dtype=float)
+    k = np.asarray(is_known, dtype=bool)
+    curve = [(float("inf"), 0.0, 0.0)]
+    for t in np.unique(s)[::-1]:
+        sel = s >= t
+        rate = float((sel & hits).sum() / k.sum())
+        fpr = float((sel & ~k).sum() / (~k).sum())
+        curve.append((float(t), fpr, rate))
+    return curve
+
+
+def assert_same_curve(got, want):
+    """Entry-by-entry equality down to the bit, so -0.0 differs from 0.0."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert [np.float64(x).tobytes() for x in p] == [np.float64(x).tobytes() for x in q]
+
+
 class TestPredictClosed:
     def test_argmax(self):
         assert predict_closed([[0.1, 0.9]])[0] == 1
@@ -168,6 +188,30 @@ class TestRocCurve:
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
 
 
+class TestSweepMatchesLoop:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["quantized", "signed_zero", "continuous"]))
+    @settings(max_examples=150, deadline=None)
+    def test_roc_and_oscr_curves(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        b = int(rng.integers(2, 40))
+        k = int(rng.integers(2, 5))
+        logits = rng.standard_normal((b, k))
+        if kind == "quantized":
+            logits = np.round(logits, 1)
+        elif kind == "signed_zero":
+            # mostly zeros of both signs, so tie runs mix 0.0 and -0.0
+            logits = np.where(rng.random((b, k)) < 0.7, 0.0, np.round(logits))
+            logits = np.copysign(logits, rng.choice([-1.0, 1.0], size=(b, k)))
+        is_known = rng.random(b) < 0.5
+        is_known[0], is_known[-1] = True, False
+        labels = rng.integers(0, k, b)
+        scores = logits.max(axis=1)
+        assert_same_curve(roc_points(scores, is_known), loop_curve(scores, is_known, is_known))
+        correct = is_known & (logits.argmax(axis=1) == labels)
+        _, curve = oscr(logits, labels, is_known)
+        assert_same_curve(curve, loop_curve(scores, correct, is_known))
+
+
 class TestOscr:
     def test_perfect(self):
         logits = np.array([[5.0, 0.0], [0.0, 4.0], [0.5, 0.4], [0.3, 0.2]])
@@ -227,6 +271,31 @@ class TestEvaluate:
         report = evaluate(emb, bank, split, LossConfig())
         assert 0.0 <= report.oscr <= report.closed_accuracy <= 1.0
         assert 0.0 <= report.auroc <= 1.0
+
+    def test_class_count_mismatch_rejected(self, split):
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 3)
+        with pytest.raises(EvalError, match="3 classes"):
+            evaluate(emb, bank, split, LossConfig())
+
+    def test_matches_per_set_scoring(self, split):
+        from osrkit.losses import classification_logits
+        from osrkit.model import embed_forward
+
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=2), 4)
+        cfg = LossConfig()
+        report = evaluate(emb, bank, split, cfg)
+        lk, lu = (
+            classification_logits(embed_forward(emb, d.inputs)[0], bank,
+                                  cfg.classification_metric, cfg.tau)
+            for d in (split.test_known, split.test_unknown)
+        )
+        logits = np.vstack([lk, lu])
+        is_known = np.arange(len(logits)) < len(lk)
+        labels = np.concatenate([split.test_known.labels, np.full(len(lu), -1)])
+        assert report.closed_accuracy == float((predict_closed(lk) == split.test_known.labels).mean())
+        assert report.auroc == auroc(openset_score(logits), is_known)
+        assert report.roc_curve == roc_points(openset_score(logits), is_known)
+        assert (report.oscr, report.oscr_curve) == oscr(logits, labels, is_known)
 
     def test_curve_csv_round_trip(self, split, tmp_path):
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=1), 4)

@@ -33,11 +33,14 @@ class TestPairwiseScores:
         s = pairwise_scores([[1.0, 2.0]], [[3.0, 4.0]], Metric.EUCLIDEAN)
         assert s[0, 0] == pytest.approx(-7.0, abs=1e-12)
 
-    def test_manhattan_chebyshev_hand_values(self):
+    @pytest.mark.parametrize("metric", [Metric.MANHATTAN, Metric.CHEBYSHEV])
+    def test_hinge_only_metrics_rejected(self, metric):
         f = [[1.0, -2.0]]
         p = [[4.0, 2.0]]
-        assert pairwise_scores(f, p, Metric.MANHATTAN)[0, 0] == pytest.approx(7.0)
-        assert pairwise_scores(f, p, Metric.CHEBYSHEV)[0, 0] == pytest.approx(4.0)
+        with pytest.raises(ConfigError, match="euclidean or angular"):
+            pairwise_scores(f, p, metric)
+        with pytest.raises(ConfigError, match="euclidean or angular"):
+            pairwise_scores_backward(f, p, metric, [[1.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -70,24 +73,6 @@ class TestPairwiseScores:
         s = pairwise_scores(f, p, Metric.ANGULAR)
         assert (s >= -1.0).all() and (s <= 1.0).all()
 
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_lp_distance_properties(self, seed):
-        rng = np.random.default_rng(seed)
-        f = rand_matrix(rng, 5, 4)
-        p = rand_matrix(rng, 3, 4)
-        shift = rng.standard_normal(4)
-        man = pairwise_scores(f, p, Metric.MANHATTAN)
-        che = pairwise_scores(f, p, Metric.CHEBYSHEV)
-        # pure Lp distances: nonnegative, L1 >= Linf, translation invariant
-        assert (man >= che).all() and (che >= 0).all()
-        np.testing.assert_allclose(
-            pairwise_scores(f + shift, p + shift, Metric.MANHATTAN), man, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            pairwise_scores(f + shift, p + shift, Metric.CHEBYSHEV), che, atol=1e-10
-        )
-
     def test_euclidean_translation_covariance(self):
         # the squared-distance part is translation invariant; the composite
         # shifts by the dot-product change, which we can predict exactly
@@ -99,6 +84,32 @@ class TestPairwiseScores:
         got = pairwise_scores(f + shift, p + shift, Metric.EUCLIDEAN)
         expected = base_sq - (f + shift) @ (p + shift).T
         np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+class TestPairedDistances:
+    def test_manhattan_chebyshev_hand_values(self):
+        f = [[1.0, -2.0]]
+        p = [[4.0, 2.0]]
+        assert paired_distances(f, p, Metric.MANHATTAN)[0] == pytest.approx(7.0)
+        assert paired_distances(f, p, Metric.CHEBYSHEV)[0] == pytest.approx(4.0)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_lp_distance_properties(self, seed):
+        rng = np.random.default_rng(seed)
+        f = rand_matrix(rng, 5, 4)
+        p = rand_matrix(rng, 5, 4)
+        shift = rng.standard_normal(4)
+        man = paired_distances(f, p, Metric.MANHATTAN)
+        che = paired_distances(f, p, Metric.CHEBYSHEV)
+        # pure Lp distances: nonnegative, L1 >= Linf, translation invariant
+        assert (man >= che).all() and (che >= 0).all()
+        np.testing.assert_allclose(
+            paired_distances(f + shift, p + shift, Metric.MANHATTAN), man, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            paired_distances(f + shift, p + shift, Metric.CHEBYSHEV), che, atol=1e-10
+        )
 
 
 class TestSoftmaxRows:
@@ -157,7 +168,7 @@ class TestGradCheck:
 
 
 class TestKernelGradients:
-    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.ANGULAR])
     def test_pairwise_backward(self, metric):
         rng = np.random.default_rng(11)
         f = rand_matrix(rng, 3, 4)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from osrkit.train import (
     Adam,
     SGD,
     TrainConfig,
+    _apply_overrides,
     cartesian_cells,
     desk_preset,
     gap_threshold_cells,
@@ -24,6 +27,9 @@ from osrkit.train import (
     write_history_csv,
     write_sweep_csv,
 )
+
+# the package re-exports the function ``train``, which hides the module
+train_module = importlib.import_module("osrkit.train")
 
 
 def small_split(seed=0):
@@ -217,6 +223,27 @@ class TestSweep:
         split = small_split()
         with pytest.raises(ConfigError):
             sweep(small_config(epochs=1), [{"nonsense": 1}], split)
+
+    def test_malformed_value_rejected_before_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a cell trained before every cell was checked")
+
+        monkeypatch.setattr(train_module, "train", no_training)
+        with pytest.raises(ConfigError, match="epochs"):
+            sweep(small_config(epochs=1), [{"epochs": 1}, {"epochs": "abc"}], small_split())
+
+    def test_seed_reaches_model_and_training(self):
+        cfg = _apply_overrides(small_config(seed=0), {"seed": 3})
+        assert cfg.seed == 3
+        assert cfg.model.seed == 3
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug inside a cell")
+
+        monkeypatch.setattr(train_module, "train", broken)
+        with pytest.raises(TypeError, match="bug inside a cell"):
+            sweep(small_config(epochs=1), [{"tau": 1.0}], small_split())
 
     def test_metric_cells_swap_margin_metric(self):
         split = small_split()
