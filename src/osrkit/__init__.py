@@ -26,7 +26,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import Metric, grad_check, pairwise_scores, softmax_rows
+from .numerics import Metric, grad_check, pairwise_scores
 from .train import TrainConfig, TrainHistory, desk_preset, paper_preset, sweep, train, variant_loss
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "paper_preset",
     "predict_closed",
     "save_checkpoint",
-    "softmax_rows",
     "sweep",
     "total_loss",
     "train",

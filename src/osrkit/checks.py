@@ -22,6 +22,7 @@ from .losses import (
 )
 from .model import Embedder, ReciprocalBank, embed_backward, embed_forward
 from .numerics import Metric, grad_check
+from .train import model_arrays
 
 DEFAULT_TOL = 1e-4
 DEFAULT_EPS = 1e-5
@@ -49,8 +50,8 @@ def _random_instance(rng: np.random.Generator):
     return features, points, margins, labels
 
 
-def _pack(features, points, margins) -> np.ndarray:
-    return np.concatenate([features.ravel(), points.ravel(), margins])
+def _pack(*arrays: np.ndarray) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 def _bank_loss_case(loss_fn) -> Callable[[np.random.Generator], float]:
@@ -88,51 +89,35 @@ def _overconfidence_case(rng: np.random.Generator) -> float:
 
 
 def _through_embedder_case(rng: np.random.Generator) -> float:
-    """Total loss backpropagated through a random 2-layer embedder."""
+    """Total loss backpropagated through a random 2-layer embedder, probed
+    through ``train.model_arrays`` so the optimizer's parameter order is checked too."""
     b = int(rng.integers(2, 6))
     d_in = int(rng.integers(2, 5))
     h = int(rng.integers(2, 6))
     d = int(rng.integers(2, 5))
     k = int(rng.integers(2, 5))
-    dims = [d_in, h, d]
     weights = [rng.standard_normal((d_in, h)), rng.standard_normal((h, d))]
     biases = [rng.standard_normal(h), rng.standard_normal(d)]
-    points = rng.standard_normal((k, d))
-    margins = rng.uniform(0.0, 2.0, k)
+    embedder = Embedder([d_in, h, d], weights, biases)
+    bank = ReciprocalBank(rng.standard_normal((k, d)), rng.uniform(0.0, 2.0, k))
     labels = rng.integers(0, k, b)
     inputs = rng.standard_normal((b, d_in))
     cfg = LossConfig(tau=1.0, alpha=0.1, beta=0.1, gap_threshold=0.25)
-
-    sizes = [w.size for w in weights] + [bb.size for bb in biases] + [points.size, margins.size]
-
-    def unpack(vec: np.ndarray):
-        pieces = []
-        off = 0
-        for s in sizes:
-            pieces.append(vec[off : off + s])
-            off += s
-        ws = [pieces[0].reshape(d_in, h), pieces[1].reshape(h, d)]
-        bs = [pieces[2], pieces[3]]
-        return ws, bs, pieces[4].reshape(k, d), pieces[5]
+    params = model_arrays(embedder, bank)
+    x0 = _pack(*params)
 
     def value_at(vec: np.ndarray) -> float:
-        ws, bs, p, m = unpack(vec)
-        feats, _ = embed_forward(Embedder(dims, ws, bs), inputs)
-        return total_loss(feats, ReciprocalBank(p, m), labels, cfg).value
+        off = 0
+        for p in params:
+            p[...] = vec[off : off + p.size].reshape(p.shape)
+            off += p.size
+        feats, _ = embed_forward(embedder, inputs)
+        return total_loss(feats, bank, labels, cfg).value
 
-    embedder = Embedder(dims, weights, biases)
     feats, cache = embed_forward(embedder, inputs)
-    out = total_loss(feats, ReciprocalBank(points, margins), labels, cfg)
+    out = total_loss(feats, bank, labels, cfg)
     egrads, _ = embed_backward(cache, out.grad_features)
-    analytic = np.concatenate(
-        [g.ravel() for g in egrads.weights]
-        + [g.ravel() for g in egrads.biases]
-        + [out.grad_points.ravel(), out.grad_margins]
-    )
-    x0 = np.concatenate(
-        [w.ravel() for w in weights] + [bb.ravel() for bb in biases]
-        + [points.ravel(), margins]
-    )
+    analytic = _pack(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
     return grad_check(value_at, x0, analytic, DEFAULT_EPS)
 
 

@@ -34,6 +34,12 @@ from .train import (
 )
 
 
+def _seed(raw: str) -> int:
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from exiting with its own code
         raise UsageError(message)
@@ -169,7 +175,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override all seeds")
+        p.add_argument("--seed", type=_seed, default=None, help="override all seeds")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")

@@ -103,8 +103,11 @@ def _metric(raw: str) -> Metric:
 
 
 def load_config(path) -> FullConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
 

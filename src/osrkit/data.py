@@ -144,6 +144,13 @@ def _class_directions(
     return np.vstack(dirs)
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_synthetic(
     num_classes: int,
     samples_per_class: int,
@@ -175,7 +182,7 @@ def gen_synthetic(
         raise ConfigError(f"overlap must be >= 0, got {overlap}")
     if num_groups < 1:
         raise ConfigError("num_groups must be >= 1")
-    rng = np.random.default_rng(int(seed))
+    rng = _seeded_rng(seed)
     means = separation * _class_directions(num_classes, dim, hard, rng)
     rows = []
     labels = []
@@ -200,7 +207,7 @@ def apply_split(
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     present = set(int(c) for c in np.unique(dataset.labels))
     spec.validate(present)
-    rng = np.random.default_rng(int(seed))
+    rng = _seeded_rng(seed)
     label_map = {int(c): i for i, c in enumerate(spec.known_classes)}
 
     train_idx: list[np.ndarray] = []

@@ -13,7 +13,8 @@ Three ingredients, each differentiable by hand:
   predictions.
 
 ``total_loss`` combines them as classification + alpha * margin +
-beta * overconfidence and sums the component gradients.
+beta * overconfidence. It scores the batch once; the classification and
+overconfidence logit gradients are summed and chained by one backward.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .numerics import (
     pairwise_scores_backward,
     paired_distances,
     paired_distances_backward,
-    softmax_rows,
 )
 
 
@@ -89,21 +89,26 @@ def classification_logits(features, bank: ReciprocalBank, metric: Metric, tau: f
     return tau * pairwise_scores(features, bank.points, metric)
 
 
+def _cross_entropy(scores: np.ndarray, y: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """(mean cross-entropy of y under softmax(tau * scores), grad w.r.t. tau * scores)."""
+    rows = np.arange(scores.shape[0])
+    logp = log_softmax_rows(scores, tau)
+    value = float(-logp[rows, y].mean())
+    grad_logits = np.exp(logp)
+    grad_logits[rows, y] -= 1.0
+    grad_logits /= rows.size
+    return value, grad_logits
+
+
 def classification_loss(
     features, bank: ReciprocalBank, labels, metric: Metric, tau: float = 1.0
 ) -> LossOutput:
     """Mean cross-entropy of the true class under softmax(tau * scores)."""
     f = as_matrix(features, "features")
     y = _check_labels(labels, bank.num_classes, f.shape[0])
-    b = f.shape[0]
     scores = pairwise_scores(f, bank.points, metric)
-    logp = log_softmax_rows(scores, tau)
-    value = float(-logp[np.arange(b), y].mean())
-    grad_logits = softmax_rows(scores, tau)
-    grad_logits[np.arange(b), y] -= 1.0
-    grad_logits /= b
-    grad_scores = tau * grad_logits
-    grad_f, grad_p = pairwise_scores_backward(f, bank.points, metric, grad_scores)
+    value, grad_logits = _cross_entropy(scores, y, tau)
+    grad_f, grad_p = pairwise_scores_backward(f, bank.points, metric, tau * grad_logits)
     return LossOutput(value, grad_f, grad_p, np.zeros(bank.num_classes))
 
 
@@ -161,27 +166,31 @@ def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> Lo
     """classification + alpha * margin + beta * overconfidence.
 
     The overconfidence hinge consumes the same tau-scaled logits the
-    classifier uses. Component values are exposed in ``parts``.
+    classifier uses, so the batch is scored once: both terms' logit
+    gradients are summed and chained by one ``pairwise_scores_backward``.
+    Component values are exposed in ``parts``.
     """
     config.validate()
     f = as_matrix(features, "features")
-    cls = classification_loss(f, bank, labels, config.classification_metric, config.tau)
-    mar = margin_loss(f, bank, labels, config.margin_metric)
-    logits = classification_logits(f, bank, config.classification_metric, config.tau)
-    oc_value, grad_logits = overconfidence_loss(logits, config.gap_threshold)
-    oc_f, oc_p = pairwise_scores_backward(
-        f, bank.points, config.classification_metric, config.tau * grad_logits
+    y = _check_labels(labels, bank.num_classes, f.shape[0])
+    metric, tau = config.classification_metric, config.tau
+    scores = pairwise_scores(f, bank.points, metric)
+    cls_value, grad_cls = _cross_entropy(scores, y, tau)
+    oc_value, grad_oc = overconfidence_loss(tau * scores, config.gap_threshold)
+    grad_f, grad_p = pairwise_scores_backward(
+        f, bank.points, metric, tau * (grad_cls + config.beta * grad_oc)
     )
-    value = cls.value + config.alpha * mar.value + config.beta * oc_value
+    mar = margin_loss(f, bank, y, config.margin_metric)
+    value = cls_value + config.alpha * mar.value + config.beta * oc_value
     if not np.isfinite(value):
         raise NumericError(f"non-finite total loss {value}")
     return LossOutput(
         value=value,
-        grad_features=cls.grad_features + config.alpha * mar.grad_features + config.beta * oc_f,
-        grad_points=cls.grad_points + config.alpha * mar.grad_points + config.beta * oc_p,
-        grad_margins=cls.grad_margins + config.alpha * mar.grad_margins,
+        grad_features=grad_f + config.alpha * mar.grad_features,
+        grad_points=grad_p + config.alpha * mar.grad_points,
+        grad_margins=config.alpha * mar.grad_margins,
         parts={
-            "classification": cls.value,
+            "classification": cls_value,
             "margin": mar.value,
             "overconfidence": oc_value,
         },

@@ -45,10 +45,6 @@ class Embedder:
     biases: list[np.ndarray]
 
     @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
     def in_dim(self) -> int:
         return self.layer_dims[0]
 

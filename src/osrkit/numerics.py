@@ -1,4 +1,4 @@
-"""Dense float64 kernels: distance scores, stable softmax, gradient checking.
+"""Dense float64 kernels: distance scores, stable log-softmax, gradient checking.
 
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
 Every exposed operation validates that its inputs are finite and leaves
@@ -192,20 +192,6 @@ def paired_distances_backward(
         hot[rows, idx] = np.sign(diff[rows, idx])
         return gcol * hot, -gcol * hot
     raise ConfigError(f"unknown metric {metric!r}")
-
-
-def softmax_rows(scores, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of tau-scaled scores, max-subtracted for stability.
-
-    Each output row sums to 1 and preserves the argmax of its input row.
-    """
-    if not (np.isfinite(tau) and tau > 0):
-        raise ConfigError(f"tau must be positive, got {tau}")
-    s = as_matrix(scores, "scores")
-    z = tau * s
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def log_softmax_rows(scores, tau: float = 1.0) -> np.ndarray:

@@ -47,6 +47,8 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def paper_preset(model: ModelConfig, loss: LossConfig | None = None) -> TrainConfig:
@@ -90,7 +92,7 @@ class EpochRecord:
     classification: float
     margin: float
     overconfidence: float
-    val_accuracy: float  # nan when not evaluated this epoch
+    val_accuracy: float  # on split.test_known (no held-out split); nan if not evaluated
 
 
 @dataclass

@@ -37,6 +37,26 @@ test_fraction = 0.3
 """
 
 
+# Files configparser itself cannot read, keyed by what is wrong with them.
+UNREADABLE_CONFIGS = {
+    "no_section_header": b"# osrkit\n\nA README, not a config.\n",
+    "duplicate_key": b"[train]\nepochs = 3\nepochs = 4\n",
+    "binary": b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR",
+    "percent_value": b"[train]\nlearning_rate = 5%\n",
+}
+
+# (command line after --config/--out, (old, new) edit of FAST_CONFIG or None)
+DATA_SEED = ("hard = false\nseed = 0", "hard = false\nseed = -3")
+NEGATIVE_SEEDS = {
+    "gen-data --seed": (["gen-data", "--seed", "-1"], None),
+    "train --seed": (["train", "--seed", "-1"], None),
+    "grad-check --seed": (["grad-check", "--seed", "-1"], None),
+    "gen-data [data] seed": (["gen-data"], DATA_SEED),
+    "train [data] seed": (["train"], DATA_SEED),
+    "train [train] seed": (["train"], ("batch_size = 8\nseed = 0", "batch_size = 8\nseed = -2")),
+}
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "cfg.ini"
@@ -172,6 +192,23 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[train]\nepochs = -3\n[data]\nsamples_per_class = 4\n")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, name):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(UNREADABLE_CONFIGS[name])
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_SEEDS))
+    def test_negative_seed_exit_one(self, tmp_path, capsys, name):
+        argv, edit = NEGATIVE_SEEDS[name]
+        text = FAST_CONFIG if edit is None else FAST_CONFIG.replace(*edit)
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        code = main(argv + ["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "non-negative" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -84,6 +84,10 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             gen_synthetic(3, 5, 4, 2.0, 0.5, seed=0, hard=True)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            gen_synthetic(4, 5, 4, 2.0, 0.5, seed=-1)
+
 
 class TestApplySplit:
     @pytest.fixture()
@@ -132,6 +136,10 @@ class TestApplySplit:
         )
         with pytest.raises(DataError):
             apply_split(ds, SplitSpec([0, 1], [2]), 0.5, seed=0)
+
+    def test_negative_seed_rejected(self, dataset):
+        with pytest.raises(ConfigError, match="seed"):
+            apply_split(dataset, SplitSpec([0, 1, 2, 3], [4, 5]), 0.25, seed=-1)
 
     def test_deterministic(self, dataset):
         s1 = apply_split(dataset, SplitSpec([0, 1, 2, 3], [4, 5]), 0.25, seed=3)

@@ -15,7 +15,24 @@ from osrkit.losses import (
     total_loss,
 )
 from osrkit.model import ReciprocalBank
-from osrkit.numerics import Metric, grad_check, log_softmax_rows, pairwise_scores
+from osrkit.numerics import (
+    Metric,
+    grad_check,
+    log_softmax_rows,
+    pairwise_scores,
+    pairwise_scores_backward,
+)
+
+
+def assert_sum_of_terms(actual, *terms):
+    """``actual`` equals sum(terms) to 1e-12 relative to the terms' magnitudes.
+
+    Relative to the terms rather than to the sum, because the terms may
+    cancel and leave a sum much smaller than its rounding error.
+    """
+    expected = sum(terms)
+    scale = sum(np.abs(t) for t in terms)
+    assert (np.abs(actual - expected) <= 1e-12 * scale).all()
 
 
 def make_bank(points, margins=None):
@@ -73,6 +90,12 @@ class TestClassificationLoss:
         s = np.array([0.9, 0.1, -1.5])
         oracle = float(np.log(np.exp(s).sum()) - 0.9)
         assert oracle == pytest.approx(0.4318128818099271, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_bad_tau_rejected(self, tau):
+        features, bank, labels = random_case(np.random.default_rng(3))
+        with pytest.raises(ConfigError):
+            classification_loss(features, bank, labels, Metric.ANGULAR, tau)
 
     def test_label_out_of_range(self):
         bank = make_bank([[1.0, 0.0], [0.0, 1.0]])
@@ -245,6 +268,35 @@ class TestTotalLoss:
             features, bank, labels, cfg.classification_metric, cfg.tau
         )
         assert out.value == pytest.approx(cls.value + oc_value, abs=1e-12)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.ANGULAR])
+    @pytest.mark.parametrize("alpha,beta", [(0.1, 0.3), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0)])
+    def test_fused_gradients_equal_sum_of_parts(self, metric, alpha, beta):
+        # total_loss scores once and runs one backward; its gradients must
+        # match the unfused definition built from the public parts.
+        rng = np.random.default_rng(21)
+        oc_active = False
+        for _ in range(20):
+            features, bank, labels = random_case(rng)
+            cfg = LossConfig(tau=1.3, alpha=alpha, beta=beta, gap_threshold=0.1,
+                             classification_metric=metric)
+            out = total_loss(features, bank, labels, cfg)
+            cls = classification_loss(features, bank, labels, metric, cfg.tau)
+            mar = margin_loss(features, bank, labels, cfg.margin_metric)
+            logits = classification_logits(features, bank, metric, cfg.tau)
+            _, grad_oc = overconfidence_loss(logits, cfg.gap_threshold)
+            oc_active = oc_active or bool(grad_oc.any())
+            oc_f, oc_p = pairwise_scores_backward(
+                features, bank.points, metric, cfg.tau * grad_oc
+            )
+            assert_sum_of_terms(
+                out.grad_features, cls.grad_features, alpha * mar.grad_features, beta * oc_f
+            )
+            assert_sum_of_terms(
+                out.grad_points, cls.grad_points, alpha * mar.grad_points, beta * oc_p
+            )
+            assert_sum_of_terms(out.grad_margins, cls.grad_margins, alpha * mar.grad_margins)
+        assert oc_active
 
     def test_zero_step_keeps_argmax(self):
         rng = np.random.default_rng(16)

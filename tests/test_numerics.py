@@ -7,11 +7,11 @@ from osrkit.errors import ConfigError, DegenerateInputError, NumericError
 from osrkit.numerics import (
     Metric,
     grad_check,
+    log_softmax_rows,
     pairwise_scores,
     pairwise_scores_backward,
     paired_distances,
     paired_distances_backward,
-    softmax_rows,
 )
 
 
@@ -110,6 +110,11 @@ class TestPairedDistances:
         np.testing.assert_allclose(
             paired_distances(f + shift, p + shift, Metric.CHEBYSHEV), che, atol=1e-10
         )
+
+
+def softmax_rows(scores, tau):
+    """The softmax as the classification loss takes it from log-softmax."""
+    return np.exp(log_softmax_rows(scores, tau))
 
 
 class TestSoftmaxRows:
