@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .losses import (
     LossConfig,
     classification_loss,
@@ -20,9 +21,9 @@ from .losses import (
     overconfidence_loss,
     total_loss,
 )
-from .model import Embedder, ReciprocalBank, embed_backward, embed_forward
+from .model import (Embedder, ReciprocalBank, bind_parameters, embed_backward, embed_forward,
+                    flatten, unflatten)
 from .numerics import Metric, grad_check
-from .train import model_arrays
 
 DEFAULT_TOL = 1e-4
 DEFAULT_EPS = 1e-5
@@ -50,27 +51,20 @@ def _random_instance(rng: np.random.Generator):
     return features, points, margins, labels
 
 
-def _pack(*arrays: np.ndarray) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
 def _bank_loss_case(loss_fn) -> Callable[[np.random.Generator], float]:
     """Check d(loss)/d(features, points, margins) for a bank-based loss."""
 
     def run(rng: np.random.Generator) -> float:
         features, points, margins, labels = _random_instance(rng)
-        b, d = features.shape
-        k = points.shape[0]
+        like = [features, points, margins]
 
         def value_at(vec: np.ndarray) -> float:
-            f = vec[: b * d].reshape(b, d)
-            p = vec[b * d : b * d + k * d].reshape(k, d)
-            m = vec[b * d + k * d :]
+            f, p, m = unflatten(vec, like)
             return loss_fn(f, ReciprocalBank(p, m), labels).value
 
         out = loss_fn(features, ReciprocalBank(points, margins), labels)
-        analytic = _pack(out.grad_features, out.grad_points, out.grad_margins)
-        return grad_check(value_at, _pack(features, points, margins), analytic, DEFAULT_EPS)
+        analytic = flatten(out.grad_features, out.grad_points, out.grad_margins)
+        return grad_check(value_at, flatten(*like), analytic, DEFAULT_EPS)
 
     return run
 
@@ -89,8 +83,8 @@ def _overconfidence_case(rng: np.random.Generator) -> float:
 
 
 def _through_embedder_case(rng: np.random.Generator) -> float:
-    """Total loss backpropagated through a random 2-layer embedder, probed
-    through ``train.model_arrays`` so the optimizer's parameter order is checked too."""
+    """Total loss backpropagated through a random 2-layer embedder, probed through
+    the ``model.bind_parameters`` vector so the optimizer's parameter layout is checked too."""
     b = int(rng.integers(2, 6))
     d_in = int(rng.integers(2, 5))
     h = int(rng.integers(2, 6))
@@ -103,22 +97,18 @@ def _through_embedder_case(rng: np.random.Generator) -> float:
     labels = rng.integers(0, k, b)
     inputs = rng.standard_normal((b, d_in))
     cfg = LossConfig(tau=1.0, alpha=0.1, beta=0.1, gap_threshold=0.25)
-    params = model_arrays(embedder, bank)
-    x0 = _pack(*params)
+    params = bind_parameters(embedder, bank)
 
     def value_at(vec: np.ndarray) -> float:
-        off = 0
-        for p in params:
-            p[...] = vec[off : off + p.size].reshape(p.shape)
-            off += p.size
+        params[...] = vec
         feats, _ = embed_forward(embedder, inputs)
         return total_loss(feats, bank, labels, cfg).value
 
     feats, cache = embed_forward(embedder, inputs)
     out = total_loss(feats, bank, labels, cfg)
     egrads, _ = embed_backward(cache, out.grad_features)
-    analytic = _pack(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
-    return grad_check(value_at, x0, analytic, DEFAULT_EPS)
+    analytic = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
+    return grad_check(value_at, params, analytic, DEFAULT_EPS)  # grad_check copies params
 
 
 def gradient_cases() -> dict[str, Callable[[np.random.Generator], float]]:
@@ -148,6 +138,8 @@ def run_gradient_suite(
     seed: int = 0, instances: int = 20, tolerance: float = DEFAULT_TOL
 ) -> list[GradCaseResult]:
     """Run every case on ``instances`` seeded random instances each."""
+    if instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {instances}")
     results = []
     for name, case in gradient_cases().items():
         rng = np.random.default_rng(seed)

@@ -123,6 +123,11 @@ def margin_loss(
     """
     f = as_matrix(features, "features")
     y = _check_labels(labels, bank.num_classes, f.shape[0])
+    return _margin_hinge(f, bank, y, metric)
+
+
+def _margin_hinge(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, metric: Metric) -> LossOutput:
+    """``margin_loss`` on features and labels that are already validated."""
     b = f.shape[0]
     own_points = bank.points[y]
     d = paired_distances(f, own_points, metric)
@@ -180,7 +185,7 @@ def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> Lo
     grad_f, grad_p = pairwise_scores_backward(
         f, bank.points, metric, tau * (grad_cls + config.beta * grad_oc)
     )
-    mar = margin_loss(f, bank, y, config.margin_metric)
+    mar = _margin_hinge(f, bank, y, config.margin_metric)
     value = cls_value + config.alpha * mar.value + config.beta * oc_value
     if not np.isfinite(value):
         raise NumericError(f"non-finite total loss {value}")

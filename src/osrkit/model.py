@@ -104,6 +104,29 @@ def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, Recipro
     return Embedder(dims, weights, biases), ReciprocalBank(points, margins)
 
 
+def flatten(*arrays: np.ndarray) -> np.ndarray:
+    """One vector holding ``arrays`` raveled, in the order given."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def unflatten(vec: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of ``vec`` shaped like the arrays in ``like``: the inverse of ``flatten``."""
+    parts = np.split(vec, np.cumsum([a.size for a in like])[:-1])
+    return [part.reshape(a.shape) for part, a in zip(parts, like)]
+
+
+def bind_parameters(embedder: Embedder, bank: ReciprocalBank) -> np.ndarray:
+    """Move the trainable arrays into one vector, in the order weights, biases,
+    points, margins, and rebind them as its views. Gradients use the same order."""
+    arrays = [*embedder.weights, *embedder.biases, bank.points, bank.margins]
+    vec = flatten(*arrays)
+    views = unflatten(vec, arrays)
+    n = len(embedder.weights)
+    embedder.weights, embedder.biases = views[:n], views[n : 2 * n]
+    bank.points, bank.margins = views[2 * n :]
+    return vec
+
+
 def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]:
     """Run the MLP. Returns (features, cache); the cache enables exact backprop."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -173,7 +196,10 @@ class _Reader:
 
     def f64_array(self) -> np.ndarray:
         n = self.u32()
-        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+        a = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+        if not np.isfinite(a).all():
+            raise DataError(f"{self.path}: checkpoint holds non-finite parameters")
+        return a
 
 
 def save_checkpoint(path, embedder: Embedder, bank: ReciprocalBank) -> None:

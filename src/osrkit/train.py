@@ -2,8 +2,8 @@
 
 Training is bit-deterministic for a fixed (seed, config, split): batch
 order comes from one seeded generator, batches run single-threaded, and
-the last partial batch is kept. Margins are projected back to >= 0 after
-every optimizer step.
+the last partial batch is kept. The parameters are one flat float64 vector,
+so each optimizer step is one vector update, after which margins are clamped to >= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ConfigError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, predict_closed
 from .losses import LossConfig, classification_logits, total_loss
-from .model import Embedder, ModelConfig, ReciprocalBank, embed_backward, embed_forward, init_model
+from .model import (Embedder, ModelConfig, ReciprocalBank, bind_parameters, embed_backward,
+                    embed_forward, flatten, init_model)
 from .numerics import Metric
 
 
@@ -107,51 +108,41 @@ class SGD:
     def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         _check_shapes(params, grads)
-        for p, g in zip(params, grads):
-            p -= self.learning_rate * g
+        params -= self.learning_rate * grads
 
 
 class Adam:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (Kingma & Ba, ICLR 2015). Its constants
+    are the class attributes BETA1 = 0.9, BETA2 = 0.999 and EPS = 1e-8."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         _check_shapes(params, grads)
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        if len(self.m) != len(params) or any(
-            m.shape != p.shape for m, p in zip(self.m, params)
-        ):
-            raise UsageError("optimizer state does not match parameter shapes")
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        _check_shapes(params, self.m, "optimizer state")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * grads
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * grads * grads
+        params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
-def _check_shapes(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    if len(params) != len(grads):
-        raise UsageError(f"{len(params)} params vs {len(grads)} grads")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise UsageError(f"param {i} shape {p.shape} != grad shape {g.shape}")
+def _check_shapes(params: np.ndarray, other: np.ndarray, what: str = "grad") -> None:
+    if params.shape != other.shape:
+        raise UsageError(f"params shape {params.shape} != {what} shape {other.shape}")
 
 
 def make_optimizer(config: TrainConfig):
@@ -160,15 +151,9 @@ def make_optimizer(config: TrainConfig):
     return SGD(config.learning_rate)
 
 
-def model_arrays(embedder: Embedder, bank: ReciprocalBank) -> list[np.ndarray]:
-    """The trainable arrays, in a fixed order shared with gradient packing."""
-    return [*embedder.weights, *embedder.biases, bank.points, bank.margins]
-
-
-def optimizer_step(optimizer, embedder: Embedder, bank: ReciprocalBank,
-                   grads: list[np.ndarray]) -> None:
-    """One in-place update over all trainable arrays, then margin projection."""
-    optimizer.step(model_arrays(embedder, bank), grads)
+def optimizer_step(optimizer, params: np.ndarray, bank: ReciprocalBank, grads: np.ndarray) -> None:
+    """Update the ``bind_parameters`` vector in place, then clamp ``bank``'s margin views."""
+    optimizer.step(params, grads)
     bank.project_margins()
 
 
@@ -188,6 +173,7 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
             f"data dim {split.train.inputs.shape[1]}"
         )
     embedder, bank = init_model(config.model, k)
+    params = bind_parameters(embedder, bank)
     optimizer = make_optimizer(config)
     rng = np.random.default_rng(int(config.seed))
     n = len(split.train)
@@ -207,8 +193,8 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
                     f"non-finite loss {out.value} at epoch {epoch}, batch {start // config.batch_size}"
                 )
             egrads, _ = embed_backward(cache, out.grad_features)
-            grads = [*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins]
-            optimizer_step(optimizer, embedder, bank, grads)
+            grads = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
+            optimizer_step(optimizer, params, bank, grads)
             for key in sums:
                 sums[key] += out.parts[key] * len(batch)
         means = {key: sums[key] / n for key in sums}

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -176,6 +177,27 @@ class TestCli:
         ])
         assert code == 1
         assert "2 classes" in capsys.readouterr().err
+
+    def test_eval_non_finite_checkpoint_exit_one(self, config_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--out", str(out)]) == 0
+        ckpt = out / "model.osrp"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))  # the last margin
+        code = main([
+            "eval", "--config", str(config_file),
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_grad_check_no_instances_exit_one(self, capsys, instances):
+        assert main(["grad-check", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert "ok" not in captured.out
+        assert "instances must be >= 1" in captured.err
 
     def test_grad_check_exit_zero(self, capsys):
         assert main(["grad-check", "--instances", "2"]) == 0

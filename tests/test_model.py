@@ -8,9 +8,11 @@ from osrkit.model import (
     ReciprocalBank,
     embed_backward,
     embed_forward,
+    flatten,
     init_model,
     load_checkpoint,
     save_checkpoint,
+    unflatten,
 )
 from osrkit.numerics import grad_check
 
@@ -151,6 +153,22 @@ class TestBackward:
         assert (grads.weights[0][:, dead] == 0).all()
 
 
+class TestParameterVector:
+    def test_flatten_unflatten_round_trip(self):
+        arrays = [np.arange(6.0).reshape(2, 3), np.array([6.0]), np.array(7.0)]
+        vec = flatten(*arrays)
+        np.testing.assert_array_equal(vec, np.arange(8.0))
+        views = unflatten(vec, arrays)
+        for view, a in zip(views, arrays):
+            assert view.shape == a.shape and np.shares_memory(view, vec)
+            np.testing.assert_array_equal(view, a)
+
+    def test_unflatten_size_mismatch(self):
+        for size in (3, 5):
+            with pytest.raises(ValueError):
+                unflatten(np.zeros(size), [np.zeros(2), np.zeros(2)])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         emb, bank = init_model(ModelConfig([3, 5, 2], seed=17, init_scale=0.7), 4)
@@ -178,6 +196,18 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 9])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("array", ["weights", "biases", "points", "margins"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, array, value):
+        emb, bank = init_model(ModelConfig([3, 4, 2], seed=0), 3)
+        target = getattr(emb, array)[-1] if array in ("weights", "biases") else getattr(bank, array)
+        target.flat[-1] = value
+        path = tmp_path / "model.osrp"
+        save_checkpoint(path, emb, bank)
+        with pytest.raises(DataError, match="non-finite") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_margin_projection(self):
         bank = ReciprocalBank(np.zeros((3, 2)), np.array([0.5, -0.2, 0.0]))

@@ -2,12 +2,15 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_config, benchmark_split
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import ConfigError, UsageError
-from osrkit.losses import LossConfig
-from osrkit.model import ModelConfig, init_model
+from osrkit.losses import LossConfig, total_loss
+from osrkit.model import (ModelConfig, bind_parameters, embed_backward, embed_forward, flatten,
+                          init_model)
 from osrkit.numerics import Metric
 from osrkit.train import (
     Adam,
@@ -49,45 +52,125 @@ def small_config(seed=0, epochs=3, **loss_kwargs):
     )
 
 
+def adam_per_array(params, grads, state, lr, t):
+    """Adam as a loop over separate arrays, the form the flat step replaced."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    if not state:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def sgd_per_array(params, grads, state, lr, t):
+    for p, g in zip(params, grads):
+        p -= lr * g
+
+
 class TestOptimizers:
     def test_zero_gradients_leave_params(self):
         for opt in (SGD(0.1), Adam(0.1)):
-            p = [np.array([1.0, -2.0]), np.array([[3.0]])]
-            before = [a.copy() for a in p]
-            opt.step(p, [np.zeros(2), np.zeros((1, 1))])
-            for a, b in zip(p, before):
-                np.testing.assert_array_equal(a, b)
+            p = np.array([1.0, -2.0, 3.0])
+            before = p.copy()
+            opt.step(p, np.zeros(3))
+            np.testing.assert_array_equal(p, before)
 
     def test_sgd_definition(self):
-        p = [np.array([0.0])]
-        SGD(0.1).step(p, [np.array([1.0])])
-        assert p[0][0] == pytest.approx(-0.1, abs=1e-15)
+        p = np.array([0.0, 2.0])
+        SGD(0.1).step(p, np.array([1.0, -3.0]))
+        np.testing.assert_allclose(p, [-0.1, 2.3], rtol=0, atol=1e-15)
 
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step has magnitude ~lr regardless of |g|
-        for g in (1e-3, 1.0, 1e3):
-            p = [np.array([0.0])]
-            Adam(0.01).step(p, [np.array([g])])
-            assert abs(p[0][0]) == pytest.approx(0.01, abs=1e-6)
-            assert p[0][0] < 0
+        p = np.zeros(3)
+        Adam(0.01).step(p, np.array([1e-3, 1.0, 1e3]))
+        np.testing.assert_allclose(p, -0.01, rtol=0, atol=1e-6)
+        assert (p < 0).all()
 
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
-            SGD(0.1).step([np.zeros(2)], [np.zeros(3)])
+            SGD(0.1).step(np.zeros(2), np.zeros(3))
         with pytest.raises(UsageError):
-            Adam(0.1).step([np.zeros(2)], [np.zeros(3), np.zeros(1)])
+            Adam(0.1).step(np.zeros(2), np.zeros(3))
+        adam = Adam(0.1)
+        adam.step(np.zeros(2), np.zeros(2))
+        with pytest.raises(UsageError, match="optimizer state"):
+            adam.step(np.zeros(3), np.zeros(3))
 
     def test_optimizer_step_projects_margins(self):
         emb, bank = init_model(ModelConfig([3, 2], seed=0), 2)
+        params = bind_parameters(emb, bank)
         bank.margins[:] = [0.05, 0.0]
-        grads = [np.zeros_like(a) for a in (*emb.weights, *emb.biases)]
-        grads += [np.zeros_like(bank.points), np.array([1.0, 1.0])]
-        optimizer_step(SGD(1.0), emb, bank, grads)
+        grads = np.zeros_like(params)
+        grads[-2:] = 1.0
+        optimizer_step(SGD(1.0), params, bank, grads)
         # raw update would be [-0.95, -1.0]; projection clamps to zero
         np.testing.assert_array_equal(bank.margins, [0.0, 0.0])
+        np.testing.assert_array_equal(params[-2:], [0.0, 0.0])
+
+    def test_views_alias_the_vector(self):
+        emb, bank = init_model(ModelConfig([3, 4, 2], seed=0), 3)
+        arrays = [a.copy() for a in (*emb.weights, *emb.biases, bank.points, bank.margins)]
+        params = bind_parameters(emb, bank)
+        np.testing.assert_array_equal(params, np.concatenate([a.ravel() for a in arrays]))
+        grads = -np.linspace(0.1, 1.0, params.size)  # every parameter, margins too, rises
+        optimizer_step(Adam(0.1), params, bank, grads)
+        views = [*emb.weights, *emb.biases, bank.points, bank.margins]
+        for view, before in zip(views, arrays):
+            assert view.shape == before.shape
+            assert np.shares_memory(view, params)
+            assert not np.array_equal(view, before)
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), params)
+        bank.margins[0] = -1.0
+        bank.project_margins()
+        assert params[-3] == 0.0
+
+    @given(
+        st.lists(st.lists(st.integers(1, 4), min_size=0, max_size=2), min_size=1, max_size=5),
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from(["adam", "sgd"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flat_step_matches_per_array_loop(self, shapes, seed, kind):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        flat = flatten(*arrays)
+        opt = Adam(0.01) if kind == "adam" else SGD(0.01)
+        oracle = adam_per_array if kind == "adam" else sgd_per_array
+        state: dict = {}
+        for t in range(1, 5):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4) for shape in shapes]
+            oracle(arrays, grads, state, 0.01, t)
+            opt.step(flat, flatten(*grads))
+            assert flat.tobytes() == flatten(*arrays).tobytes()
 
 
 class TestTrain:
+    def test_one_sgd_step_moves_each_array_by_its_own_gradient(self):
+        # pairs every array with its gradient by name, independently of the flat layout
+        split = small_split()
+        cfg = small_config(epochs=1)
+        cfg.batch_size, cfg.optimizer, cfg.learning_rate = len(split.train), "sgd", 0.1
+        emb, bank, _ = train(split, cfg)
+        emb0, bank0 = init_model(cfg.model, split.num_known)
+        batch = np.random.default_rng(cfg.seed).permutation(len(split.train))
+        feats, cache = embed_forward(emb0, split.train.inputs[batch])
+        out = total_loss(feats, bank0, split.train.labels[batch], cfg.loss)
+        egrads, _ = embed_backward(cache, out.grad_features)
+        pairs = [*zip(emb.weights, emb0.weights, egrads.weights),
+                 *zip(emb.biases, emb0.biases, egrads.biases),
+                 (bank.points, bank0.points, out.grad_points)]
+        for after, before, grad in pairs:
+            np.testing.assert_array_equal(after, before - 0.1 * grad)
+        margins = np.maximum(bank0.margins - 0.1 * out.grad_margins, 0.0)
+        np.testing.assert_array_equal(bank.margins, margins)
+
     def test_zero_epochs_returns_initialized_model(self):
         split = small_split()
         cfg = small_config(epochs=0)
