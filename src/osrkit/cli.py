@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, eval, sweep, grad-check. All accept
 ``--config`` (INI file, see config.py), ``--seed`` (overrides every seed
 in the config), and ``--out`` (output directory). Exit codes: 0 success,
-1 validation/usage error or a sweep in which every cell failed, 2 numeric
-failure.
+1 validation/usage error, a file that cannot be opened, or a sweep in
+which every cell failed, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except OsrkitError as exc:
+    except (OsrkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ groups, float64 features, all little-endian).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -273,17 +274,19 @@ def load_features(path) -> LabeledDataset:
 
 def _save_csv(path, ds: LabeledDataset) -> None:
     d = ds.inputs.shape[1]
-    header = "label,group," + ",".join(f"f{i}" for i in range(d))
+    lines = ["label,group," + ",".join(f"f{i}" for i in range(d))]
+    for label, group, row in zip(ds.labels.tolist(), ds.group_ids.tolist(), ds.inputs.tolist()):
+        lines.append(f"{label},{group}," + ",".join(map(repr, row)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(len(ds)):
-            feats = ",".join(repr(float(v)) for v in ds.inputs[i])
-            fh.write(f"{int(ds.labels[i])},{int(ds.group_ids[i])},{feats}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _load_csv(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -304,10 +307,10 @@ def _load_csv(path) -> LabeledDataset:
         try:
             labels.append(int(parts[0]))
             groups.append(int(parts[1]))
-            vals = [float(v) for v in parts[2:]]
+            vals = list(map(float, parts[2:]))
         except ValueError as exc:
             raise DataError(f"{path}: row {ln} unparsable: {exc}") from None
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise DataError(f"{path}: row {ln} contains non-finite values")
         rows.append(vals)
     if not rows:

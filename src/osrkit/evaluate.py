@@ -165,10 +165,9 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
 
 
 def _write_curve_csv(path, header: str, curve: Curve) -> None:
+    lines = [header] + [",".join(["%.17g" % x for x in point]) for point in curve]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for point in curve:
-            fh.write(",".join(f"{x:.17g}" for x in point) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_roc_csv(path, curve: Curve) -> None:

@@ -244,6 +244,8 @@ def load_checkpoint(path) -> tuple[Embedder, ReciprocalBank]:
             raise DataError(f"{path}: bias block size mismatch")
         biases.append(b)
     k = r.u32()
+    if k < 2:
+        raise DataError(f"{path}: checkpoint has {k} reciprocal point(s), need >= 2")
     points = r.f64_array()
     if points.size != k * dims[-1]:
         raise DataError(f"{path}: point block size mismatch")

@@ -1,5 +1,10 @@
+import importlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +61,28 @@ NEGATIVE_SEEDS = {
     "train [data] seed": (["train"], DATA_SEED),
     "train [train] seed": (["train"], ("batch_size = 8\nseed = 0", "batch_size = 8\nseed = -2")),
 }
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _unopenable(tmp_path, name):
+    """Set up one file the CLI cannot open; return the argv and the path the error must name."""
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "o"
+    cfg.write_text(FAST_CONFIG)
+    if name.endswith("_features"):
+        path = tmp_path / "features.csv"
+        if name == "non_utf8_features":
+            path.write_bytes("label,group,f0\n0,0,1.0 \u00b5\n".encode("latin-1"))
+        cfg.write_text(FAST_CONFIG + f"features_path = {path}\n")
+        return ["train", "--config", str(cfg), "--out", str(out)], path
+    if name == "out_is_file":
+        out.write_text("not a directory\n")
+        return ["gen-data", "--config", str(cfg), "--out", str(out)], out
+    path = tmp_path / "model.osrp"
+    if name == "checkpoint_is_dir":
+        path.mkdir()
+    return ["eval", "--config", str(cfg), "--checkpoint", str(path), "--out", str(out)], path
 
 
 @pytest.fixture()
@@ -221,6 +248,32 @@ class TestCli:
         path.write_bytes(UNREADABLE_CONFIGS[name])
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", [
+        "missing_features", "missing_checkpoint", "checkpoint_is_dir", "out_is_file",
+        "non_utf8_features",
+    ])
+    def test_unopenable_file_exit_one(self, tmp_path, capsys, name):
+        argv, path = _unopenable(tmp_path, name)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("argv,status", [
+        (["grad-check", "--instances", "1"], 0),
+        (["train"], 1),
+    ])
+    def test_python_dash_m_exit_status(self, tmp_path, argv, status):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "osrkit", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == status, proc.stderr
+
+    def test_importing_dunder_main_runs_nothing(self):
+        # tools that walk the package import every submodule, __main__ included
+        importlib.import_module("osrkit.__main__")
 
     @pytest.mark.parametrize("name", sorted(NEGATIVE_SEEDS))
     def test_negative_seed_exit_one(self, tmp_path, capsys, name):

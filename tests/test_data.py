@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osrkit.data import (
     LabeledDataset,
@@ -11,6 +15,17 @@ from osrkit.data import (
     save_features,
 )
 from osrkit.errors import ConfigError, DataError
+
+
+def per_element_csv(path, ds):
+    """The feature CSV writer as it was, one Python call per number: the oracle."""
+    d = ds.inputs.shape[1]
+    header = "label,group," + ",".join(f"f{i}" for i in range(d))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(len(ds)):
+            feats = ",".join(repr(float(v)) for v in ds.inputs[i])
+            fh.write(f"{int(ds.labels[i])},{int(ds.group_ids[i])},{feats}\n")
 
 
 class TestGenSynthetic:
@@ -243,6 +258,52 @@ class TestFeatureIO:
         path.write_text("label,group,f0,f1\n0,0,1.0,2.0\n1,0,3.0\n")
         with pytest.raises(DataError, match="row 3"):
             load_features(path)
+
+    def test_csv_first_defect_in_file_order_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label,group,f0,f1\n0,0,inf,2.0\n1,0,3.0\n")
+        with pytest.raises(DataError, match="row 2 contains non-finite"):
+            load_features(path)
+
+    def test_csv_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("label,group,f0\n0,0,1.0 \u00b5\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8") as info:
+            load_features(path)
+        assert str(path) in str(info.value)
+
+    def test_csv_golden_text(self, tmp_path):
+        ds = LabeledDataset(
+            np.array([[0.1, -0.0, 5e-324, 1e16], [1e-05, 1 / 3, sys.float_info.max, -2.5]]),
+            np.array([3, 0]),
+            np.array([1, 12]),
+        )
+        path = tmp_path / "golden.csv"
+        save_features(path, ds)
+        assert path.read_bytes() == (
+            b"label,group,f0,f1,f2,f3\n"
+            b"3,1,0.1,-0.0,5e-324,1e+16\n"
+            b"0,12,1e-05,0.3333333333333333,1.7976931348623157e+308,-2.5\n"
+        )
+
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.lists(
+            st.tuples(
+                st.integers(0, 2 ** 63 - 1),
+                st.integers(0, 2 ** 63 - 1),
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+            ),
+            min_size=1, max_size=8,
+        ))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_csv_bytes_match_per_element_writer(self, tmp_path_factory, rows):
+        ds = LabeledDataset([r[2] for r in rows], [r[0] for r in rows], [r[1] for r in rows])
+        base = tmp_path_factory.getbasetemp()
+        save_features(base / "new.csv", ds)
+        per_element_csv(base / "old.csv", ds)
+        assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
+        assert load_features(base / "new.csv").inputs.tobytes() == ds.inputs.tobytes()
 
     def test_csv_non_finite_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

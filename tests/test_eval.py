@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,14 @@ def brute_force_oscr(logits, labels, is_known):
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def per_element_curve_csv(path, header, curve):
+    """The curve writer as it was, one write per point: the oracle."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for point in curve:
+            fh.write(",".join(f"{x:.17g}" for x in point) + "\n")
 
 
 def loop_curve(scores, hits, is_known):
@@ -312,3 +322,31 @@ class TestEvaluate:
         assert float(fpr) == report.roc_curve[1][1]
         lines = oscr_path.read_text().splitlines()
         assert lines[0] == "threshold,fpr,ccr"
+
+    def test_curve_csv_golden_text(self, tmp_path):
+        inf = float("inf")
+        write_roc_csv(tmp_path / "roc.csv", [(inf, 0.0, 0.0), (1e16, 1e-05, 0.1), (-0.0, 1.0, 1 / 3)])
+        write_oscr_csv(tmp_path / "oscr.csv", [(inf, 0.0, 0.0), (sys.float_info.max, 5e-324, 0.5)])
+        assert (tmp_path / "roc.csv").read_bytes() == (
+            b"threshold,fpr,tpr\n"
+            b"inf,0,0\n"
+            b"10000000000000000,1.0000000000000001e-05,0.10000000000000001\n"
+            b"-0,1,0.33333333333333331\n"
+        )
+        assert (tmp_path / "oscr.csv").read_bytes() == (
+            b"threshold,fpr,ccr\n"
+            b"inf,0,0\n"
+            b"1.7976931348623157e+308,4.9406564584124654e-324,0.5\n"
+        )
+
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.lists(st.floats(allow_nan=False), min_size=n, max_size=n).map(tuple), max_size=10,
+        ))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_curve_csv_bytes_match_per_element_writer(self, tmp_path_factory, curve):
+        base = tmp_path_factory.getbasetemp()
+        write_roc_csv(base / "new.csv", curve)
+        per_element_curve_csv(base / "old.csv", "threshold,fpr,tpr", curve)
+        assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()

@@ -209,6 +209,15 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_points_rejected(self, tmp_path, k):
+        emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
+        path = tmp_path / "model.osrp"
+        save_checkpoint(path, emb, ReciprocalBank(np.zeros((k, 2)), np.zeros(k)))
+        with pytest.raises(DataError, match="need >= 2") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_margin_projection(self):
         bank = ReciprocalBank(np.zeros((3, 2)), np.array([0.5, -0.2, 0.0]))
         bank.project_margins()
