@@ -20,9 +20,11 @@ from .config import FullConfig, build_dataset, build_split, load_config
 from .data import save_features
 from .errors import NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, write_oscr_csv, write_roc_csv
+from .losses import LossConfig, vacuous_overconfidence
 from .model import load_checkpoint, save_checkpoint
 from .numerics import Metric
 from .train import (
+    _apply_overrides,
     cartesian_cells,
     gap_threshold_cells,
     margin_metric_cells,
@@ -65,6 +67,12 @@ def _outdir(args) -> Path:
     return out
 
 
+def _warn_if_vacuous(loss: LossConfig, where: str = "") -> None:
+    if vacuous_overconfidence(loss):
+        print(f"warning: {where}gap_threshold {loss.gap_threshold:g} >= 2 * tau: the angular "
+              "overconfidence hinge is never active", file=sys.stderr)
+
+
 def _cmd_gen_data(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
@@ -79,6 +87,7 @@ def _cmd_train(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     split = build_split(cfg.data)
+    _warn_if_vacuous(cfg.train.loss)
     embedder, bank, history = train(split, cfg.train)
     ckpt = out / "model.osrp"
     save_checkpoint(ckpt, embedder, bank)
@@ -140,13 +149,12 @@ def _cmd_sweep(args) -> int:
         cells = weight_cells()
     elif args.grid == "margin-metric":
         cells = margin_metric_cells()
-    elif args.grid == "custom":
+    else:  # custom: the parser's choices admit no other grid
         if not args.param:
             raise UsageError("--grid custom requires at least one --param")
-        grid = dict(_parse_param_values(p) for p in args.param)
-        cells = cartesian_cells(grid)
-    else:
-        raise UsageError(f"unknown grid {args.grid!r}")
+        cells = cartesian_cells(dict(_parse_param_values(p) for p in args.param))
+    for cell in cells:
+        _warn_if_vacuous(_apply_overrides(cfg.train, cell).loss, f"cell {cell}: ")
     rows = sweep(cfg.train, cells, split)
     path = out / "sweep.csv"
     write_sweep_csv(path, rows)

@@ -310,6 +310,8 @@ def _load_csv(path) -> LabeledDataset:
             vals = list(map(float, parts[2:]))
         except ValueError as exc:
             raise DataError(f"{path}: row {ln} unparsable: {exc}") from None
+        if not (0 <= labels[-1] < 2**63 and 0 <= groups[-1] < 2**63):
+            raise DataError(f"{path}: row {ln} label or group outside [0, 2**63)")
         if not all(map(math.isfinite, vals)):
             raise DataError(f"{path}: row {ln} contains non-finite values")
         rows.append(vals)

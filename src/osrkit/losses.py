@@ -15,6 +15,8 @@ Three ingredients, each differentiable by hand:
 ``total_loss`` combines them as classification + alpha * margin +
 beta * overconfidence. It scores the batch once; the classification and
 overconfidence logit gradients are summed and chained by one backward.
+Each public loss validates its inputs, then calls a private core that trusts
+them (``_total``, ``_margin_hinge``, ...); ``train`` validates once, then calls ``_total``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .model import ReciprocalBank
-from .numerics import (
-    Metric,
-    as_matrix,
-    log_softmax_rows,
-    pairwise_scores,
-    pairwise_scores_backward,
-    paired_distances,
-    paired_distances_backward,
-)
+from .numerics import (Metric, _log_softmax, _paired, _paired_backward,
+                       _score_operands, _scores, _scores_backward, as_matrix, pairwise_scores)
 
 
 @dataclass
@@ -92,7 +87,7 @@ def classification_logits(features, bank: ReciprocalBank, metric: Metric, tau: f
 def _cross_entropy(scores: np.ndarray, y: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """(mean cross-entropy of y under softmax(tau * scores), grad w.r.t. tau * scores)."""
     rows = np.arange(scores.shape[0])
-    logp = log_softmax_rows(scores, tau)
+    logp = _log_softmax(scores, tau)
     value = float(-logp[rows, y].mean())
     grad_logits = np.exp(logp)
     grad_logits[rows, y] -= 1.0
@@ -104,11 +99,13 @@ def classification_loss(
     features, bank: ReciprocalBank, labels, metric: Metric, tau: float = 1.0
 ) -> LossOutput:
     """Mean cross-entropy of the true class under softmax(tau * scores)."""
-    f = as_matrix(features, "features")
+    f, _ = _score_operands(features, bank.points)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
-    scores = pairwise_scores(f, bank.points, metric)
+    if not (np.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau must be positive, got {tau}")
+    scores, saved = _scores(f, bank.points, metric)
     value, grad_logits = _cross_entropy(scores, y, tau)
-    grad_f, grad_p = pairwise_scores_backward(f, bank.points, metric, tau * grad_logits)
+    grad_f, grad_p = _scores_backward(f, bank.points, metric, tau * grad_logits, saved)
     return LossOutput(value, grad_f, grad_p, np.zeros(bank.num_classes))
 
 
@@ -121,7 +118,7 @@ def margin_loss(
     Inactive samples (d <= margin) contribute nothing, including to the
     margin gradient; the kink at exactly zero takes subgradient 0.
     """
-    f = as_matrix(features, "features")
+    f, _ = _score_operands(features, bank.points)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
     return _margin_hinge(f, bank, y, metric)
 
@@ -130,12 +127,12 @@ def _margin_hinge(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, metric: Me
     """``margin_loss`` on features and labels that are already validated."""
     b = f.shape[0]
     own_points = bank.points[y]
-    d = paired_distances(f, own_points, metric)
+    d = _paired(f, own_points, metric)
     slack = d - bank.margins[y]
     active = slack > 0.0
     value = float(np.where(active, slack, 0.0).sum() / b)
     grad_d = active.astype(np.float64) / b
-    grad_f, grad_own = paired_distances_backward(f, own_points, metric, grad_d)
+    grad_f, grad_own = _paired_backward(f, own_points, metric, grad_d)
     grad_points = np.zeros_like(bank.points)
     np.add.at(grad_points, y, grad_own)
     grad_margins = np.zeros(bank.num_classes)
@@ -154,9 +151,14 @@ def overconfidence_loss(logits, gap_threshold: float) -> tuple[float, np.ndarray
     z = as_matrix(logits, "logits")
     if not (np.isfinite(gap_threshold) and gap_threshold >= 0):
         raise ConfigError(f"gap_threshold must be >= 0, got {gap_threshold}")
-    b = z.shape[0]
-    if b == 0:
+    if z.shape[0] == 0:
         raise DataError("empty batch")
+    return _overconfidence(z, gap_threshold)
+
+
+def _overconfidence(z: np.ndarray, gap_threshold: float) -> tuple[float, np.ndarray]:
+    """``overconfidence_loss`` on checked logits and threshold."""
+    b = z.shape[0]
     top = z.argmax(axis=1)  # lowest index on ties
     rows = np.arange(b)
     gaps = z[rows, top][:, None] - z
@@ -167,30 +169,37 @@ def overconfidence_loss(logits, gap_threshold: float) -> tuple[float, np.ndarray
     return value, grad
 
 
-def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> LossOutput:
-    """classification + alpha * margin + beta * overconfidence.
+def vacuous_overconfidence(config: LossConfig) -> bool:
+    """Whether the weighted overconfidence hinge is never active (angular gaps are <= 2 tau)."""
+    return (config.beta > 0 and config.classification_metric is Metric.ANGULAR
+            and 0 < 2 * config.tau <= config.gap_threshold)
 
-    The overconfidence hinge consumes the same tau-scaled logits the
-    classifier uses, so the batch is scored once: both terms' logit
-    gradients are summed and chained by one ``pairwise_scores_backward``.
-    Component values are exposed in ``parts``.
+
+def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> LossOutput:
+    """classification + alpha * margin + beta * overconfidence; components in ``parts``.
+
+    The overconfidence hinge consumes the same tau-scaled logits the classifier
+    uses, so the batch is scored once and both terms' logit gradients are chained
+    by one backward. The value is not checked: ``train`` raises on a non-finite one.
     """
     config.validate()
-    f = as_matrix(features, "features")
+    f, _ = _score_operands(features, bank.points)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
+    return _total(f, bank, y, config)
+
+
+def _total(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, config: LossConfig) -> LossOutput:
+    """``total_loss`` on checked features, labels and config."""
     metric, tau = config.classification_metric, config.tau
-    scores = pairwise_scores(f, bank.points, metric)
+    scores, saved = _scores(f, bank.points, metric)
     cls_value, grad_cls = _cross_entropy(scores, y, tau)
-    oc_value, grad_oc = overconfidence_loss(tau * scores, config.gap_threshold)
-    grad_f, grad_p = pairwise_scores_backward(
-        f, bank.points, metric, tau * (grad_cls + config.beta * grad_oc)
+    oc_value, grad_oc = _overconfidence(tau * scores, config.gap_threshold)
+    grad_f, grad_p = _scores_backward(
+        f, bank.points, metric, tau * (grad_cls + config.beta * grad_oc), saved
     )
     mar = _margin_hinge(f, bank, y, config.margin_metric)
-    value = cls_value + config.alpha * mar.value + config.beta * oc_value
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite total loss {value}")
     return LossOutput(
-        value=value,
+        value=cls_value + config.alpha * mar.value + config.beta * oc_value,
         grad_features=grad_f + config.alpha * mar.grad_features,
         grad_points=grad_p + config.alpha * mar.grad_points,
         grad_margins=config.alpha * mar.grad_margins,

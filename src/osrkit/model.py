@@ -157,17 +157,22 @@ def embed_backward(cache: ForwardCache, grad_features) -> tuple[EmbedderGrads, n
             "grad_features shape does not match the cached forward output; "
             "was this cache produced by a matching embed_forward call?"
         )
-    n_layers = len(cache.weights)
-    grad_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    grad_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grads = EmbedderGrads([np.empty(w.shape) for w in cache.weights],
+                          [np.empty(w.shape[1]) for w in cache.weights])
+    return grads, _backward_into(cache, g, grads.weights, grads.biases)
+
+
+def _backward_into(cache: ForwardCache, g: np.ndarray, grad_w: list, grad_b: list) -> np.ndarray:
+    """``embed_backward`` writing into ``grad_w`` and ``grad_b``; returns the input gradient."""
+    last = len(cache.weights) - 1
     delta = g
-    for i in range(n_layers - 1, -1, -1):
-        if i != n_layers - 1:
+    for i in range(last, -1, -1):
+        if i != last:
             delta = delta * (cache.preactivations[i] > 0.0)
-        grad_w[i] = cache.activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(cache.activations[i].T, delta, out=grad_w[i])
+        delta.sum(axis=0, out=grad_b[i])
         delta = delta @ cache.weights[i].T
-    return EmbedderGrads(grad_w, grad_b), delta
+    return delta
 
 
 def _pack_array(a: np.ndarray) -> bytes:

@@ -1,8 +1,8 @@
 """Dense float64 kernels: distance scores, stable log-softmax, gradient checking.
 
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
-Every exposed operation validates that its inputs are finite and leaves
-finite outputs; gradients are hand-derived and must pass ``grad_check``.
+Every exposed operation validates its inputs, then calls a private core that
+trusts them (``_scores``, ...); gradients are hand-derived and must pass ``grad_check``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,15 @@ def _row_norms(a: np.ndarray, name: str) -> np.ndarray:
     return norms
 
 
-def _not_a_score_metric(metric) -> ConfigError:
-    return ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")
+def _score_operands(features, points) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of ``pairwise_scores``: finite 2-D inputs of one positive width."""
+    f = as_matrix(features, "features")
+    p = as_matrix(points, "points")
+    if f.shape[1] != p.shape[1]:
+        raise ConfigError(f"feature dim {f.shape[1]} != point dim {p.shape[1]}")
+    if f.shape[1] < 1:
+        raise ConfigError("feature dimension must be >= 1")
+    return f, p
 
 
 def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
@@ -77,24 +84,21 @@ def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
 
     These are the two classification metrics; any other raises ConfigError.
     """
-    f = as_matrix(features, "features")
-    p = as_matrix(points, "points")
-    if f.shape[1] != p.shape[1]:
-        raise ConfigError(
-            f"feature dim {f.shape[1]} != point dim {p.shape[1]}"
-        )
-    if f.shape[1] < 1:
-        raise ConfigError("feature dimension must be >= 1")
-    d = f.shape[1]
+    return _scores(*_score_operands(features, points), metric)[0]
+
+
+def _scores(f: np.ndarray, p: np.ndarray, metric: Metric):
+    """``pairwise_scores`` on checked inputs: (scores, what ``_scores_backward`` reuses)."""
     if metric is Metric.EUCLIDEAN:
         diff = f[:, None, :] - p[None, :, :]
-        return np.einsum("bkd,bkd->bk", diff, diff) / d - f @ p.T
+        return np.einsum("bkd,bkd->bk", diff, diff) / f.shape[1] - f @ p.T, None
     if metric is Metric.ANGULAR:
         fn = _row_norms(f, "features")
         pn = _row_norms(p, "points")
-        cos = (f / fn[:, None]) @ (p / pn[:, None]).T
-        return np.clip(cos, -1.0, 1.0)
-    raise _not_a_score_metric(metric)
+        u, v = f / fn[:, None], p / pn[:, None]
+        cos = u @ v.T
+        return np.clip(cos, -1.0, 1.0), (u, v, fn, pn, cos)
+    raise ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")
 
 
 def pairwise_scores_backward(
@@ -105,31 +109,27 @@ def pairwise_scores_backward(
     Returns (grad_features, grad_points). The cosine at the clip boundary
     takes the unclipped gradient.
     """
-    f = as_matrix(features, "features")
-    p = as_matrix(points, "points")
+    f, p = _score_operands(features, points)
     g = as_matrix(grad_scores, "grad_scores")
     if g.shape != (f.shape[0], p.shape[0]):
-        raise ConfigError(
-            f"grad_scores shape {g.shape} != ({f.shape[0]}, {p.shape[0]})"
-        )
-    d = f.shape[1]
+        raise ConfigError(f"grad_scores shape {g.shape} != ({f.shape[0]}, {p.shape[0]})")
+    return _scores_backward(f, p, metric, g, _scores(f, p, metric)[1])
+
+
+def _scores_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray, saved):
+    """``pairwise_scores_backward`` on checked inputs and what ``_scores`` saved."""
     if metric is Metric.EUCLIDEAN:
         # d score/df = 2(f-p)/D - p ; d score/dp = -2(f-p)/D - f
+        d = f.shape[1]
         row = g.sum(axis=1)[:, None]
         col = g.sum(axis=0)[:, None]
         grad_f = (2.0 / d) * (row * f - g @ p) - g @ p
         grad_p = (2.0 / d) * (col * p - g.T @ f) - g.T @ f
         return grad_f, grad_p
-    if metric is Metric.ANGULAR:
-        fn = _row_norms(f, "features")
-        pn = _row_norms(p, "points")
-        u = f / fn[:, None]
-        v = p / pn[:, None]
-        cos = u @ v.T
-        grad_f = (g @ v - (g * cos).sum(axis=1)[:, None] * u) / fn[:, None]
-        grad_p = (g.T @ u - (g * cos).sum(axis=0)[:, None] * v) / pn[:, None]
-        return grad_f, grad_p
-    raise _not_a_score_metric(metric)
+    u, v, fn, pn, cos = saved
+    grad_f = (g @ v - (g * cos).sum(axis=1)[:, None] * u) / fn[:, None]
+    grad_p = (g.T @ u - (g * cos).sum(axis=0)[:, None] * v) / pn[:, None]
+    return grad_f, grad_p
 
 
 def paired_distances(features, points, metric: Metric) -> np.ndarray:
@@ -142,10 +142,13 @@ def paired_distances(features, points, metric: Metric) -> np.ndarray:
     p = as_matrix(points, "points")
     if f.shape != p.shape:
         raise ConfigError(f"paired shapes differ: {f.shape} vs {p.shape}")
-    d = f.shape[1]
+    return _paired(f, p, metric)
+
+
+def _paired(f: np.ndarray, p: np.ndarray, metric: Metric) -> np.ndarray:
     diff = f - p
     if metric is Metric.EUCLIDEAN:
-        return (diff * diff).sum(axis=1) / d
+        return (diff * diff).sum(axis=1) / f.shape[1]
     if metric is Metric.ANGULAR:
         fn = _row_norms(f, "features")
         pn = _row_norms(p, "points")
@@ -167,11 +170,14 @@ def paired_distances_backward(
     g = as_vector(grad_dist, "grad_dist")
     if g.shape[0] != f.shape[0]:
         raise ConfigError(f"grad_dist length {g.shape[0]} != batch {f.shape[0]}")
-    d = f.shape[1]
+    return _paired_backward(f, p, metric, g)
+
+
+def _paired_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray):
     diff = f - p
     gcol = g[:, None]
     if metric is Metric.EUCLIDEAN:
-        grad_f = gcol * (2.0 / d) * diff
+        grad_f = gcol * (2.0 / f.shape[1]) * diff
         return grad_f, -grad_f
     if metric is Metric.ANGULAR:
         fn = _row_norms(f, "features")
@@ -198,7 +204,11 @@ def log_softmax_rows(scores, tau: float = 1.0) -> np.ndarray:
     """Row-wise log-softmax of tau-scaled scores (log-sum-exp form)."""
     if not (np.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau must be positive, got {tau}")
-    s = as_matrix(scores, "scores")
+    return _log_softmax(as_matrix(scores, "scores"), tau)
+
+
+def _log_softmax(s: np.ndarray, tau: float) -> np.ndarray:
+    """``log_softmax_rows`` on a checked matrix and tau."""
     z = tau * s
     z = z - z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, predict_closed
-from .losses import LossConfig, classification_logits, total_loss
-from .model import (Embedder, ModelConfig, ReciprocalBank, bind_parameters, embed_backward,
-                    embed_forward, flatten, init_model)
-from .numerics import Metric
+from .losses import LossConfig, _check_labels, _total, classification_logits
+from .model import (Embedder, ModelConfig, ReciprocalBank, _backward_into, bind_parameters,
+                    embed_forward, init_model)
+from .numerics import Metric, as_matrix
 
 
 @dataclass
@@ -164,7 +164,8 @@ def _validation_accuracy(embedder, bank, dataset, loss_cfg: LossConfig) -> float
 
 
 def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHistory]:
-    """Fit the embedder and bank on split.train; deterministic per config."""
+    """Fit the embedder and bank on split.train; deterministic per config. The inputs
+    are validated once; the steps run the unchecked loss and backward cores."""
     config.validate()
     k = split.num_known
     if config.model.layer_dims[0] != split.train.inputs.shape[1]:
@@ -172,11 +173,16 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
             f"model input dim {config.model.layer_dims[0]} != "
             f"data dim {split.train.inputs.shape[1]}"
         )
+    n = len(split.train)
+    inputs = as_matrix(split.train.inputs, "training inputs")
+    labels = _check_labels(split.train.labels, k, n)
     embedder, bank = init_model(config.model, k)
     params = bind_parameters(embedder, bank)
+    # the gradients, bound like the parameters; each step overwrites every array
+    grad_embedder, grad_bank = init_model(config.model, k)
+    grads = bind_parameters(grad_embedder, grad_bank)
     optimizer = make_optimizer(config)
     rng = np.random.default_rng(int(config.seed))
-    n = len(split.train)
     history = TrainHistory()
     alpha, beta = config.loss.alpha, config.loss.beta
     for epoch in range(config.epochs):
@@ -184,16 +190,15 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
         sums = {"classification": 0.0, "margin": 0.0, "overconfidence": 0.0}
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            x = split.train.inputs[batch]
-            y = split.train.labels[batch]
-            feats, cache = embed_forward(embedder, x)
-            out = total_loss(feats, bank, y, config.loss)
+            feats, cache = embed_forward(embedder, inputs[batch])
+            out = _total(feats, bank, labels[batch], config.loss)
             if not np.isfinite(out.value):
                 raise NumericError(
                     f"non-finite loss {out.value} at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            egrads, _ = embed_backward(cache, out.grad_features)
-            grads = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
+            _backward_into(cache, out.grad_features, grad_embedder.weights, grad_embedder.biases)
+            grad_bank.points[...] = out.grad_points
+            grad_bank.margins[...] = out.grad_margins
             optimizer_step(optimizer, params, bank, grads)
             for key in sums:
                 sums[key] += out.parts[key] * len(batch)

@@ -10,6 +10,7 @@ import pytest
 
 from osrkit.cli import main
 from osrkit.config import load_config
+from osrkit.data import gen_synthetic, save_features
 from osrkit.errors import ConfigError
 from osrkit.numerics import Metric
 
@@ -40,6 +41,60 @@ seed = 0
 known_classes = 0,1
 unknown_classes = 2,3
 test_fraction = 0.3
+"""
+
+
+# The standard benchmark recipe (osrkit.benchmark) as a config file.
+STANDARD_CONFIG = """
+[model]
+layer_dims = 8,32,8
+
+[loss]
+variant = full
+gap_threshold = 0.25
+
+[train]
+preset = desk
+epochs = 60
+
+[data]
+num_classes = 6
+samples_per_class = 200
+dim = 8
+separation = 5.0
+overlap = 1.0
+hard = true
+known_classes = 0,1,2,3
+unknown_classes = 4,5
+test_fraction = 0.25
+"""
+
+# The config of the benchmark's CLI round trip at seed 0.
+ROUNDTRIP_CONFIG = """
+[model]
+layer_dims = 16,32,8
+seed = 0
+
+[loss]
+variant = full
+gap_threshold = 0.25
+
+[train]
+preset = desk
+epochs = 3
+seed = 0
+
+[data]
+num_classes = 6
+samples_per_class = 1000
+dim = 16
+separation = 5.0
+overlap = 1.0
+hard = true
+seed = 0
+known_classes = 0,1,2,3
+unknown_classes = 4,5
+test_fraction = 0.25
 """
 
 
@@ -83,6 +138,21 @@ def _unopenable(tmp_path, name):
     if name == "checkpoint_is_dir":
         path.mkdir()
     return ["eval", "--config", str(cfg), "--checkpoint", str(path), "--out", str(out)], path
+
+
+def _train_on_csv(tmp_path, scale=1.0, text=None):
+    """``train`` argv for FAST_CONFIG reading a feature CSV: its own data with the
+    inputs multiplied by ``scale``, or ``text`` verbatim."""
+    path = tmp_path / "features.csv"
+    if text is None:
+        ds = gen_synthetic(4, 20, 5, 4.0, 0.8, seed=0)
+        ds.inputs = ds.inputs * scale
+        save_features(path, ds)
+    else:
+        path.write_text(text)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(FAST_CONFIG + f"features_path = {path}\n")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "o")], path
 
 
 @pytest.fixture()
@@ -270,6 +340,49 @@ class TestCli:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == status, proc.stderr
+
+    @pytest.mark.parametrize("row", ["-1,0", "99999999999999999999,0", "0,-3"])
+    def test_csv_label_or_group_out_of_range_exit_one(self, tmp_path, capsys, row):
+        argv, path = _train_on_csv(tmp_path, text=f"label,group,f0,f1,f2,f3,f4\n{row},1,2,3,4,5\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "row 2" in err
+
+    def test_train_zero_inputs_under_angular_exit_one(self, tmp_path, capsys):
+        argv, _ = _train_on_csv(tmp_path, scale=0.0)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: features row 0 has norm")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_train_overflowing_inputs_exit_two(self, tmp_path, capsys):
+        argv, _ = _train_on_csv(tmp_path, scale=1e200)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite loss") and "epoch 0, batch 0" in err
+
+    def test_sweep_warns_once_for_the_vacuous_gap_threshold_cell(self, config_file, tmp_path,
+                                                               capsys):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+        warnings = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning:")]
+        assert len(warnings) == 1 and "{'gap_threshold': 2.0}" in warnings[0]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5 and not any("error" in r for r in rows)
+
+    def test_train_warns_for_vacuous_gap_threshold(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(FAST_CONFIG.replace("gap_threshold = 0.25", "gap_threshold = 2.0"))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err.startswith("warning: gap_threshold 2 >= 2 * tau")
+        assert (tmp_path / "o" / "model.osrp").exists()
+
+    @pytest.mark.parametrize("text", [STANDARD_CONFIG, ROUNDTRIP_CONFIG],
+                             ids=["standard", "cli_roundtrip"])
+    def test_benchmark_configs_train_without_warning(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_importing_dunder_main_runs_nothing(self):
         # tools that walk the package import every submodule, __main__ included

@@ -265,6 +265,21 @@ class TestFeatureIO:
         with pytest.raises(DataError, match="row 2 contains non-finite"):
             load_features(path)
 
+    @pytest.mark.parametrize("row", [
+        "-1,0,1.0", "0,-1,1.0", "99999999999999999999,0,1.0", "0,9223372036854775808,1.0",
+    ])
+    def test_csv_label_or_group_out_of_range_names_file_and_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,group,f0\n0,0,1.0\n{row}\n1,0,nan\n")
+        with pytest.raises(DataError, match="row 3 label or group outside") as info:
+            load_features(path)
+        assert str(path) in str(info.value)
+
+    def test_csv_largest_int64_label_loads(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("label,group,f0\n9223372036854775807,0,1.0\n")
+        assert load_features(path).labels.tolist() == [2 ** 63 - 1]
+
     def test_csv_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("label,group,f0\n0,0,1.0 \u00b5\n".encode("latin-1"))

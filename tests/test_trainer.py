@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -7,19 +8,22 @@ from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_config, benchmark_split
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
-from osrkit.errors import ConfigError, UsageError
-from osrkit.losses import LossConfig, total_loss
+from osrkit.errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
+from osrkit.evaluate import predict_closed
+from osrkit.losses import LossConfig, classification_logits, total_loss
 from osrkit.model import (ModelConfig, bind_parameters, embed_backward, embed_forward, flatten,
                           init_model)
 from osrkit.numerics import Metric
 from osrkit.train import (
     Adam,
     SGD,
+    EpochRecord,
     TrainConfig,
     _apply_overrides,
     cartesian_cells,
     desk_preset,
     gap_threshold_cells,
+    make_optimizer,
     margin_metric_cells,
     optimizer_step,
     paper_preset,
@@ -71,6 +75,44 @@ def adam_per_array(params, grads, state, lr, t):
 def sgd_per_array(params, grads, state, lr, t):
     for p, g in zip(params, grads):
         p -= lr * g
+
+
+def train_per_step_public(split, config):
+    """``train`` as its loop was written on the public kernels: a validated
+    ``total_loss``, ``embed_backward`` and a ``flatten``ed gradient per step.
+    Returns (embedder, bank, history records)."""
+    embedder, bank = init_model(config.model, split.num_known)
+    params = bind_parameters(embedder, bank)
+    optimizer = make_optimizer(config)
+    rng = np.random.default_rng(int(config.seed))
+    n = len(split.train)
+    records = []
+    alpha, beta = config.loss.alpha, config.loss.beta
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        sums = {"classification": 0.0, "margin": 0.0, "overconfidence": 0.0}
+        for start in range(0, n, config.batch_size):
+            batch = perm[start : start + config.batch_size]
+            feats, cache = embed_forward(embedder, split.train.inputs[batch])
+            out = total_loss(feats, bank, split.train.labels[batch], config.loss)
+            egrads, _ = embed_backward(cache, out.grad_features)
+            grads = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
+            optimizer_step(optimizer, params, bank, grads)
+            for key in sums:
+                sums[key] += out.parts[key] * len(batch)
+        means = {key: sums[key] / n for key in sums}
+        total = means["classification"] + alpha * means["margin"] + beta * means["overconfidence"]
+        feats, _ = embed_forward(embedder, split.test_known.inputs)
+        logits = classification_logits(feats, bank, config.loss.classification_metric,
+                                       config.loss.tau)
+        val_acc = float((predict_closed(logits) == split.test_known.labels).mean())
+        records.append(EpochRecord(epoch, total, means["classification"], means["margin"],
+                                   means["overconfidence"], val_acc))
+    return embedder, bank, records
+
+
+def model_bytes(embedder, bank) -> bytes:
+    return flatten(*embedder.weights, *embedder.biases, bank.points, bank.margins).tobytes()
 
 
 class TestOptimizers:
@@ -237,6 +279,78 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,total,cls,amc,coc,val_acc"
         assert len(lines) == 3
+
+
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        classes=st.integers(3, 5),
+        per_class=st.integers(3, 12),
+        hidden=st.lists(st.integers(1, 9), max_size=2),
+        out_dim=st.integers(1, 6),
+        batch_size=st.integers(1, 13),
+        epochs=st.integers(1, 3),
+        cls_metric=st.sampled_from([Metric.ANGULAR, Metric.EUCLIDEAN]),
+        margin_metric=st.sampled_from(list(Metric)),
+        alpha=st.sampled_from([0.0, 0.3]),
+        beta=st.sampled_from([0.0, 0.7]),
+        tau=st.sampled_from([0.5, 1.0, 3.0]),
+        gap=st.sampled_from([0.0, 0.25, 1.5]),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_the_per_step_public_loop(
+        self, seed, classes, per_class, hidden, out_dim, batch_size, epochs, cls_metric,
+        margin_metric, alpha, beta, tau, gap, optimizer,
+    ):
+        dim = 4
+        ds = gen_synthetic(classes, per_class, dim, 3.0, 1.0, seed=seed)
+        known = list(range(classes - 1))
+        split = apply_split(ds, SplitSpec(known, [classes - 1]), 0.3, seed=seed)
+        cfg = TrainConfig(
+            model=ModelConfig([dim, *hidden, out_dim], seed=seed),
+            loss=LossConfig(tau=tau, alpha=alpha, beta=beta, gap_threshold=gap,
+                            classification_metric=cls_metric, margin_metric=margin_metric),
+            epochs=epochs, batch_size=batch_size, learning_rate=0.05, optimizer=optimizer,
+            seed=seed, eval_every=1,
+        )
+        try:
+            oracle = train_per_step_public(split, cfg)
+        except OsrkitError as exc:  # e.g. a ReLU layer that zeroes a row under angular scores
+            with pytest.raises(type(exc)):
+                train(split, cfg)
+            return
+        emb, bank, history = train(split, cfg)
+        assert model_bytes(emb, bank) == model_bytes(*oracle[:2])
+        for got, want in zip(history.records, oracle[2], strict=True):
+            assert np.array(dataclasses.astuple(got)).tobytes() == \
+                np.array(dataclasses.astuple(want)).tobytes()
+
+
+class TestTrainErrors:
+    """Error class per failure on the training path (the CLI maps them to exit codes)."""
+
+    def test_zero_inputs_under_angular_scores_are_degenerate(self):
+        split = small_split()
+        split.train.inputs[:] = 0.0
+        with pytest.raises(DegenerateInputError, match="features row 0 has norm"):
+            train(split, small_config())
+
+    def test_nan_input_rejected_before_the_first_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a training step ran on non-finite inputs")
+
+        monkeypatch.setattr(train_module, "embed_forward", no_step)
+        split = small_split()
+        split.train.inputs[5, 2] = np.nan
+        with pytest.raises(NumericError, match="training inputs contains non-finite"):
+            train(split, small_config())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_input_names_epoch_and_batch(self):
+        split = small_split()
+        split.train.inputs[:, 0] = 1e200
+        with pytest.raises(NumericError, match="non-finite loss inf at epoch 0, batch 0"):
+            train(split, small_config())
 
 
 class TestPresets:
