@@ -1,20 +1,19 @@
 """Open-set evaluation: closed-set accuracy, AUROC, and the OSCR score.
 
 The open-set score of a sample is its maximum classification logit;
-higher means more known-like, and no threshold is ever baked in. AUROC is
-computed from the Mann-Whitney rank statistic (ties credited 0.5) and is
-cross-checked in tests against the trapezoidal area under the exact ROC
-curve. The ROC and OSCR curves come from one descending sweep over the
-open-set scores: a stable sort, then cumulative counts read at the last
-sample of each run of tied scores, so every distinct score is a
-threshold. OSCR integrates the correct classification rate on knowns
-against the false positive rate on unknowns. ``evaluate`` embeds each
-test set, stacks the logits, and scores and classifies them once.
+higher means more known-like, and no threshold is ever baked in. One
+stable descending sort serves every metric: counts read at the last
+sample of each run of tied scores give the ROC and OSCR curves as
+(T+1)x3 float64 arrays with every distinct score a threshold, and the
+runs' mean ranks give AUROC as the Mann-Whitney statistic (ties credited
+0.5), cross-checked in tests against the trapezoid under the ROC curve.
+OSCR integrates the correct classification rate on knowns against the
+false positive rate on unknowns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .losses import LossConfig, classification_logits
 from .model import Embedder, ReciprocalBank, embed_forward
 from .numerics import as_matrix
 
-Curve = list[tuple[float, float, float]]  # (threshold, fpr, tpr-or-ccr)
+Curve = np.ndarray  # (T+1)x3 float64 rows (threshold, fpr, tpr-or-ccr), row 0 is (inf, 0, 0)
 
 
 @dataclass
@@ -33,6 +32,11 @@ class EvalReport:
     oscr: float
     roc_curve: Curve
     oscr_curve: Curve
+
+    def __eq__(self, other) -> bool:
+        """Field by field down to the bit, so -0.0 differs from 0.0."""
+        bits = lambda r: [np.asarray(getattr(r, f.name), np.float64).tobytes() for f in fields(r)]
+        return isinstance(other, EvalReport) and bits(self) == bits(other)
 
 
 def predict_closed(logits) -> np.ndarray:
@@ -61,66 +65,59 @@ def _as_score_flags(scores, is_known) -> tuple[np.ndarray, np.ndarray]:
     return s, k
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties receiving the mean of their rank span."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    end = np.cumsum(counts)  # 1-based rank of the last member of each tie run
-    return 0.5 * (end - counts + 1 + end)[inverse]
-
-
-def _sweep(s: np.ndarray, hits: np.ndarray, k: np.ndarray) -> Curve:
-    """Exact descending sweep over every distinct score.
-
-    Returns (threshold, fpr, rate) triples starting at (+inf, 0, 0), where
-    a sample counts as selected when its score is >= the threshold, rate
-    is the share of knowns that are selected hits and fpr the share of
-    unknowns that are selected.
-    """
+def _runs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stable descending sort of ``s``: the order, and each tie run's last index and score."""
     order = np.argsort(-s, kind="stable")
     desc = s[order]
     last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
-    rate = np.cumsum(hits[order])[last] / int(k.sum())
-    fpr = np.cumsum(~k[order])[last] / int((~k).sum())
-    thresholds = np.unique(s)[::-1]  # names each tie run as np.unique does, -0.0 included
-    return [(float("inf"), 0.0, 0.0)] + list(
-        zip(thresholds.tolist(), fpr.tolist(), rate.tolist())
-    )
+    zero_signs = np.signbit(desc[desc == 0])
+    mixed = 0 < zero_signs.sum() < zero_signs.size  # a 0.0/-0.0 run: name it as np.unique does
+    return order, last, np.unique(s)[::-1] if mixed else desc[last]
+
+
+def _sweep(runs, hits: np.ndarray, k: np.ndarray) -> Curve:
+    """(threshold, fpr, rate) rows from (+inf, 0, 0), one per distinct score, descending; rate
+    is the share of knowns that are hits scoring >= the threshold, fpr that of unknowns."""
+    order, last, thresholds = runs
+    curve = np.full((last.size + 1, 3), (np.inf, 0.0, 0.0))
+    curve[1:, 0] = thresholds
+    curve[1:, 1] = np.cumsum(~k[order])[last] / int((~k).sum())
+    curve[1:, 2] = np.cumsum(hits[order])[last] / int(k.sum())
+    return curve
 
 
 def _curve_area(curve: Curve) -> float:
     """Trapezoidal area under the (fpr, rate) points of a curve."""
-    _, x, y = np.array(curve).T
+    x, y = curve[:, 1], curve[:, 2]
     return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) * 0.5).sum())
+
+
+def _auroc(runs, k: np.ndarray) -> float:
+    """Mann-Whitney AUROC from the tie runs; its half-integer terms sum exactly in any order."""
+    order, last, _ = runs
+    n, n_known = k.size, int(k.sum())
+    known_in_run = np.diff(np.cumsum(k[order])[last], prepend=0)
+    mean_rank = n - (np.append(0, last[:-1] + 1) + last) / 2  # ascending ranks n-last..n-first
+    u = (known_in_run * mean_rank).sum() - n_known * (n_known + 1) / 2.0
+    return float(u / (n_known * (n - n_known)))
 
 
 def auroc(scores, is_known) -> float:
     """Rank-based AUROC of known-vs-unknown detection, ties credited 0.5."""
     s, k = _as_score_flags(scores, is_known)
-    n_known = int(k.sum())
-    n_unknown = s.size - n_known
-    ranks = _average_ranks(s)
-    u = ranks[k].sum() - n_known * (n_known + 1) / 2.0
-    return float(u / (n_known * n_unknown))
+    return _auroc(_runs(s), k)
 
 
 def roc_points(scores, is_known) -> Curve:
-    """Exact ROC sweep over every distinct score, descending.
-
-    Returns (threshold, fpr, tpr) triples starting at (+inf, 0, 0); a
-    sample counts as predicted-known when its score is >= the threshold.
-    """
+    """Exact ROC sweep: (threshold, fpr, tpr) rows from (+inf, 0, 0), one per distinct
+    score, descending; a sample is predicted known when its score is >= the threshold."""
     s, k = _as_score_flags(scores, is_known)
-    return _sweep(s, k, k)
+    return _sweep(_runs(s), k, k)
 
 
 def roc_auc_trapezoid(scores, is_known) -> float:
     """Trapezoidal area under the exact ROC curve (cross-check for auroc)."""
     return _curve_area(roc_points(scores, is_known))
-
-
-def _oscr(s: np.ndarray, k: np.ndarray, correct: np.ndarray) -> tuple[float, Curve]:
-    curve = _sweep(s, k & correct, k)
-    return _curve_area(curve), curve
 
 
 def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
@@ -135,7 +132,8 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     y = np.asarray(true_labels)
     if y.shape != (z.shape[0],):
         raise EvalError(f"true_labels must have length {z.shape[0]}")
-    return _oscr(s, k, predict_closed(z) == y)
+    curve = _sweep(_runs(s), k & (predict_closed(z) == y), k)
+    return _curve_area(curve), curve
 
 
 def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig) -> EvalReport:
@@ -158,14 +156,15 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
     is_known = np.arange(n_known + n_unknown) < n_known
     correct = predict_closed(logits) == np.append(split.test_known.labels, np.full(n_unknown, -1))
     s, k = _as_score_flags(openset_score(logits), is_known)
-    oscr_value, oscr_curve = _oscr(s, k, correct)
-    return EvalReport(
-        float(correct[:n_known].mean()), auroc(s, k), oscr_value, roc_points(s, k), oscr_curve
-    )
+    runs = _runs(s)
+    oscr_curve = _sweep(runs, k & correct, k)
+    return EvalReport(float(correct[:n_known].mean()), _auroc(runs, k), _curve_area(oscr_curve),
+                      _sweep(runs, k, k), oscr_curve)
 
 
-def _write_curve_csv(path, header: str, curve: Curve) -> None:
-    lines = [header] + [",".join(["%.17g" % x for x in point]) for point in curve]
+def _write_curve_csv(path, header: str, curve) -> None:
+    rows = np.asarray(curve, dtype=np.float64).tolist()
+    lines = [header] + [",".join(["%.17g" % x for x in row]) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

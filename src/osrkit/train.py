@@ -163,6 +163,7 @@ def _validation_accuracy(embedder, bank, dataset, loss_cfg: LossConfig) -> float
     return float((predict_closed(logits) == dataset.labels).mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite loss check reports it once
 def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHistory]:
     """Fit the embedder and bank on split.train; deterministic per config. The inputs
     are validated once; the steps run the unchecked loss and backward cores."""

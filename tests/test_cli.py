@@ -353,12 +353,23 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: features row 0 has norm")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_train_overflowing_inputs_exit_two(self, tmp_path, capsys):
         argv, _ = _train_on_csv(tmp_path, scale=1e200)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite loss") and "epoch 0, batch 0" in err
+
+    def test_train_overflowing_inputs_print_one_stderr_line(self, tmp_path):
+        # a subprocess, because pytest's warning capture would hide numpy's warnings from capsys
+        argv, _ = _train_on_csv(tmp_path, scale=1e200)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "osrkit", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr
 
     def test_sweep_warns_once_for_the_vacuous_gap_threshold_cell(self, config_file, tmp_path,
                                                                capsys):

@@ -79,6 +79,18 @@ def loop_curve(scores, hits, is_known):
     return curve
 
 
+def average_rank_auroc(scores, is_known):
+    """Rank-sum AUROC with np.unique's mean ranks per tie: the bit oracle for ``auroc``."""
+    s = np.asarray(scores, dtype=float)
+    k = np.asarray(is_known, dtype=bool)
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    ranks = 0.5 * (end - counts + 1 + end)[inverse]
+    n_known = int(k.sum())
+    u = ranks[k].sum() - n_known * (n_known + 1) / 2.0
+    return float(u / (n_known * (s.size - n_known)))
+
+
 def assert_same_curve(got, want):
     """Entry-by-entry equality down to the bit, so -0.0 differs from 0.0."""
     assert len(got) == len(want)
@@ -183,8 +195,8 @@ class TestAuroc:
 class TestRocCurve:
     def test_starts_at_origin_ends_at_one_one(self):
         curve = roc_points([0.3, 0.1, 0.2], [True, False, True])
-        assert curve[0][1:] == (0.0, 0.0)
-        assert curve[-1][1:] == (1.0, 1.0)
+        assert curve[0, 1:].tobytes() == np.array([0.0, 0.0]).tobytes()
+        assert curve[-1, 1:].tobytes() == np.array([1.0, 1.0]).tobytes()
 
     def test_monotone_in_fpr_and_tpr(self):
         rng = np.random.default_rng(8)
@@ -220,6 +232,37 @@ class TestSweepMatchesLoop:
         correct = is_known & (logits.argmax(axis=1) == labels)
         _, curve = oscr(logits, labels, is_known)
         assert_same_curve(curve, loop_curve(scores, correct, is_known))
+
+
+class TestTieRuns:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["quantized", "signed_zero", "continuous"]),
+           st.sampled_from([40, 3000]))
+    @settings(max_examples=150, deadline=None)
+    def test_auroc_bit_equal_to_average_rank_oracle(self, seed, kind, max_n):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, max_n))
+        scores = rng.standard_normal(n)
+        if kind == "quantized":
+            scores = np.round(scores, int(rng.integers(0, 3)))
+        elif kind == "signed_zero":
+            scores = np.where(rng.random(n) < 0.5, 0.0, np.round(scores))
+            scores = np.copysign(scores, rng.choice([-1.0, 1.0], size=n))
+        is_known = rng.random(n) < rng.uniform(0.1, 0.9)
+        is_known[0], is_known[-1] = True, False
+        assert auroc(scores, is_known).hex() == average_rank_auroc(scores, is_known).hex()
+
+    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0]], ids=["pos_first", "neg_first"])
+    def test_zero_run_of_both_signs_named_as_np_unique(self, zeros):
+        # the run's last sample has the other sign than its first, which np.unique keeps here
+        scores = np.array([1.0, *zeros, 0.5, *zeros, -2.0])
+        is_known = np.array([True, False, True, False, True, False, False])
+        logits = np.stack([scores, scores - 1.0], axis=1)
+        labels = np.array([0, -1, 1, -1, 0, -1, -1])
+        curve = roc_points(scores, is_known)
+        assert_same_curve(curve, loop_curve(scores, is_known, is_known))
+        _, curve = oscr(logits, labels, is_known)
+        assert_same_curve(curve, loop_curve(scores, is_known & (labels == 0), is_known))
+        assert auroc(scores, is_known).hex() == average_rank_auroc(scores, is_known).hex()
 
 
 class TestOscr:
@@ -304,8 +347,9 @@ class TestEvaluate:
         labels = np.concatenate([split.test_known.labels, np.full(len(lu), -1)])
         assert report.closed_accuracy == float((predict_closed(lk) == split.test_known.labels).mean())
         assert report.auroc == auroc(openset_score(logits), is_known)
-        assert report.roc_curve == roc_points(openset_score(logits), is_known)
-        assert (report.oscr, report.oscr_curve) == oscr(logits, labels, is_known)
+        assert report.roc_curve.tobytes() == roc_points(openset_score(logits), is_known).tobytes()
+        value, curve = oscr(logits, labels, is_known)
+        assert report.oscr == value and report.oscr_curve.tobytes() == curve.tobytes()
 
     def test_curve_csv_round_trip(self, split, tmp_path):
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=1), 4)
