@@ -5,7 +5,7 @@ Euclidean or angular form), train with margin and overconfidence hinges,
 and are evaluated with closed-set accuracy, AUROC, and OSCR.
 """
 
-from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic, group_folds
+from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic
 from .evaluate import EvalReport, auroc, evaluate, openset_score, oscr, predict_closed
 from .losses import (
     LossConfig,
@@ -52,7 +52,6 @@ __all__ = [
     "evaluate",
     "gen_synthetic",
     "grad_check",
-    "group_folds",
     "init_model",
     "load_checkpoint",
     "margin_loss",

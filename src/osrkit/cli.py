@@ -16,24 +16,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_gradient_suite
-from .config import FullConfig, build_dataset, build_split, load_config
+from .config import FullConfig, _cast, _keys, build_dataset, build_split, load_config
 from .data import save_features
-from .errors import NumericError, OsrkitError, UsageError
+from .errors import ConfigError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, write_oscr_csv, write_roc_csv
 from .losses import LossConfig, vacuous_overconfidence
 from .model import load_checkpoint, save_checkpoint
-from .numerics import Metric
-from .train import (
-    _apply_overrides,
-    cartesian_cells,
-    gap_threshold_cells,
-    margin_metric_cells,
-    sweep,
-    train,
-    weight_cells,
-    write_history_csv,
-    write_sweep_csv,
-)
+from .train import (GRIDS, TrainConfig, _apply_overrides, cartesian_cells, sweep, train,
+                    write_history_csv, write_sweep_csv)
 
 
 def _seed(raw: str) -> int:
@@ -52,12 +42,8 @@ def _load(args) -> FullConfig:
         raise UsageError("--config is required for this command")
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = FullConfig(
-            model=replace(cfg.model, seed=args.seed),
-            loss=cfg.loss,
-            train=replace(cfg.train, model=replace(cfg.model, seed=args.seed), seed=args.seed),
-            data=replace(cfg.data, seed=args.seed),
-        )
+        cfg = FullConfig(_apply_overrides(cfg.train, {"seed": args.seed}),
+                         replace(cfg.data, seed=args.seed))
     return cfg
 
 
@@ -106,7 +92,7 @@ def _cmd_eval(args) -> int:
     out = _outdir(args)
     split = build_split(cfg.data)
     embedder, bank = load_checkpoint(args.checkpoint)
-    report = evaluate(embedder, bank, split, cfg.loss)
+    report = evaluate(embedder, bank, split, cfg.train.loss)
     write_roc_csv(out / "roc.csv", report.roc_curve)
     write_oscr_csv(out / "oscr.csv", report.oscr_curve)
     summary = {
@@ -119,40 +105,27 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_param_values(raw: str):
+def _parse_param_values(raw: str, base: TrainConfig):
+    """``name=v1,v2,...`` with each value cast like the config key of that name."""
     name, _, values = raw.partition("=")
     if not values:
         raise UsageError(f"--param expects name=v1,v2,... got {raw!r}")
-    parsed = []
-    for v in values.split(","):
-        v = v.strip()
-        if name.endswith("_metric"):
-            try:
-                parsed.append(Metric(v.lower()))
-            except ValueError:
-                raise UsageError(f"--param {name}: unknown metric {v!r}") from None
-        else:
-            try:
-                parsed.append(int(v) if v.isdigit() else float(v))
-            except ValueError:
-                parsed.append(v)
-    return name, parsed
+    owner = next((c for c in (base.loss, base, base.model) if name in _keys(c)), None)
+    if owner is None:
+        raise ConfigError(f"unknown sweep parameter {name!r}")
+    return name, [_cast(name, getattr(owner, name), v.strip()) for v in values.split(",")]
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     split = build_split(cfg.data)
-    if args.grid == "gap-threshold":
-        cells = gap_threshold_cells()
-    elif args.grid == "weights":
-        cells = weight_cells()
-    elif args.grid == "margin-metric":
-        cells = margin_metric_cells()
-    else:  # custom: the parser's choices admit no other grid
-        if not args.param:
-            raise UsageError("--grid custom requires at least one --param")
-        cells = cartesian_cells(dict(_parse_param_values(p) for p in args.param))
+    if args.grid in GRIDS:
+        cells = GRIDS[args.grid]()
+    elif not args.param:  # custom: the parser's choices admit no other grid
+        raise UsageError("--grid custom requires at least one --param")
+    else:
+        cells = cartesian_cells(dict(_parse_param_values(p, cfg.train) for p in args.param))
     for cell in cells:
         _warn_if_vacuous(_apply_overrides(cfg.train, cell).loss, f"cell {cell}: ")
     rows = sweep(cfg.train, cells, split)
@@ -205,7 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--grid",
         default="gap-threshold",
-        choices=["gap-threshold", "weights", "margin-metric", "custom"],
+        choices=[*GRIDS, "custom"],
     )
     p.add_argument("--param", action="append", help="custom grid: name=v1,v2,...")
     p.set_defaults(func=_cmd_sweep)

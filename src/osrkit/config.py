@@ -27,17 +27,18 @@ Four sections, all optional, every key defaulted:
 
 ``preset`` (desk or paper) fills the training hyperparameters first and
 explicit keys override it; ``variant`` (full, euclidean, uncalibrated)
-does the same for the loss arm.
+does the same for the loss arm. The keys of a section are the fields of
+its config dataclass, each read as the type of its default; an empty
+value keeps the default. An unknown key or section is an error.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic, load_features
 from .errors import ConfigError
-from .losses import LossConfig
 from .model import ModelConfig
 from .numerics import Metric
 from .train import TrainConfig, desk_preset, paper_preset, variant_loss
@@ -61,22 +62,8 @@ class DataConfig:
 
 @dataclass
 class FullConfig:
-    model: ModelConfig
-    loss: LossConfig
-    train: TrainConfig
+    train: TrainConfig  # holds the model and loss configs
     data: DataConfig
-
-
-def _get(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    raw = section[key].strip()
-    if raw == "":
-        return default
-    try:
-        return cast(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
 
 def _int_list(raw: str) -> list[int]:
@@ -102,71 +89,64 @@ def _metric(raw: str) -> Metric:
         ) from None
 
 
+# A field is a key when its value has one of these types, which picks its cast.
+_CASTS = {bool: _bool, int: int, float: float, str: str, type(None): str,
+          Metric: _metric, list: _int_list}
+_SECTIONS = ("model", "loss", "train", "data")
+_PRESETS = {"desk": desk_preset, "paper": paper_preset}
+
+
+def _keys(config) -> list[str]:
+    """The fields of a config dataclass that a key sets, in field order."""
+    return [f.name for f in fields(config) if type(getattr(config, f.name)) in _CASTS]
+
+
+def _cast(key: str, current: object, raw: str) -> object:
+    """``raw`` as a value of the type of ``key``'s current value."""
+    try:
+        return _CASTS[type(current)](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+
+
+def _value(section, key: str, default: object) -> object:
+    raw = section.get(key, "").strip()
+    return _cast(key, default, raw) if raw else default
+
+
+def _read(section, config, extra: str = ""):
+    """``config`` with its fields set from ``section``'s keys (``extra`` is also allowed)."""
+    keys = _keys(config)
+    for key in section:
+        if key not in keys and key != extra:
+            raise ConfigError(f"unknown key {key!r} in [{section.name}]")
+    return replace(config, **{k: _value(section, k, getattr(config, k)) for k in keys})
+
+
 def load_config(path) -> FullConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; choose from {', '.join(_SECTIONS)}")
+    for name in _SECTIONS:
+        if not parser.has_section(name):
+            parser.add_section(name)
+    m, l, t, d = (parser[name] for name in _SECTIONS)
 
-    sec = lambda name: parser[name] if parser.has_section(name) else None
-
-    m = sec("model")
-    model = ModelConfig(
-        layer_dims=_get(m, "layer_dims", _int_list, [8, 32, 16]),
-        seed=_get(m, "seed", int, 0),
-        init_scale=_get(m, "init_scale", float, 1.0),
-    )
-
-    l = sec("loss")
-    variant = _get(l, "variant", str, "full")
-    loss = variant_loss(variant)
-    loss = replace(
-        loss,
-        tau=_get(l, "tau", float, loss.tau),
-        alpha=_get(l, "alpha", float, loss.alpha),
-        beta=_get(l, "beta", float, loss.beta),
-        gap_threshold=_get(l, "gap_threshold", float, loss.gap_threshold),
-        classification_metric=_get(l, "classification_metric", _metric, loss.classification_metric),
-        margin_metric=_get(l, "margin_metric", _metric, loss.margin_metric),
-    )
-
-    t = sec("train")
-    preset = _get(t, "preset", str, "desk")
-    if preset == "desk":
-        train = desk_preset(model, loss)
-    elif preset == "paper":
-        train = paper_preset(model, loss)
-    else:
+    model = _read(m, ModelConfig([8, 32, 16]))
+    loss = _read(l, variant_loss(_value(l, "variant", "full")), "variant")
+    preset = _value(t, "preset", "desk")
+    if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose desk or paper")
-    train = replace(
-        train,
-        epochs=_get(t, "epochs", int, train.epochs),
-        batch_size=_get(t, "batch_size", int, train.batch_size),
-        learning_rate=_get(t, "learning_rate", float, train.learning_rate),
-        optimizer=_get(t, "optimizer", str, train.optimizer),
-        seed=_get(t, "seed", int, train.seed),
-        eval_every=_get(t, "eval_every", int, train.eval_every),
-    )
-
-    d = sec("data")
-    data = DataConfig(
-        num_classes=_get(d, "num_classes", int, 6),
-        samples_per_class=_get(d, "samples_per_class", int, 200),
-        dim=_get(d, "dim", int, 8),
-        separation=_get(d, "separation", float, 5.0),
-        overlap=_get(d, "overlap", float, 1.0),
-        hard=_get(d, "hard", _bool, True),
-        num_groups=_get(d, "num_groups", int, 5),
-        seed=_get(d, "seed", int, 0),
-        known_classes=_get(d, "known_classes", _int_list, [0, 1, 2, 3]),
-        unknown_classes=_get(d, "unknown_classes", _int_list, [4, 5]),
-        test_fraction=_get(d, "test_fraction", float, 0.25),
-        features_path=_get(d, "features_path", str, None),
-    )
-    return FullConfig(model=model, loss=loss, train=train, data=data)
+    train = _read(t, _PRESETS[preset](model, loss), "preset")
+    return FullConfig(train, _read(d, DataConfig()))
 
 
 def build_dataset(data: DataConfig) -> LabeledDataset:

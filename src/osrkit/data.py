@@ -1,4 +1,4 @@
-"""Datasets: synthetic Gaussian benchmarks, open-set splits, folds, file IO.
+"""Datasets: synthetic Gaussian benchmarks, open-set splits, file IO.
 
 Synthetic classes are isotropic Gaussians whose means are random unit
 directions scaled to a common length, so class similarity is controlled
@@ -35,7 +35,7 @@ HARD_ANGLE_DEG = 14.0
 class LabeledDataset:
     inputs: np.ndarray     # B x D_in
     labels: np.ndarray     # B, original class ids
-    group_ids: np.ndarray  # B, for fold splitting
+    group_ids: np.ndarray  # B, written to both feature-file formats
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -167,9 +167,8 @@ def gen_synthetic(
     Class c is N(mean_c, overlap^2 I) with |mean_c| = separation. In hard
     mode classes 0 and 1 sit within HARD_ANGLE_DEG of class
     num_classes - 2, so a conventional split that marks trailing classes
-    unknown gets a genuinely confusable outlier. Groups are assigned
-    round-robin within each class for fold splitting. Deterministic per
-    seed.
+    unknown gets a genuinely confusable outlier. Group ids are assigned
+    round-robin within each class. Deterministic per seed.
     """
     if num_classes < 3:
         raise ConfigError(f"need at least 3 classes, got {num_classes}")
@@ -232,29 +231,6 @@ def apply_split(
     unknown_mask = np.isin(dataset.labels, list(spec.unknown_classes))
     test_unknown = dataset.subset(np.flatnonzero(unknown_mask))
     return OpenSetSplit(remapped(train_rows), remapped(test_rows), test_unknown, label_map)
-
-
-def group_folds(dataset: LabeledDataset, num_folds: int) -> list[tuple[list[int], list[int]]]:
-    """Leave-groups-out folds: sorted group ids dealt round-robin.
-
-    Returns one (train_groups, heldout_groups) pair per fold; every group
-    is held out exactly once and fold sizes differ by at most one.
-    """
-    if num_folds < 2:
-        raise ConfigError(f"num_folds must be >= 2, got {num_folds}")
-    groups = sorted(int(g) for g in np.unique(dataset.group_ids))
-    if len(groups) < num_folds:
-        raise ConfigError(
-            f"need at least {num_folds} distinct groups, found {len(groups)}"
-        )
-    held: list[list[int]] = [[] for _ in range(num_folds)]
-    for i, g in enumerate(groups):
-        held[i % num_folds].append(g)
-    folds = []
-    for f in range(num_folds):
-        train = [g for g in groups if g not in held[f]]
-        folds.append((train, held[f]))
-    return folds
 
 
 def save_features(path, dataset: LabeledDataset) -> None:

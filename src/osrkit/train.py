@@ -266,6 +266,11 @@ def margin_metric_cells() -> list[dict[str, object]]:
             for m in (Metric.EUCLIDEAN, Metric.ANGULAR, Metric.MANHATTAN, Metric.CHEBYSHEV)]
 
 
+# The named grids of ``osrkit sweep --grid``.
+GRIDS = {"gap-threshold": gap_threshold_cells, "weights": weight_cells,
+         "margin-metric": margin_metric_cells}
+
+
 def _check_kind(name: str, current: object, value: object) -> None:
     """Reject a sweep value that cannot fill the field it overrides."""
     if isinstance(current, float):

@@ -4,15 +4,19 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 from osrkit.cli import main
-from osrkit.config import load_config
+from osrkit.config import DataConfig, FullConfig, load_config
 from osrkit.data import gen_synthetic, save_features
 from osrkit.errors import ConfigError
+from osrkit.losses import LossConfig
+from osrkit.model import ModelConfig
 from osrkit.numerics import Metric
+from osrkit.train import desk_preset
 
 FAST_CONFIG = """
 [model]
@@ -155,6 +159,40 @@ def _train_on_csv(tmp_path, scale=1.0, text=None):
     return ["train", "--config", str(cfg), "--out", str(tmp_path / "o")], path
 
 
+# What an empty config file loads to.
+EMPTY_CONFIG = FullConfig(desk_preset(ModelConfig([8, 32, 16]), LossConfig()), DataConfig())
+SECTION_CONFIGS = {"model": EMPTY_CONFIG.train.model, "loss": EMPTY_CONFIG.train.loss,
+                   "train": EMPTY_CONFIG.train, "data": EMPTY_CONFIG.data}
+# (section, key) for every field that is not itself a config
+CONFIG_KEYS = [(section, f.name) for section, obj in SECTION_CONFIGS.items()
+               for f in fields(obj) if not is_dataclass(getattr(obj, f.name))]
+
+
+def _other_value(value):
+    """A value of ``value``'s type other than ``value``, and its INI text."""
+    if isinstance(value, bool):
+        return not value, str(not value).lower()
+    if isinstance(value, (int, float)):
+        return value + 3, repr(value + 3)
+    if isinstance(value, Metric):
+        return Metric.MANHATTAN, "manhattan"  # no field defaults to it
+    if isinstance(value, list):
+        return [9, 7], "9,7"
+    return "other", "other"  # str, and features_path's None
+
+
+def _with_field(cfg, section, key, value):
+    """``cfg`` with one field of one section's config replaced."""
+    train, data = cfg.train, cfg.data
+    if section in ("model", "loss"):
+        train = replace(train, **{section: replace(getattr(train, section), **{key: value})})
+    elif section == "train":
+        train = replace(train, **{key: value})
+    else:
+        data = replace(data, **{key: value})
+    return FullConfig(train, data)
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "cfg.ini"
@@ -165,10 +203,10 @@ def config_file(tmp_path):
 class TestConfigParsing:
     def test_full_parse(self, config_file):
         cfg = load_config(config_file)
-        assert cfg.model.layer_dims == [5, 8, 4]
+        assert cfg.train.model.layer_dims == [5, 8, 4]
         assert cfg.train.epochs == 3
-        assert cfg.loss.gap_threshold == 0.25
-        assert cfg.loss.classification_metric is Metric.ANGULAR
+        assert cfg.train.loss.gap_threshold == 0.25
+        assert cfg.train.loss.classification_metric is Metric.ANGULAR
         assert cfg.data.known_classes == [0, 1]
 
     def test_paper_preset(self, tmp_path):
@@ -183,7 +221,7 @@ class TestConfigParsing:
         path = tmp_path / "p.ini"
         path.write_text("[loss]\nvariant = euclidean\n")
         cfg = load_config(path)
-        assert cfg.loss.classification_metric is Metric.EUCLIDEAN
+        assert cfg.train.loss.classification_metric is Metric.EUCLIDEAN
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -194,6 +232,41 @@ class TestConfigParsing:
         path.write_text("[train]\nepochs = soon\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_empty_file_loads_defaults(self, tmp_path):
+        path = tmp_path / "p.ini"
+        path.write_text("")
+        assert load_config(path) == EMPTY_CONFIG
+
+    @pytest.mark.parametrize("section,key", CONFIG_KEYS, ids=[".".join(k) for k in CONFIG_KEYS])
+    def test_each_key_sets_exactly_its_field(self, tmp_path, section, key):
+        value, text = _other_value(getattr(SECTION_CONFIGS[section], key))
+        path = tmp_path / "p.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        assert load_config(path) == _with_field(EMPTY_CONFIG, section, key, value)
+
+    @pytest.mark.parametrize("text,name", [
+        ("[train]\nlearning_rat = 0.5\n", "'learning_rat'"),
+        ("[trian]\nepochs = 3\n", "[trian]"),
+        ("[train]\nmodel = 8,8\n", "'model'"),
+        ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
+    ], ids=["key", "section", "nested_config", "default_section"])
+    def test_unknown_key_or_section_exit_one(self, tmp_path, capsys, text, name):
+        path = tmp_path / "p.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(path)
+        assert cfg.train.loss == LossConfig(gap_threshold=0.25)
+        assert (cfg.train.epochs, cfg.train.model.layer_dims) == (60, [8, 32, 8])
+        assert cfg.data.features_path is None
 
 
 class TestCli:
@@ -253,6 +326,18 @@ class TestCli:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[-1] for line in lines[1:]] == ["error", "error"]
         assert "tau must be > 0" in capsys.readouterr().err
+
+    def test_sweep_negative_int_fails_only_its_cell(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main([
+            "sweep", "--config", str(config_file), "--grid", "custom",
+            "--param", "epochs=-1,2", "--out", str(out),
+        ])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1] == "-1,error,error,error"
+        assert lines[2].startswith("2,") and "error" not in lines[2]
+        assert "epochs must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("param", ["epochs=abc,x", "epochs=2.5", "margin_metric=bogus"])
     def test_sweep_malformed_value_exit_one(self, config_file, tmp_path, param):

@@ -10,7 +10,6 @@ from osrkit.data import (
     SplitSpec,
     apply_split,
     gen_synthetic,
-    group_folds,
     load_features,
     save_features,
 )
@@ -161,48 +160,6 @@ class TestApplySplit:
         s2 = apply_split(dataset, SplitSpec([0, 1, 2, 3], [4, 5]), 0.25, seed=3)
         assert (s1.train.inputs == s2.train.inputs).all()
         assert (s1.test_known.inputs == s2.test_known.inputs).all()
-
-
-class TestGroupFolds:
-    def make(self, groups):
-        n = len(groups)
-        return LabeledDataset(
-            np.zeros((n, 2)), np.zeros(n, dtype=int), np.array(groups)
-        )
-
-    def test_loso_shape(self):
-        ds = self.make([0, 1, 2, 3, 4])
-        folds = group_folds(ds, 5)
-        assert len(folds) == 5
-        for _, held in folds:
-            assert len(held) == 1
-
-    def test_partition_property(self):
-        ds = self.make([3, 1, 4, 1, 5, 9, 2, 6])
-        folds = group_folds(ds, 3)
-        held_all = [g for _, held in folds for g in held]
-        assert sorted(held_all) == sorted(set([3, 1, 4, 5, 9, 2, 6]))
-        for train, held in folds:
-            assert not (set(train) & set(held))
-
-    def test_eight_groups_five_folds_balanced(self):
-        ds = self.make(list(range(8)))
-        folds = group_folds(ds, 5)
-        sizes = [len(held) for _, held in folds]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 8
-
-    def test_too_few_groups(self):
-        ds = self.make([0, 0, 1])
-        with pytest.raises(ConfigError):
-            group_folds(ds, 3)
-
-    def test_deterministic_assignment(self):
-        ds = self.make([7, 3, 5, 1, 9, 0])
-        assert group_folds(ds, 4) == group_folds(ds, 4)
-        # sorted ids dealt round-robin: 0,1,3,5,7,9 over 4 folds
-        folds = group_folds(ds, 4)
-        assert [held for _, held in folds] == [[0, 7], [1, 9], [3], [5]]
 
 
 class TestDatasetInvariants:

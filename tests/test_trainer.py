@@ -77,6 +77,7 @@ def sgd_per_array(params, grads, state, lr, t):
         p -= lr * g
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as on ``train``: divergence raises, not warns
 def train_per_step_public(split, config):
     """``train`` as its loop was written on the public kernels: a validated
     ``total_loss``, ``embed_backward`` and a ``flatten``ed gradient per step.
