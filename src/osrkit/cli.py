@@ -113,10 +113,14 @@ def _parse_param_values(raw: str, base: TrainConfig):
     owner = next((c for c in (base.loss, base, base.model) if name in _keys(c)), None)
     if owner is None:
         raise ConfigError(f"unknown sweep parameter {name!r}")
+    if isinstance(getattr(owner, name), list):  # its values would split on the commas
+        raise ConfigError(f"sweep parameter {name!r} is a list; --param cannot sweep it")
     return name, [_cast(name, getattr(owner, name), v.strip()) for v in values.split(",")]
 
 
 def _cmd_sweep(args) -> int:
+    if args.param and args.grid != "custom":
+        raise UsageError(f"--param needs --grid custom, not --grid {args.grid}")
     cfg = _load(args)
     out = _outdir(args)
     split = build_split(cfg.data)
@@ -125,7 +129,12 @@ def _cmd_sweep(args) -> int:
     elif not args.param:  # custom: the parser's choices admit no other grid
         raise UsageError("--grid custom requires at least one --param")
     else:
-        cells = cartesian_cells(dict(_parse_param_values(p, cfg.train) for p in args.param))
+        grid = {}
+        for name, values in (_parse_param_values(p, cfg.train) for p in args.param):
+            if name in grid:
+                raise UsageError(f"--param {name} given twice")
+            grid[name] = values
+        cells = cartesian_cells(grid)
     for cell in cells:
         _warn_if_vacuous(_apply_overrides(cfg.train, cell).loss, f"cell {cell}: ")
     rows = sweep(cfg.train, cells, split)

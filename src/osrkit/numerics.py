@@ -1,8 +1,9 @@
 """Dense float64 kernels: distance scores, stable log-softmax, gradient checking.
 
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
-Every exposed operation validates its inputs, then calls a private core that
-trusts them (``_scores``, ...); gradients are hand-derived and must pass ``grad_check``.
+``pairwise_scores`` checks its inputs; the private cores (``_scores``, ``_paired``,
+``_log_softmax``, ...) trust theirs. Gradients are hand-derived and must
+pass ``grad_check``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Metric(Enum):
     EUCLIDEAN is the composite score ``|f - p|^2 / D - f . p`` when used
     for classification (see ``pairwise_scores``) and the pure squared
     distance ``|f - p|^2 / D`` inside the margin hinge (see
-    ``paired_distances``). ANGULAR is the cosine of the angle between the
+    ``_paired``). ANGULAR is the cosine of the angle between the
     vectors. MANHATTAN and CHEBYSHEV are the plain L1 / Linf distances and
     exist only for the margin hinge: ``pairwise_scores`` rejects them.
     """
@@ -39,15 +40,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ConfigError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NumericError(f"{name} contains non-finite entries")
-    return a
-
-
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ConfigError(f"{name} must be 1-D, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumericError(f"{name} contains non-finite entries")
     return a
@@ -101,23 +93,9 @@ def _scores(f: np.ndarray, p: np.ndarray, metric: Metric):
     raise ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")
 
 
-def pairwise_scores_backward(
-    features, points, metric: Metric, grad_scores
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain a B x K upstream gradient through ``pairwise_scores``.
-
-    Returns (grad_features, grad_points). The cosine at the clip boundary
-    takes the unclipped gradient.
-    """
-    f, p = _score_operands(features, points)
-    g = as_matrix(grad_scores, "grad_scores")
-    if g.shape != (f.shape[0], p.shape[0]):
-        raise ConfigError(f"grad_scores shape {g.shape} != ({f.shape[0]}, {p.shape[0]})")
-    return _scores_backward(f, p, metric, g, _scores(f, p, metric)[1])
-
-
 def _scores_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray, saved):
-    """``pairwise_scores_backward`` on checked inputs and what ``_scores`` saved."""
+    """(grad_f, grad_p) of a B x K upstream gradient ``g`` through ``_scores``, which
+    returned ``saved``; a cosine at the clip boundary takes the unclipped gradient."""
     if metric is Metric.EUCLIDEAN:
         # d score/df = 2(f-p)/D - p ; d score/dp = -2(f-p)/D - f
         d = f.shape[1]
@@ -132,20 +110,9 @@ def _scores_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray
     return grad_f, grad_p
 
 
-def paired_distances(features, points, metric: Metric) -> np.ndarray:
-    """Row-matched distances d(f_b, p_b) as used by the margin hinge.
-
-    Unlike ``pairwise_scores``, EUCLIDEAN here is the pure squared
-    distance ``|f - p|^2 / D`` with no dot-product term.
-    """
-    f = as_matrix(features, "features")
-    p = as_matrix(points, "points")
-    if f.shape != p.shape:
-        raise ConfigError(f"paired shapes differ: {f.shape} vs {p.shape}")
-    return _paired(f, p, metric)
-
-
 def _paired(f: np.ndarray, p: np.ndarray, metric: Metric) -> np.ndarray:
+    """Row-matched distances d(f_b, p_b) for the margin hinge. Unlike ``_scores``,
+    EUCLIDEAN here is the pure squared distance ``|f - p|^2 / D``, no dot product."""
     diff = f - p
     if metric is Metric.EUCLIDEAN:
         return (diff * diff).sum(axis=1) / f.shape[1]
@@ -161,19 +128,8 @@ def _paired(f: np.ndarray, p: np.ndarray, metric: Metric) -> np.ndarray:
     raise ConfigError(f"unknown metric {metric!r}")
 
 
-def paired_distances_backward(
-    features, points, metric: Metric, grad_dist
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain a length-B upstream gradient through ``paired_distances``."""
-    f = as_matrix(features, "features")
-    p = as_matrix(points, "points")
-    g = as_vector(grad_dist, "grad_dist")
-    if g.shape[0] != f.shape[0]:
-        raise ConfigError(f"grad_dist length {g.shape[0]} != batch {f.shape[0]}")
-    return _paired_backward(f, p, metric, g)
-
-
 def _paired_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray):
+    """Chain a length-B upstream gradient ``g`` through ``_paired``: (grad_f, grad_p)."""
     diff = f - p
     gcol = g[:, None]
     if metric is Metric.EUCLIDEAN:
@@ -200,15 +156,8 @@ def _paired_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray
     raise ConfigError(f"unknown metric {metric!r}")
 
 
-def log_softmax_rows(scores, tau: float = 1.0) -> np.ndarray:
-    """Row-wise log-softmax of tau-scaled scores (log-sum-exp form)."""
-    if not (np.isfinite(tau) and tau > 0):
-        raise ConfigError(f"tau must be positive, got {tau}")
-    return _log_softmax(as_matrix(scores, "scores"), tau)
-
-
 def _log_softmax(s: np.ndarray, tau: float) -> np.ndarray:
-    """``log_softmax_rows`` on a checked matrix and tau."""
+    """Row-wise log-softmax of ``tau * s``; the caller checks ``s`` finite, ``tau`` > 0."""
     z = tau * s
     z = z - z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -329,6 +329,8 @@ def _cell_value(v: object) -> str:
         return v.value
     if isinstance(v, float):
         return f"{v:.17g}"
+    if isinstance(v, list):  # one quoted field in config syntax
+        return '"' + ",".join(map(str, v)) + '"'
     return str(v)
 
 

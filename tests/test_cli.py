@@ -339,13 +339,22 @@ class TestCli:
         assert lines[2].startswith("2,") and "error" not in lines[2]
         assert "epochs must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("param", ["epochs=abc,x", "epochs=2.5", "margin_metric=bogus"])
-    def test_sweep_malformed_value_exit_one(self, config_file, tmp_path, param):
+    @pytest.mark.parametrize("param,tail", [
+        pytest.param("epochs=abc,x", ["--grid", "custom"], id="epochs=abc,x"),
+        pytest.param("epochs=2.5", ["--grid", "custom"], id="epochs=2.5"),
+        pytest.param("margin_metric=bogus", ["--grid", "custom"], id="margin_metric=bogus"),
+        pytest.param("alpha=0.05,0.5", [], id="param-without-custom-grid"),
+        pytest.param("alpha=0.05", ["--grid", "custom", "--param", "alpha=0.5,0.7"],
+                     id="param-given-twice"),
+        pytest.param("layer_dims=8", ["--grid", "custom"], id="list-field"),
+    ])
+    def test_sweep_malformed_value_exit_one(self, config_file, tmp_path, param, tail):
         code = main([
-            "sweep", "--config", str(config_file), "--grid", "custom",
-            "--param", param, "--out", str(tmp_path / "sw"),
+            "sweep", "--config", str(config_file), "--param", param, *tail,
+            "--out", str(tmp_path / "sw"),
         ])
         assert code == 1
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
 
     def test_eval_class_count_mismatch_exit_one(self, config_file, tmp_path, capsys):
         out = tmp_path / "run"

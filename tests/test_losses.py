@@ -17,10 +17,11 @@ from osrkit.losses import (
 from osrkit.model import ReciprocalBank
 from osrkit.numerics import (
     Metric,
+    _log_softmax,
+    _scores,
+    _scores_backward,
     grad_check,
-    log_softmax_rows,
     pairwise_scores,
-    pairwise_scores_backward,
 )
 
 
@@ -66,7 +67,7 @@ class TestClassificationLoss:
         v1 = classification_loss(features, bank, labels, Metric.EUCLIDEAN, 2.0).value
         # loss at (scores s, tau=2) must equal loss at (scores 2s, tau=1)
         scores = pairwise_scores(features, bank.points, Metric.EUCLIDEAN)
-        logp = log_softmax_rows(2.0 * scores, 1.0)
+        logp = _log_softmax(2.0 * scores, 1.0)
         v2 = float(-logp[np.arange(4), labels].mean())
         assert v1 == pytest.approx(v2, abs=1e-12)
 
@@ -273,7 +274,8 @@ class TestTotalLoss:
     @pytest.mark.parametrize("alpha,beta", [(0.1, 0.3), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0)])
     def test_fused_gradients_equal_sum_of_parts(self, metric, alpha, beta):
         # total_loss scores once and runs one backward; its gradients must
-        # match the unfused definition built from the public parts.
+        # match the unfused definition built from the loss terms and a
+        # separate score backward.
         rng = np.random.default_rng(21)
         oc_active = False
         for _ in range(20):
@@ -286,8 +288,9 @@ class TestTotalLoss:
             logits = classification_logits(features, bank, metric, cfg.tau)
             _, grad_oc = overconfidence_loss(logits, cfg.gap_threshold)
             oc_active = oc_active or bool(grad_oc.any())
-            oc_f, oc_p = pairwise_scores_backward(
-                features, bank.points, metric, cfg.tau * grad_oc
+            saved = _scores(features, bank.points, metric)[1]
+            oc_f, oc_p = _scores_backward(
+                features, bank.points, metric, cfg.tau * grad_oc, saved
             )
             assert_sum_of_terms(
                 out.grad_features, cls.grad_features, alpha * mar.grad_features, beta * oc_f

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_config, benchmark_split
+from osrkit.config import _cast
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
 from osrkit.evaluate import predict_closed
@@ -416,6 +418,18 @@ class TestSweep:
         path = tmp_path / "s.csv"
         write_sweep_csv(path, rows)
         assert "error" in path.read_text().splitlines()[1]
+
+    def test_list_value_is_one_csv_field(self, tmp_path):
+        cells = [{"layer_dims": [5, 16, 4], "tau": 1.0}, {"layer_dims": [5], "tau": 2.0}]
+        rows = sweep(small_config(epochs=1), cells, small_split())
+        assert rows[0].error is None and rows[1].error is not None
+        path = tmp_path / "s.csv"
+        write_sweep_csv(path, rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        assert header == ["layer_dims", "tau", "acc", "auroc", "oscr"]
+        assert [len(row) for row in body] == [len(header)] * 2
+        assert [_cast("layer_dims", [], row[0]) for row in body] == [[5, 16, 4], [5]]
 
     def test_unknown_parameter_rejected(self):
         split = small_split()
