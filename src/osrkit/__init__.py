@@ -27,7 +27,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import Metric, grad_check, pairwise_scores
-from .train import TrainConfig, TrainHistory, desk_preset, paper_preset, sweep, train, variant_loss
+from .train import TrainConfig, TrainHistory, sweep, train
 
 __all__ = [
     "EvalReport",
@@ -46,7 +46,6 @@ __all__ = [
     "auroc",
     "classification_logits",
     "classification_loss",
-    "desk_preset",
     "embed_backward",
     "embed_forward",
     "evaluate",
@@ -59,13 +58,11 @@ __all__ = [
     "oscr",
     "overconfidence_loss",
     "pairwise_scores",
-    "paper_preset",
     "predict_closed",
     "save_checkpoint",
     "sweep",
     "total_loss",
     "train",
-    "variant_loss",
 ]
 
 __version__ = "0.1.0"

@@ -9,12 +9,10 @@ embedding dims [8, 32, 8], 60 epochs of the desk preset, gap threshold
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .data import OpenSetSplit, SplitSpec, apply_split, gen_synthetic
 from .evaluate import EvalReport, evaluate
 from .model import ModelConfig
-from .train import TrainConfig, desk_preset, train, variant_loss
+from .train import VARIANTS, TrainConfig, _apply_overrides, named, train
 
 NUM_CLASSES = 6
 SAMPLES_PER_CLASS = 200
@@ -37,9 +35,9 @@ def benchmark_split(seed: int) -> OpenSetSplit:
 
 
 def benchmark_config(variant: str, seed: int) -> TrainConfig:
-    loss = replace(variant_loss(variant), gap_threshold=TUNED_GAP_THRESHOLD)
-    cfg = desk_preset(ModelConfig(list(LAYER_DIMS), seed=seed), loss)
-    return replace(cfg, epochs=EPOCHS, seed=seed)
+    return _apply_overrides(TrainConfig(ModelConfig(list(LAYER_DIMS))), {
+        **named(VARIANTS, "variant", variant), "gap_threshold": TUNED_GAP_THRESHOLD,
+        "epochs": EPOCHS, "seed": seed})
 
 
 def run_benchmark(variant: str, seed: int) -> EvalReport:

@@ -125,7 +125,7 @@ def _cmd_sweep(args) -> int:
     out = _outdir(args)
     split = build_split(cfg.data)
     if args.grid in GRIDS:
-        cells = GRIDS[args.grid]()
+        cells = GRIDS[args.grid]
     elif not args.param:  # custom: the parser's choices admit no other grid
         raise UsageError("--grid custom requires at least one --param")
     else:

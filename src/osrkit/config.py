@@ -25,11 +25,11 @@ Four sections, all optional, every key defaulted:
                                  test_fraction = 0.25
                                  features_path =   (optional; load instead of generate)
 
-``preset`` (desk or paper) fills the training hyperparameters first and
-explicit keys override it; ``variant`` (full, euclidean, uncalibrated)
-does the same for the loss arm. The keys of a section are the fields of
-its config dataclass, each read as the type of its default; an empty
-value keeps the default. An unknown key or section is an error.
+A ``preset`` (desk or paper, ``train.PRESETS``) or ``variant`` (full,
+euclidean, uncalibrated, ``train.VARIANTS``) is a named set of keys,
+applied before the section's own keys. The keys of a section are the
+fields of its config dataclass, each read as the type of its default; an
+empty value keeps the default. An unknown key or section is an error.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from dataclasses import dataclass, field, fields, replace
 
 from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic, load_features
 from .errors import ConfigError
+from .losses import LossConfig
 from .model import ModelConfig
 from .numerics import Metric
-from .train import TrainConfig, desk_preset, paper_preset, variant_loss
+from .train import PRESETS, VARIANTS, TrainConfig, named
 
 
 @dataclass
@@ -93,7 +94,6 @@ def _metric(raw: str) -> Metric:
 _CASTS = {bool: _bool, int: int, float: float, str: str, type(None): str,
           Metric: _metric, list: _int_list}
 _SECTIONS = ("model", "loss", "train", "data")
-_PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
 def _keys(config) -> list[str]:
@@ -141,11 +141,10 @@ def load_config(path) -> FullConfig:
     m, l, t, d = (parser[name] for name in _SECTIONS)
 
     model = _read(m, ModelConfig([8, 32, 16]))
-    loss = _read(l, variant_loss(_value(l, "variant", "full")), "variant")
-    preset = _value(t, "preset", "desk")
-    if preset not in _PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; choose desk or paper")
-    train = _read(t, _PRESETS[preset](model, loss), "preset")
+    variant = named(VARIANTS, "variant", _value(l, "variant", "full"))
+    loss = _read(l, replace(LossConfig(), **variant), "variant")
+    preset = named(PRESETS, "preset", _value(t, "preset", "desk"))
+    train = _read(t, replace(TrainConfig(model, loss), **preset), "preset")
     return FullConfig(train, _read(d, DataConfig()))
 
 

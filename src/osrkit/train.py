@@ -52,38 +52,29 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-def paper_preset(model: ModelConfig, loss: LossConfig | None = None) -> TrainConfig:
-    """Hyperparameters matching the published training recipe."""
-    return TrainConfig(
-        model=model, loss=loss or LossConfig(), epochs=90, batch_size=64,
-        learning_rate=1e-5, optimizer="adam",
-    )
+# Named settings, each a set of config keys that is applied before any explicit key.
+PRESETS = {
+    "desk": {},  # TrainConfig's defaults: fast enough for small synthetic runs
+    "paper": {"epochs": 90, "batch_size": 64, "learning_rate": 1e-5},  # the published recipe
+}
+VARIANTS = {  # the objective arms; every other loss term is kept
+    "full": {"classification_metric": Metric.ANGULAR},
+    "euclidean": {"classification_metric": Metric.EUCLIDEAN},
+    "uncalibrated": {"classification_metric": Metric.ANGULAR, "beta": 0.0},
+}
+GRIDS = {  # the named grids of ``osrkit sweep --grid``
+    "gap-threshold": [{"gap_threshold": t} for t in (0.0, 0.25, 0.5, 1.0, 2.0)],
+    "weights": [{"alpha": a, "beta": b} for a, b in (
+        (0.05, 0.05), (0.05, 0.1), (0.1, 0.05), (0.1, 0.1), (0.1, 0.5), (0.5, 0.1), (0.5, 0.5))],
+    "margin-metric": [{"margin_metric": m} for m in Metric],  # all four, in declaration order
+}
 
 
-def desk_preset(model: ModelConfig, loss: LossConfig | None = None) -> TrainConfig:
-    """Fast defaults for small synthetic runs (the `paper` preset's learning
-    rate underfits toy MLPs in any reasonable time)."""
-    return TrainConfig(
-        model=model, loss=loss or LossConfig(), epochs=200, batch_size=32,
-        learning_rate=1e-3, optimizer="adam",
-    )
-
-
-def variant_loss(variant: str, base: LossConfig | None = None) -> LossConfig:
-    """Named objective arms.
-
-    - full: angular classification + margin + overconfidence hinge
-    - euclidean: composite euclidean classification, other terms kept
-    - uncalibrated: angular classification, overconfidence weight zeroed
-    """
-    cfg = base or LossConfig()
-    if variant == "full":
-        return replace(cfg, classification_metric=Metric.ANGULAR)
-    if variant == "euclidean":
-        return replace(cfg, classification_metric=Metric.EUCLIDEAN)
-    if variant == "uncalibrated":
-        return replace(cfg, classification_metric=Metric.ANGULAR, beta=0.0)
-    raise ConfigError(f"unknown variant {variant!r}")
+def named(table: dict, kind: str, name: str):
+    """``table[name]``; an unknown name is a ``ConfigError`` that lists the choices."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
+    return table[name]
 
 
 @dataclass
@@ -248,32 +239,11 @@ def cartesian_cells(grid: dict[str, Iterable]) -> list[dict[str, object]]:
     return cells
 
 
-def gap_threshold_cells() -> list[dict[str, object]]:
-    """Five-point threshold sweep for the overconfidence hinge."""
-    return [{"gap_threshold": t} for t in (0.0, 0.25, 0.5, 1.0, 2.0)]
-
-
-def weight_cells() -> list[dict[str, object]]:
-    """The seven (alpha, beta) combinations of the weight ablation."""
-    combos = [(0.05, 0.05), (0.05, 0.1), (0.1, 0.05), (0.1, 0.1),
-              (0.1, 0.5), (0.5, 0.1), (0.5, 0.5)]
-    return [{"alpha": a, "beta": b} for a, b in combos]
-
-
-def margin_metric_cells() -> list[dict[str, object]]:
-    """All four distance metrics for the margin hinge."""
-    return [{"margin_metric": m}
-            for m in (Metric.EUCLIDEAN, Metric.ANGULAR, Metric.MANHATTAN, Metric.CHEBYSHEV)]
-
-
-# The named grids of ``osrkit sweep --grid``.
-GRIDS = {"gap-threshold": gap_threshold_cells, "weights": weight_cells,
-         "margin-metric": margin_metric_cells}
-
-
 def _check_kind(name: str, current: object, value: object) -> None:
     """Reject a sweep value that cannot fill the field it overrides."""
-    if isinstance(current, float):
+    if isinstance(value, bool):  # an Integral, but no number
+        ok = isinstance(current, bool)
+    elif isinstance(current, float):
         ok = isinstance(value, numbers.Real)
     elif isinstance(current, int):
         ok = isinstance(value, numbers.Integral)
@@ -308,13 +278,16 @@ def _apply_overrides(config: TrainConfig, overrides: dict[str, object]) -> Train
 def sweep(base: TrainConfig, cells: list[dict[str, object]], split) -> list[SweepRow]:
     """Train and evaluate one run per cell.
 
-    Every cell's overrides are checked before the first one trains. A cell
-    that then fails with a toolkit error marks its row and the sweep goes
-    on; any other exception is a bug and propagates.
+    All cells must set the same parameters, and each is checked, before the
+    first trains. A failing cell's toolkit error marks its row (a copy of the
+    cell) and the sweep goes on; any other exception is a bug and propagates.
     """
+    names = sorted({",".join(sorted(cell)) for cell in cells})
+    if len(names) > 1:
+        raise UsageError(f"sweep cells set different parameters: {' / '.join(names)}")
     rows = []
     configs = [_apply_overrides(base, overrides) for overrides in cells]
-    for overrides, cfg in zip(cells, configs):
+    for overrides, cfg in zip(map(dict, cells), configs):
         try:
             embedder, bank, _ = train(split, cfg)
             report = evaluate(embedder, bank, split, cfg.loss)

@@ -23,15 +23,7 @@ from osrkit.model import (
     save_checkpoint,
 )
 from osrkit.numerics import Metric
-from osrkit.train import (
-    TrainConfig,
-    gap_threshold_cells,
-    margin_metric_cells,
-    sweep,
-    train,
-    weight_cells,
-    write_sweep_csv,
-)
+from osrkit.train import GRIDS, TrainConfig, sweep, train, write_sweep_csv
 from osrkit.data import load_features, save_features
 
 from test_eval import brute_force_oscr
@@ -230,9 +222,9 @@ class TestCriterion5AblationHarness:
             seed=0,
         )
         grids = {
-            "theta": (gap_threshold_cells(), 5),
-            "weights": (weight_cells(), 7),
-            "margin-metric": (margin_metric_cells(), 4),
+            "theta": (GRIDS["gap-threshold"], 5),
+            "weights": (GRIDS["weights"], 7),
+            "margin-metric": (GRIDS["margin-metric"], 4),
         }
         ok = True
         for name, (cells, expected_rows) in grids.items():

@@ -16,7 +16,7 @@ from osrkit.errors import ConfigError
 from osrkit.losses import LossConfig
 from osrkit.model import ModelConfig
 from osrkit.numerics import Metric
-from osrkit.train import desk_preset
+from osrkit.train import PRESETS, TrainConfig
 
 FAST_CONFIG = """
 [model]
@@ -160,7 +160,8 @@ def _train_on_csv(tmp_path, scale=1.0, text=None):
 
 
 # What an empty config file loads to.
-EMPTY_CONFIG = FullConfig(desk_preset(ModelConfig([8, 32, 16]), LossConfig()), DataConfig())
+EMPTY_CONFIG = FullConfig(replace(TrainConfig(ModelConfig([8, 32, 16]), LossConfig()),
+                                  **PRESETS["desk"]), DataConfig())
 SECTION_CONFIGS = {"model": EMPTY_CONFIG.train.model, "loss": EMPTY_CONFIG.train.loss,
                    "train": EMPTY_CONFIG.train, "data": EMPTY_CONFIG.data}
 # (section, key) for every field that is not itself a config
@@ -250,7 +251,9 @@ class TestConfigParsing:
         ("[trian]\nepochs = 3\n", "[trian]"),
         ("[train]\nmodel = 8,8\n", "'model'"),
         ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
-    ], ids=["key", "section", "nested_config", "default_section"])
+        ("[loss]\nvariant = bogus\n", "unknown variant 'bogus'; choose from full, euclidean"),
+        ("[train]\npreset = fast\n", "unknown preset 'fast'; choose from desk, paper"),
+    ], ids=["key", "section", "nested_config", "default_section", "variant", "preset"])
     def test_unknown_key_or_section_exit_one(self, tmp_path, capsys, text, name):
         path = tmp_path / "p.ini"
         path.write_text(text)

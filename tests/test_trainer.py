@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_config, benchmark_split
+from osrkit.cli import build_parser
 from osrkit.config import _cast
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
@@ -17,22 +19,20 @@ from osrkit.model import (ModelConfig, bind_parameters, embed_backward, embed_fo
                           init_model)
 from osrkit.numerics import Metric
 from osrkit.train import (
+    GRIDS,
+    PRESETS,
+    VARIANTS,
     Adam,
     SGD,
     EpochRecord,
     TrainConfig,
     _apply_overrides,
     cartesian_cells,
-    desk_preset,
-    gap_threshold_cells,
     make_optimizer,
-    margin_metric_cells,
+    named,
     optimizer_step,
-    paper_preset,
     sweep,
     train,
-    variant_loss,
-    weight_cells,
     write_history_csv,
     write_sweep_csv,
 )
@@ -356,35 +356,60 @@ class TestTrainErrors:
             train(split, small_config())
 
 
+# (id, keys) for every named setting: each preset, each variant and each grid cell
+TABLE_ENTRIES = [(f"preset-{name}", keys) for name, keys in PRESETS.items()]
+TABLE_ENTRIES += [(f"variant-{name}", keys) for name, keys in VARIANTS.items()]
+TABLE_ENTRIES += [(f"{grid}-{i}", cell) for grid, cells in GRIDS.items()
+                  for i, cell in enumerate(cells)]
+
+
 class TestPresets:
     def test_paper_preset_values(self):
-        cfg = paper_preset(ModelConfig([4, 2], seed=0))
+        cfg = dataclasses.replace(TrainConfig(ModelConfig([4, 2], seed=0)), **PRESETS["paper"])
         assert (cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.optimizer) == (
             90, 64, 1e-5, "adam",
         )
+        assert PRESETS == {"desk": {}, "paper": {"epochs": 90, "batch_size": 64,
+                                                 "learning_rate": 1e-5}}
 
     def test_desk_preset_values(self):
-        cfg = desk_preset(ModelConfig([4, 2], seed=0))
+        cfg = dataclasses.replace(TrainConfig(ModelConfig([4, 2], seed=0)), **PRESETS["desk"])
         assert (cfg.epochs, cfg.batch_size, cfg.learning_rate) == (200, 32, 1e-3)
 
     def test_variant_arms_expressible_via_config_only(self):
-        full = variant_loss("full")
+        full = dataclasses.replace(LossConfig(), **VARIANTS["full"])
         assert full.classification_metric is Metric.ANGULAR and full.beta > 0
-        eucl = variant_loss("euclidean")
+        eucl = dataclasses.replace(LossConfig(), **VARIANTS["euclidean"])
         assert eucl.classification_metric is Metric.EUCLIDEAN and eucl.beta > 0
-        uncal = variant_loss("uncalibrated")
+        uncal = dataclasses.replace(LossConfig(), **VARIANTS["uncalibrated"])
         assert uncal.classification_metric is Metric.ANGULAR and uncal.beta == 0.0
 
     def test_unknown_variant(self):
-        with pytest.raises(ConfigError):
-            variant_loss("bogus")
+        with pytest.raises(ConfigError, match="choose from full, euclidean, uncalibrated"):
+            named(VARIANTS, "variant", "bogus")
+
+    @pytest.mark.parametrize("keys", [k for _, k in TABLE_ENTRIES],
+                             ids=[i for i, _ in TABLE_ENTRIES])
+    def test_table_entry_sets_exactly_its_fields(self, keys):
+        base = TrainConfig(ModelConfig([4, 2]))
+        cfg = _apply_overrides(base, keys)
+        for old, new in ((base, cfg), (base.loss, cfg.loss), (base.model, cfg.model)):
+            for f in dataclasses.fields(old):
+                if not dataclasses.is_dataclass(getattr(old, f.name)):
+                    assert getattr(new, f.name) == keys.get(f.name, getattr(old, f.name)), f.name
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        grid = next(a for a in sub.choices["sweep"]._actions if a.dest == "grid")
+        assert grid.choices == [*GRIDS, "custom"]
 
 
 class TestSweep:
     def test_preset_grids_have_published_row_counts(self):
-        assert len(gap_threshold_cells()) == 5
-        assert len(weight_cells()) == 7
-        assert len(margin_metric_cells()) == 4
+        assert len(GRIDS["gap-threshold"]) == 5
+        assert len(GRIDS["weights"]) == 7
+        assert len(GRIDS["margin-metric"]) == 4
+        assert [c["gap_threshold"] for c in GRIDS["gap-threshold"]] == [0.0, 0.25, 0.5, 1.0, 2.0]
+        assert [(c["alpha"], c["beta"]) for c in GRIDS["weights"]] == [
+            (0.05, 0.05), (0.05, 0.1), (0.1, 0.05), (0.1, 0.1), (0.1, 0.5), (0.5, 0.1), (0.5, 0.5)]
 
     def test_cartesian_order(self):
         cells = cartesian_cells({"a": [1, 2], "b": [10, 20]})
@@ -441,8 +466,22 @@ class TestSweep:
             raise AssertionError("a cell trained before every cell was checked")
 
         monkeypatch.setattr(train_module, "train", no_training)
-        with pytest.raises(ConfigError, match="epochs"):
-            sweep(small_config(epochs=1), [{"epochs": 1}, {"epochs": "abc"}], small_split())
+        for bad in ({"epochs": "abc"}, {"epochs": True}, {"tau": False}):
+            (name,) = bad
+            with pytest.raises(ConfigError, match=name):
+                sweep(small_config(epochs=1), [{name: 1}, bad], small_split())
+
+    def test_cells_setting_different_parameters_rejected_before_training(self, monkeypatch):
+        rows = sweep(small_config(epochs=1), [{"tau": 1.0, "alpha": 0.1},
+                                              {"alpha": 0.5, "tau": 2.0}], small_split())
+        assert [r.error for r in rows] == [None, None]  # key order may differ
+
+        def no_training(*args):
+            raise AssertionError("a cell trained before every cell was checked")
+
+        monkeypatch.setattr(train_module, "train", no_training)
+        with pytest.raises(UsageError, match="sweep cells set different parameters: alpha / tau"):
+            sweep(small_config(epochs=1), [{"tau": 1.0}, {"alpha": 0.5}], small_split())
 
     def test_seed_reaches_model_and_training(self):
         cfg = _apply_overrides(small_config(seed=0), {"seed": 3})
@@ -460,8 +499,9 @@ class TestSweep:
     def test_metric_cells_swap_margin_metric(self):
         split = small_split()
         base = small_config(epochs=1)
-        rows = sweep(base, margin_metric_cells(), split)
+        rows = sweep(base, GRIDS["margin-metric"], split)
         assert [r.overrides["margin_metric"] for r in rows] == [
             Metric.EUCLIDEAN, Metric.ANGULAR, Metric.MANHATTAN, Metric.CHEBYSHEV,
         ]
+        assert not any(r.overrides is c for r, c in zip(rows, GRIDS["margin-metric"]))
         assert all(r.error is None for r in rows)
