@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 FEATURES_MAGIC = b"OSSF"
 FEATURES_VERSION = 1
@@ -189,10 +189,14 @@ def gen_synthetic(
     groups = []
     for c in range(num_classes):
         noise = rng.standard_normal((samples_per_class, dim))
-        rows.append(means[c] + overlap * noise)
+        with np.errstate(over="ignore"):  # reported below, as a NumericError
+            rows.append(means[c] + overlap * noise)
         labels.extend([c] * samples_per_class)
         groups.extend([i % num_groups for i in range(samples_per_class)])
-    return LabeledDataset(np.vstack(rows), np.array(labels), np.array(groups))
+    inputs = np.vstack(rows)
+    if not np.isfinite(inputs).all():
+        raise NumericError(f"overlap {overlap:g}, separation {separation:g}: features overflow")
+    return LabeledDataset(inputs, np.array(labels), np.array(groups))
 
 
 def apply_split(

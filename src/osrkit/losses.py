@@ -13,8 +13,9 @@ Three ingredients, each differentiable by hand:
   predictions.
 
 ``total_loss`` combines them as classification + alpha * margin +
-beta * overconfidence. It scores the batch once; the classification and
-overconfidence logit gradients are summed and chained by one backward.
+beta * overconfidence. It computes each piece of a batch once: the scores
+and norms, the tau-scaled logits both logit terms share (their gradients
+are summed and chained by one backward), and the margin hinge's differences.
 Each public loss validates its inputs, then calls a private core that trusts
 them (``_total``, ``_margin_hinge``, ...); ``train`` validates once, then calls ``_total``.
 """
@@ -84,11 +85,10 @@ def classification_logits(features, bank: ReciprocalBank, metric: Metric, tau: f
     return tau * pairwise_scores(features, bank.points, metric)
 
 
-def _cross_entropy(scores: np.ndarray, y: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """(mean cross-entropy of y under softmax(tau * scores), grad w.r.t. tau * scores)."""
-    rows = np.arange(scores.shape[0])
-    logp = _log_softmax(scores, tau)
-    value = float(-logp[rows, y].mean())
+def _cross_entropy(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mean cross-entropy of y under softmax(z), its grad w.r.t. z); ``rows`` is ``arange(B)``."""
+    logp = _log_softmax(z)
+    value = float(-logp[rows, y].sum() / rows.size)
     grad_logits = np.exp(logp)
     grad_logits[rows, y] -= 1.0
     grad_logits /= rows.size
@@ -104,7 +104,7 @@ def classification_loss(
     if not (np.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau must be positive, got {tau}")
     scores, saved = _scores(f, bank.points, metric)
-    value, grad_logits = _cross_entropy(scores, y, tau)
+    value, grad_logits = _cross_entropy(tau * scores, y, np.arange(f.shape[0]))
     grad_f, grad_p = _scores_backward(f, bank.points, metric, tau * grad_logits, saved)
     return LossOutput(value, grad_f, grad_p, np.zeros(bank.num_classes))
 
@@ -120,24 +120,23 @@ def margin_loss(
     """
     f, _ = _score_operands(features, bank.points)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
-    return _margin_hinge(f, bank, y, metric)
+    return LossOutput(*_margin_hinge(f, bank, y, metric))
 
 
-def _margin_hinge(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, metric: Metric) -> LossOutput:
-    """``margin_loss`` on features and labels that are already validated."""
+def _margin_hinge(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, metric: Metric):
+    """``margin_loss`` on checked inputs: (value, grad_features, grad_points, grad_margins)."""
     b = f.shape[0]
     own_points = bank.points[y]
-    d = _paired(f, own_points, metric)
+    d, saved = _paired(f, own_points, metric)
     slack = d - bank.margins[y]
     active = slack > 0.0
-    value = float(np.where(active, slack, 0.0).sum() / b)
-    grad_d = active.astype(np.float64) / b
-    grad_f, grad_own = _paired_backward(f, own_points, metric, grad_d)
-    grad_points = np.zeros_like(bank.points)
+    value = float(np.add.reduce(np.where(active, slack, 0.0)) / b)
+    grad_d = active * (1.0 / b)  # 0.0 or 1/b, as active.astype(float) / b
+    grad_f, grad_own = _paired_backward(f, own_points, metric, grad_d, saved)
+    grad_points = np.zeros(bank.points.shape)
     np.add.at(grad_points, y, grad_own)
-    grad_margins = np.zeros(bank.num_classes)
-    np.add.at(grad_margins, y, -grad_d)
-    return LossOutput(value, grad_f, grad_points, grad_margins)
+    # bincount adds in row order from zero, as np.add.at does: the same bits
+    return value, grad_f, grad_points, np.bincount(y, -grad_d, bank.num_classes)
 
 
 def overconfidence_loss(logits, gap_threshold: float) -> tuple[float, np.ndarray]:
@@ -153,19 +152,18 @@ def overconfidence_loss(logits, gap_threshold: float) -> tuple[float, np.ndarray
         raise ConfigError(f"gap_threshold must be >= 0, got {gap_threshold}")
     if z.shape[0] == 0:
         raise DataError("empty batch")
-    return _overconfidence(z, gap_threshold)
+    return _overconfidence(z, gap_threshold, np.arange(z.shape[0]))
 
 
-def _overconfidence(z: np.ndarray, gap_threshold: float) -> tuple[float, np.ndarray]:
-    """``overconfidence_loss`` on checked logits and threshold."""
-    b = z.shape[0]
+def _overconfidence(z: np.ndarray, gap_threshold: float, rows: np.ndarray):
+    """``overconfidence_loss`` on checked logits and threshold; ``rows`` is ``arange(B)``."""
+    b = rows.size
     top = z.argmax(axis=1)  # lowest index on ties
-    rows = np.arange(b)
     gaps = z[rows, top][:, None] - z
     active = gaps > gap_threshold
-    value = float((gaps - gap_threshold)[active].sum() / b) if active.any() else 0.0
-    grad = -active.astype(np.float64) / b
-    grad[rows, top] += active.sum(axis=1) / b
+    value = float(np.add.reduce((gaps - gap_threshold)[active]) / b)  # 0.0 when none is
+    grad = active * (-1.0 / b)  # -0.0 or -1/b, as -active.astype(float) / b
+    grad[rows, top] += np.add.reduce(active, axis=1) / b
     return value, grad
 
 
@@ -185,27 +183,25 @@ def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> Lo
     config.validate()
     f, _ = _score_operands(features, bank.points)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
-    return _total(f, bank, y, config)
+    grads = ReciprocalBank(np.empty_like(bank.points), np.empty(bank.num_classes))
+    (cls, mar, oc), grad_f = _total(f, bank, y, config, grads)
+    return LossOutput(cls + config.alpha * mar + config.beta * oc, grad_f, grads.points,
+                      grads.margins, {"classification": cls, "margin": mar, "overconfidence": oc})
 
 
-def _total(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, config: LossConfig) -> LossOutput:
-    """``total_loss`` on checked features, labels and config."""
-    metric, tau = config.classification_metric, config.tau
+def _total(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, config: LossConfig,
+           grads: ReciprocalBank) -> tuple[tuple[float, float, float], np.ndarray]:
+    """``total_loss`` on checked inputs. Writes the points' and margins' gradients
+    into ``grads`` and returns ((classification, margin, overconfidence), grad_features)."""
+    metric, tau, alpha = config.classification_metric, config.tau, config.alpha
+    rows = np.arange(f.shape[0])
     scores, saved = _scores(f, bank.points, metric)
-    cls_value, grad_cls = _cross_entropy(scores, y, tau)
-    oc_value, grad_oc = _overconfidence(tau * scores, config.gap_threshold)
-    grad_f, grad_p = _scores_backward(
-        f, bank.points, metric, tau * (grad_cls + config.beta * grad_oc), saved
-    )
-    mar = _margin_hinge(f, bank, y, config.margin_metric)
-    return LossOutput(
-        value=cls_value + config.alpha * mar.value + config.beta * oc_value,
-        grad_features=grad_f + config.alpha * mar.grad_features,
-        grad_points=grad_p + config.alpha * mar.grad_points,
-        grad_margins=config.alpha * mar.grad_margins,
-        parts={
-            "classification": cls_value,
-            "margin": mar.value,
-            "overconfidence": oc_value,
-        },
-    )
+    z = tau * scores  # the logits of both the classifier and the overconfidence hinge
+    cls, grad_cls = _cross_entropy(z, y, rows)
+    oc, grad_oc = _overconfidence(z, config.gap_threshold, rows)
+    grad_z = tau * (grad_cls + config.beta * grad_oc)
+    grad_f, grad_p = _scores_backward(f, bank.points, metric, grad_z, saved)
+    mar, mar_f, mar_p, mar_m = _margin_hinge(f, bank, y, config.margin_metric)
+    np.add(grad_p, alpha * mar_p, out=grads.points)
+    np.multiply(alpha, mar_m, out=grads.margins)
+    return (cls, mar, oc), grad_f + alpha * mar_f

@@ -159,19 +159,20 @@ def embed_backward(cache: ForwardCache, grad_features) -> tuple[EmbedderGrads, n
         )
     grads = EmbedderGrads([np.empty(w.shape) for w in cache.weights],
                           [np.empty(w.shape[1]) for w in cache.weights])
-    return grads, _backward_into(cache, g, grads.weights, grads.biases)
+    delta = _backward_into(cache, g, grads.weights, grads.biases)
+    return grads, delta @ cache.weights[0].T
 
 
 def _backward_into(cache: ForwardCache, g: np.ndarray, grad_w: list, grad_b: list) -> np.ndarray:
-    """``embed_backward`` writing into ``grad_w`` and ``grad_b``; returns the input gradient."""
+    """``embed_backward``'s parameter gradients, written into ``grad_w`` and ``grad_b``;
+    returns the gradient w.r.t. the first layer's pre-activation, not the input's."""
     last = len(cache.weights) - 1
     delta = g
     for i in range(last, -1, -1):
         if i != last:
-            delta = delta * (cache.preactivations[i] > 0.0)
+            delta = (delta @ cache.weights[i + 1].T) * (cache.preactivations[i] > 0.0)
         np.matmul(cache.activations[i].T, delta, out=grad_w[i])
-        delta.sum(axis=0, out=grad_b[i])
-        delta = delta @ cache.weights[i].T
+        np.add.reduce(delta, axis=0, out=grad_b[i])
     return delta
 
 

@@ -46,7 +46,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def _row_norms(a: np.ndarray, name: str) -> np.ndarray:
-    norms = np.linalg.norm(a, axis=1)
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm's own body, same bits
     if (norms <= ZERO_NORM_EPS).any():
         bad = int(np.argmax(norms <= ZERO_NORM_EPS))
         raise DegenerateInputError(
@@ -89,7 +89,7 @@ def _scores(f: np.ndarray, p: np.ndarray, metric: Metric):
         pn = _row_norms(p, "points")
         u, v = f / fn[:, None], p / pn[:, None]
         cos = u @ v.T
-        return np.clip(cos, -1.0, 1.0), (u, v, fn, pn, cos)
+        return np.minimum(np.maximum(cos, -1.0), 1.0), (u, v, fn, pn, cos)
     raise ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")
 
 
@@ -99,68 +99,65 @@ def _scores_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray
     if metric is Metric.EUCLIDEAN:
         # d score/df = 2(f-p)/D - p ; d score/dp = -2(f-p)/D - f
         d = f.shape[1]
-        row = g.sum(axis=1)[:, None]
-        col = g.sum(axis=0)[:, None]
-        grad_f = (2.0 / d) * (row * f - g @ p) - g @ p
-        grad_p = (2.0 / d) * (col * p - g.T @ f) - g.T @ f
+        gp, gtf = g @ p, g.T @ f
+        grad_f = (2.0 / d) * (np.add.reduce(g, axis=1)[:, None] * f - gp) - gp
+        grad_p = (2.0 / d) * (np.add.reduce(g, axis=0)[:, None] * p - gtf) - gtf
         return grad_f, grad_p
     u, v, fn, pn, cos = saved
-    grad_f = (g @ v - (g * cos).sum(axis=1)[:, None] * u) / fn[:, None]
-    grad_p = (g.T @ u - (g * cos).sum(axis=0)[:, None] * v) / pn[:, None]
+    gc = g * cos
+    grad_f = (g @ v - np.add.reduce(gc, axis=1)[:, None] * u) / fn[:, None]
+    grad_p = (g.T @ u - np.add.reduce(gc, axis=0)[:, None] * v) / pn[:, None]
     return grad_f, grad_p
 
 
-def _paired(f: np.ndarray, p: np.ndarray, metric: Metric) -> np.ndarray:
-    """Row-matched distances d(f_b, p_b) for the margin hinge. Unlike ``_scores``,
-    EUCLIDEAN here is the pure squared distance ``|f - p|^2 / D``, no dot product."""
-    diff = f - p
-    if metric is Metric.EUCLIDEAN:
-        return (diff * diff).sum(axis=1) / f.shape[1]
+def _paired(f: np.ndarray, p: np.ndarray, metric: Metric):
+    """Row-matched distances d(f_b, p_b) for the margin hinge, and what ``_paired_backward``
+    reuses. EUCLIDEAN is the pure squared ``|f - p|^2 / D`` here, with no dot product."""
     if metric is Metric.ANGULAR:
         fn = _row_norms(f, "features")
         pn = _row_norms(p, "points")
-        cos = (f * p).sum(axis=1) / (fn * pn)
-        return np.clip(cos, -1.0, 1.0)
+        cos = np.add.reduce(f * p, axis=1) / (fn * pn)
+        return np.minimum(np.maximum(cos, -1.0), 1.0), (fn, pn)
+    diff = f - p
+    if metric is Metric.EUCLIDEAN:
+        return np.add.reduce(diff * diff, axis=1) / f.shape[1], diff
     if metric is Metric.MANHATTAN:
-        return np.abs(diff).sum(axis=1)
+        return np.add.reduce(np.abs(diff), axis=1), diff
     if metric is Metric.CHEBYSHEV:
-        return np.abs(diff).max(axis=1)
+        return np.maximum.reduce(np.abs(diff), axis=1), diff
     raise ConfigError(f"unknown metric {metric!r}")
 
 
-def _paired_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray):
-    """Chain a length-B upstream gradient ``g`` through ``_paired``: (grad_f, grad_p)."""
-    diff = f - p
+def _paired_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray, saved):
+    """(grad_f, grad_p) of a length-B upstream ``g`` through ``_paired``, which gave ``saved``."""
     gcol = g[:, None]
-    if metric is Metric.EUCLIDEAN:
-        grad_f = gcol * (2.0 / f.shape[1]) * diff
-        return grad_f, -grad_f
     if metric is Metric.ANGULAR:
-        fn = _row_norms(f, "features")
-        pn = _row_norms(p, "points")
+        fn, pn = saved
         u = f / fn[:, None]
         v = p / pn[:, None]
-        cos = (u * v).sum(axis=1)[:, None]
+        cos = np.add.reduce(u * v, axis=1)[:, None]
         grad_f = gcol * (v - cos * u) / fn[:, None]
         grad_p = gcol * (u - cos * v) / pn[:, None]
         return grad_f, grad_p
+    diff = saved
+    if metric is Metric.EUCLIDEAN:
+        grad_f = gcol * (2.0 / f.shape[1]) * diff
+        return grad_f, -grad_f
     if metric is Metric.MANHATTAN:
         s = np.sign(diff)
         return gcol * s, -gcol * s
-    if metric is Metric.CHEBYSHEV:
-        idx = np.abs(diff).argmax(axis=1)
-        hot = np.zeros_like(diff)
-        rows = np.arange(f.shape[0])
-        hot[rows, idx] = np.sign(diff[rows, idx])
-        return gcol * hot, -gcol * hot
-    raise ConfigError(f"unknown metric {metric!r}")
+    # CHEBYSHEV
+    idx = np.abs(diff).argmax(axis=1)
+    hot = np.zeros_like(diff)
+    rows = np.arange(f.shape[0])
+    hot[rows, idx] = np.sign(diff[rows, idx])
+    return gcol * hot, -gcol * hot
 
 
-def _log_softmax(s: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise log-softmax of ``tau * s``; the caller checks ``s`` finite, ``tau`` > 0."""
-    z = tau * s
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of the logits ``z``, which the caller checks finite."""
+    z = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
 def grad_check(

@@ -2,13 +2,15 @@
 
 Training is bit-deterministic for a fixed (seed, config, split): batch
 order comes from one seeded generator, batches run single-threaded, and
-the last partial batch is kept. The parameters are one flat float64 vector,
-so each optimizer step is one vector update, after which margins are clamped to >= 0.
+the last partial batch is kept. Parameters, gradients and Adam moments are flat
+float64 vectors bound before the first step; a step computes each loss piece once
+(see ``losses``), then updates the vector, after which margins are clamped to >= 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -50,6 +52,8 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.loss.classification_metric is Metric.ANGULAR and self.model.layer_dims[-1] == 1:
+            raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
 
 
 # Named settings, each a set of config keys that is applied before any explicit key.
@@ -101,6 +105,9 @@ class SGD:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         _check_shapes(params, grads)
+        self._update(params, grads)
+
+    def _update(self, params: np.ndarray, grads: np.ndarray) -> None:
         params -= self.learning_rate * grads
 
 
@@ -116,11 +123,20 @@ class Adam:
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
+    def bind(self, params: np.ndarray) -> Adam:
+        """Zero moment vectors shaped like ``params``; ``step`` binds on first use."""
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        return self
+
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         _check_shapes(params, grads)
         if self.m is None:
-            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+            self.bind(params)
         _check_shapes(params, self.m, "optimizer state")
+        self._update(params, grads)
+
+    def _update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """``step`` on grads and state of the shape of ``params``."""
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
@@ -136,15 +152,17 @@ def _check_shapes(params: np.ndarray, other: np.ndarray, what: str = "grad") -> 
         raise UsageError(f"params shape {params.shape} != {what} shape {other.shape}")
 
 
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "adam":
-        return Adam(config.learning_rate)
-    return SGD(config.learning_rate)
+def make_optimizer(config: TrainConfig, params: np.ndarray):
+    """The configured optimizer, its state bound to ``params``."""
+    if config.optimizer == "sgd":
+        return SGD(config.learning_rate)
+    return Adam(config.learning_rate).bind(params)
 
 
 def optimizer_step(optimizer, params: np.ndarray, bank: ReciprocalBank, grads: np.ndarray) -> None:
-    """Update the ``bind_parameters`` vector in place, then clamp ``bank``'s margin views."""
-    optimizer.step(params, grads)
+    """Update the ``bind_parameters`` vector in place by the unchecked core, then clamp
+    ``bank``'s margins; ``grads`` and the state ``make_optimizer`` binds match ``params``."""
+    optimizer._update(params, grads)
     bank.project_margins()
 
 
@@ -157,7 +175,7 @@ def _validation_accuracy(embedder, bank, dataset, loss_cfg: LossConfig) -> float
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite loss check reports it once
 def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHistory]:
     """Fit the embedder and bank on split.train; deterministic per config. The inputs
-    are validated once; the steps run the unchecked loss and backward cores."""
+    are validated once; the steps run the unchecked loss, backward and update cores."""
     config.validate()
     k = split.num_known
     if config.model.layer_dims[0] != split.train.inputs.shape[1]:
@@ -173,37 +191,31 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
     # the gradients, bound like the parameters; each step overwrites every array
     grad_embedder, grad_bank = init_model(config.model, k)
     grads = bind_parameters(grad_embedder, grad_bank)
-    optimizer = make_optimizer(config)
+    optimizer = make_optimizer(config, params)
     rng = np.random.default_rng(int(config.seed))
     history = TrainHistory()
     alpha, beta = config.loss.alpha, config.loss.beta
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        sums = {"classification": 0.0, "margin": 0.0, "overconfidence": 0.0}
+        sum_cls = sum_mar = sum_oc = 0.0
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
             feats, cache = embed_forward(embedder, inputs[batch])
-            out = _total(feats, bank, labels[batch], config.loss)
-            if not np.isfinite(out.value):
+            (cls, mar, oc), grad_f = _total(feats, bank, labels[batch], config.loss, grad_bank)
+            value = cls + alpha * mar + beta * oc
+            if not math.isfinite(value):
                 raise NumericError(
-                    f"non-finite loss {out.value} at epoch {epoch}, batch {start // config.batch_size}"
+                    f"non-finite loss {value} at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            _backward_into(cache, out.grad_features, grad_embedder.weights, grad_embedder.biases)
-            grad_bank.points[...] = out.grad_points
-            grad_bank.margins[...] = out.grad_margins
+            _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
             optimizer_step(optimizer, params, bank, grads)
-            for key in sums:
-                sums[key] += out.parts[key] * len(batch)
-        means = {key: sums[key] / n for key in sums}
-        total = means["classification"] + alpha * means["margin"] + beta * means["overconfidence"]
-        if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-            val_acc = _validation_accuracy(embedder, bank, split.test_known, config.loss)
-        else:
-            val_acc = float("nan")
-        history.records.append(
-            EpochRecord(epoch, total, means["classification"], means["margin"],
-                        means["overconfidence"], val_acc)
-        )
+            sum_cls += cls * batch.size
+            sum_mar += mar * batch.size
+            sum_oc += oc * batch.size
+        cls, mar, oc = sum_cls / n, sum_mar / n, sum_oc / n
+        due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
+        acc = _validation_accuracy(embedder, bank, split.test_known, config.loss) if due else math.nan
+        history.records.append(EpochRecord(epoch, cls + alpha * mar + beta * oc, cls, mar, oc, acc))
     return embedder, bank, history
 
 

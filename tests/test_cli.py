@@ -468,6 +468,29 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr
 
+    def test_gen_data_overflow_exit_two_and_no_file(self, tmp_path):
+        # a subprocess, as above: numpy's overflow warning must not reach stderr
+        path = tmp_path / "cfg.ini"
+        path.write_text("[data]\noverlap = 1e308\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "osrkit", "gen-data", "--config", str(path), "--csv",
+             "--out", str(tmp_path / "o")], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr
+        assert "overlap 1e+308" in lines[0]
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    def test_train_one_dim_angular_embedding_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(FAST_CONFIG.replace("layer_dims = 5,8,4", "layer_dims = 5,8,1"))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: layer_dims ends in 1")
+        assert not (tmp_path / "o" / "model.osrp").exists()
+
     def test_sweep_warns_once_for_the_vacuous_gap_threshold_cell(self, config_file, tmp_path,
                                                                capsys):
         out = tmp_path / "sw"

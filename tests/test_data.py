@@ -13,7 +13,7 @@ from osrkit.data import (
     load_features,
     save_features,
 )
-from osrkit.errors import ConfigError, DataError
+from osrkit.errors import ConfigError, DataError, NumericError
 
 
 def per_element_csv(path, ds):
@@ -101,6 +101,11 @@ class TestGenSynthetic:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             gen_synthetic(4, 5, 4, 2.0, 0.5, seed=-1)
+
+    @pytest.mark.parametrize("separation,overlap", [(5.0, 1e308), (1e308, 1e308)])
+    def test_overflowing_features_are_a_numeric_error(self, separation, overlap):
+        with pytest.raises(NumericError, match=r"overlap 1e\+308, separation \S+: features overflow"):
+            gen_synthetic(6, 20, 8, separation, overlap, seed=0)
 
 
 class TestApplySplit:

@@ -13,6 +13,7 @@ from osrkit.losses import (
     margin_loss,
     overconfidence_loss,
     total_loss,
+    vacuous_overconfidence,
 )
 from osrkit.model import ReciprocalBank
 from osrkit.numerics import (
@@ -65,9 +66,9 @@ class TestClassificationLoss:
         rng = np.random.default_rng(5)
         features, bank, labels = random_case(rng, b=4, d=3, k=3)
         v1 = classification_loss(features, bank, labels, Metric.EUCLIDEAN, 2.0).value
-        # loss at (scores s, tau=2) must equal loss at (scores 2s, tau=1)
+        # loss at (scores s, tau=2) must equal the cross-entropy of the logits 2s
         scores = pairwise_scores(features, bank.points, Metric.EUCLIDEAN)
-        logp = _log_softmax(2.0 * scores, 1.0)
+        logp = _log_softmax(2.0 * scores)
         v2 = float(-logp[np.arange(4), labels].mean())
         assert v1 == pytest.approx(v2, abs=1e-12)
 
@@ -226,6 +227,30 @@ class TestOverconfidenceLoss:
 
 
 class TestTotalLoss:
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 20.0), st.floats(1.0, 4.0),
+           st.floats(0.01, 5.0))
+    @settings(max_examples=50, deadline=None)
+    def test_vacuous_hinge_is_never_active(self, seed, tau, factor, beta):
+        cfg = LossConfig(tau=tau, beta=beta, gap_threshold=2 * tau * factor,
+                         classification_metric=Metric.ANGULAR)
+        assert vacuous_overconfidence(cfg)
+        features, bank, labels = random_case(np.random.default_rng(seed))
+        # rows aligned with and opposite to a point reach the largest gap, 2 * tau
+        features = np.vstack([features, bank.points[0], -bank.points[0]])
+        labels = np.append(labels, [0, 0])
+        assert total_loss(features, bank, labels, cfg).parts["overconfidence"] == 0.0
+
+    @given(st.floats(0.05, 20.0), st.floats(0.0, 0.99), st.floats(0.01, 5.0))
+    @settings(max_examples=30, deadline=None)
+    def test_hinge_active_below_twice_tau(self, tau, fraction, beta):
+        cfg = LossConfig(tau=tau, beta=beta, gap_threshold=2 * tau * fraction,
+                         classification_metric=Metric.ANGULAR)
+        assert not vacuous_overconfidence(cfg)
+        bank = make_bank([[2.0, 0.0], [-0.5, 0.0], [0.0, 1.0]])
+        # aligned with point 0 and opposite point 1: that class's gap is 2 * tau
+        out = total_loss([[3.0, 0.0]], bank, [0], cfg)
+        assert out.parts["overconfidence"] >= 2 * tau - cfg.gap_threshold > 0.0
+
     def test_zero_weights_reduce_to_classification(self):
         rng = np.random.default_rng(6)
         features, bank, labels = random_case(rng, b=5, d=4, k=3)

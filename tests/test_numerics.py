@@ -89,8 +89,8 @@ class TestPairedDistances:
     def test_manhattan_chebyshev_hand_values(self):
         f = np.array([[1.0, -2.0]])
         p = np.array([[4.0, 2.0]])
-        assert _paired(f, p, Metric.MANHATTAN)[0] == pytest.approx(7.0)
-        assert _paired(f, p, Metric.CHEBYSHEV)[0] == pytest.approx(4.0)
+        assert _paired(f, p, Metric.MANHATTAN)[0][0] == pytest.approx(7.0)
+        assert _paired(f, p, Metric.CHEBYSHEV)[0][0] == pytest.approx(4.0)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -99,21 +99,21 @@ class TestPairedDistances:
         f = rand_matrix(rng, 5, 4)
         p = rand_matrix(rng, 5, 4)
         shift = rng.standard_normal(4)
-        man = _paired(f, p, Metric.MANHATTAN)
-        che = _paired(f, p, Metric.CHEBYSHEV)
+        man = _paired(f, p, Metric.MANHATTAN)[0]
+        che = _paired(f, p, Metric.CHEBYSHEV)[0]
         # pure Lp distances: nonnegative, L1 >= Linf, translation invariant
         assert (man >= che).all() and (che >= 0).all()
         np.testing.assert_allclose(
-            _paired(f + shift, p + shift, Metric.MANHATTAN), man, atol=1e-10
+            _paired(f + shift, p + shift, Metric.MANHATTAN)[0], man, atol=1e-10
         )
         np.testing.assert_allclose(
-            _paired(f + shift, p + shift, Metric.CHEBYSHEV), che, atol=1e-10
+            _paired(f + shift, p + shift, Metric.CHEBYSHEV)[0], che, atol=1e-10
         )
 
 
 def softmax_rows(scores, tau):
     """The softmax as the classification loss takes it from log-softmax."""
-    return np.exp(_log_softmax(np.asarray(scores, dtype=np.float64), tau))
+    return np.exp(_log_softmax(tau * np.asarray(scores, dtype=np.float64)))
 
 
 class TestSoftmaxRows:
@@ -190,17 +190,17 @@ class TestKernelGradients:
         f = rand_matrix(rng, 5, 3)
         p = rand_matrix(rng, 5, 3)
         g = rng.standard_normal(5)
-        gf, gp = _paired_backward(f, p, metric, g)
+        gf, gp = _paired_backward(f, p, metric, g, _paired(f, p, metric)[1])
 
         def loss_f(vec):
-            return float((_paired(vec.reshape(5, 3), p, metric) * g).sum())
+            return float((_paired(vec.reshape(5, 3), p, metric)[0] * g).sum())
 
         def loss_p(vec):
-            return float((_paired(f, vec.reshape(5, 3), metric) * g).sum())
+            return float((_paired(f, vec.reshape(5, 3), metric)[0] * g).sum())
 
         assert grad_check(loss_f, f.ravel(), gf.ravel(), 1e-5) < 1e-6
         assert grad_check(loss_p, p.ravel(), gp.ravel(), 1e-5) < 1e-6
 
     def test_paired_euclidean_is_pure_squared_distance(self):
-        d = _paired(np.array([[1.0, 0.0]]), np.zeros((1, 2)), Metric.EUCLIDEAN)
+        d, _ = _paired(np.array([[1.0, 0.0]]), np.zeros((1, 2)), Metric.EUCLIDEAN)
         assert d[0] == pytest.approx(0.5)  # (1^2 + 0^2) / 2

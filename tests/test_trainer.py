@@ -86,7 +86,7 @@ def train_per_step_public(split, config):
     Returns (embedder, bank, history records)."""
     embedder, bank = init_model(config.model, split.num_known)
     params = bind_parameters(embedder, bank)
-    optimizer = make_optimizer(config)
+    optimizer = make_optimizer(config, params)
     rng = np.random.default_rng(int(config.seed))
     n = len(split.train)
     records = []
@@ -114,8 +114,155 @@ def train_per_step_public(split, config):
     return embedder, bank, records
 
 
+def reference_loss(f, points, margins, y, cfg):
+    """``total_loss`` in plain numpy, written the straightforward way: ``np.linalg.norm``,
+    ``np.clip``, ``.mean()``, ``np.add.at``, and the Euclidean backward's two matmuls each
+    computed twice. osrkit's cores compute each piece once; any sum they reorder shows here
+    as a bit difference. Returns (classification, margin, overconfidence) and the
+    gradients w.r.t. features, points and margins."""
+    b, d = f.shape
+    rows = np.arange(b)
+    tau, gap = cfg.tau, cfg.gap_threshold
+    if cfg.classification_metric is Metric.EUCLIDEAN:
+        diff = f[:, None, :] - points[None, :, :]
+        scores = np.einsum("bkd,bkd->bk", diff, diff) / d - f @ points.T
+    else:
+        fn, pn = np.linalg.norm(f, axis=1), np.linalg.norm(points, axis=1)
+        u, v = f / fn[:, None], points / pn[:, None]
+        cos = u @ v.T
+        scores = np.clip(cos, -1.0, 1.0)
+    z = tau * scores
+    zs = z - z.max(axis=1, keepdims=True)
+    logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    cls = float(-logp[rows, y].mean())
+    g_cls = np.exp(logp)
+    g_cls[rows, y] -= 1.0
+    g_cls /= b
+    top = z.argmax(axis=1)
+    gaps = z[rows, top][:, None] - z
+    on = gaps > gap
+    oc = float((gaps - gap)[on].sum() / b) if on.any() else 0.0
+    g_oc = -on.astype(np.float64) / b
+    g_oc[rows, top] += on.sum(axis=1) / b
+    g = tau * (g_cls + cfg.beta * g_oc)
+    if cfg.classification_metric is Metric.EUCLIDEAN:
+        row, col = g.sum(axis=1)[:, None], g.sum(axis=0)[:, None]
+        grad_f = (2.0 / d) * (row * f - g @ points) - g @ points
+        grad_p = (2.0 / d) * (col * points - g.T @ f) - g.T @ f
+    else:
+        grad_f = (g @ v - (g * cos).sum(axis=1)[:, None] * u) / fn[:, None]
+        grad_p = (g.T @ u - (g * cos).sum(axis=0)[:, None] * v) / pn[:, None]
+    own = points[y]
+    diff = f - own
+    metric = cfg.margin_metric
+    if metric is Metric.EUCLIDEAN:
+        dist = (diff * diff).sum(axis=1) / d
+    elif metric is Metric.ANGULAR:
+        fn, on_n = np.linalg.norm(f, axis=1), np.linalg.norm(own, axis=1)
+        dist = np.clip((f * own).sum(axis=1) / (fn * on_n), -1.0, 1.0)
+    elif metric is Metric.MANHATTAN:
+        dist = np.abs(diff).sum(axis=1)
+    else:
+        dist = np.abs(diff).max(axis=1)
+    slack = dist - margins[y]
+    active = slack > 0.0
+    mar = float(np.where(active, slack, 0.0).sum() / b)
+    g_d = active.astype(np.float64) / b
+    gcol = g_d[:, None]
+    if metric is Metric.EUCLIDEAN:
+        mar_f = gcol * (2.0 / d) * diff
+        mar_own = -mar_f
+    elif metric is Metric.ANGULAR:
+        u, v = f / fn[:, None], own / on_n[:, None]
+        c = (u * v).sum(axis=1)[:, None]
+        mar_f, mar_own = gcol * (v - c * u) / fn[:, None], gcol * (u - c * v) / on_n[:, None]
+    elif metric is Metric.MANHATTAN:
+        mar_f, mar_own = gcol * np.sign(diff), -gcol * np.sign(diff)
+    else:
+        idx = np.abs(diff).argmax(axis=1)
+        hot = np.zeros_like(diff)
+        hot[rows, idx] = np.sign(diff[rows, idx])
+        mar_f, mar_own = gcol * hot, -gcol * hot
+    mar_p = np.zeros_like(points)
+    np.add.at(mar_p, y, mar_own)
+    mar_m = np.zeros(len(margins))
+    np.add.at(mar_m, y, -g_d)
+    alpha = cfg.alpha
+    return (cls, mar, oc), grad_f + alpha * mar_f, grad_p + alpha * mar_p, alpha * mar_m
+
+
+def reference_forward(weights, biases, x):
+    activations, preactivations = [x], []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = x @ w + b
+        preactivations.append(z)
+        x = z if i == len(weights) - 1 else np.maximum(z, 0.0)
+        activations.append(x)
+    return activations, preactivations
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as on ``train``
+def reference_train(split, config):
+    """``train`` in plain numpy on ``reference_loss``, with an MLP, backward pass and
+    optimizer of its own: it shares no step code with osrkit. Returns the model bytes
+    and the history records as tuples."""
+    embedder, bank = init_model(config.model, split.num_known)
+    weights, biases = embedder.weights, embedder.biases
+    points, margins = bank.points, bank.margins
+    params = [*weights, *biases, points, margins]
+    update = adam_per_array if config.optimizer == "adam" else sgd_per_array
+    state: dict = {}
+    loss = config.loss
+    rng = np.random.default_rng(int(config.seed))
+    inputs, labels = split.train.inputs, split.train.labels.astype(np.int64)
+    n, last, t = len(labels), len(weights) - 1, 0
+    records = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        sums = [0.0, 0.0, 0.0]
+        for start in range(0, n, config.batch_size):
+            batch = perm[start : start + config.batch_size]
+            acts, pres = reference_forward(weights, biases, inputs[batch])
+            parts, delta, grad_p, grad_m = reference_loss(acts[-1], points, margins,
+                                                          labels[batch], loss)
+            grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+            for i in range(last, -1, -1):
+                if i != last:
+                    delta = delta * (pres[i] > 0.0)
+                grad_w[i] = acts[i].T @ delta
+                grad_b[i] = delta.sum(axis=0)
+                delta = delta @ weights[i].T
+            t += 1
+            update(params, [*grad_w, *grad_b, grad_p, grad_m], state, config.learning_rate, t)
+            np.maximum(margins, 0.0, out=margins)
+            sums = [s + part * len(batch) for s, part in zip(sums, parts)]
+        cls, mar, oc = (s / n for s in sums)
+        val_acc = float("nan")
+        if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+            feats = reference_forward(weights, biases, split.test_known.inputs)[0][-1]
+            if loss.classification_metric is Metric.EUCLIDEAN:
+                diff = feats[:, None, :] - points[None, :, :]
+                scores = (np.einsum("bkd,bkd->bk", diff, diff) / feats.shape[1]
+                          - feats @ points.T)
+            else:
+                u = feats / np.linalg.norm(feats, axis=1)[:, None]
+                v = points / np.linalg.norm(points, axis=1)[:, None]
+                scores = np.clip(u @ v.T, -1.0, 1.0)
+            pred = (loss.tau * scores).argmax(axis=1)
+            val_acc = float((pred == split.test_known.labels).mean())
+        records.append((epoch, cls + loss.alpha * mar + loss.beta * oc, cls, mar, oc, val_acc))
+    return flatten(*params).tobytes(), records
+
+
 def model_bytes(embedder, bank) -> bytes:
     return flatten(*embedder.weights, *embedder.biases, bank.points, bank.margins).tobytes()
+
+
+def assert_matches_reference(split, config, embedder, bank, history):
+    want_bytes, want_records = reference_train(split, config)
+    assert model_bytes(embedder, bank) == want_bytes
+    for got, want in zip(history.records, want_records, strict=True):
+        assert np.array(dataclasses.astuple(got)).tobytes() == np.array(want).tobytes()
 
 
 class TestOptimizers:
@@ -165,7 +312,9 @@ class TestOptimizers:
         params = bind_parameters(emb, bank)
         np.testing.assert_array_equal(params, np.concatenate([a.ravel() for a in arrays]))
         grads = -np.linspace(0.1, 1.0, params.size)  # every parameter, margins too, rises
-        optimizer_step(Adam(0.1), params, bank, grads)
+        adam = Adam(0.1)
+        adam.bind(params)
+        optimizer_step(adam, params, bank, grads)
         views = [*emb.weights, *emb.biases, bank.points, bank.margins]
         for view, before in zip(views, arrays):
             assert view.shape == before.shape
@@ -316,6 +465,10 @@ class TestTrain:
             epochs=epochs, batch_size=batch_size, learning_rate=0.05, optimizer=optimizer,
             seed=seed, eval_every=1,
         )
+        if out_dim == 1 and cls_metric is Metric.ANGULAR:  # every cosine would be +-1
+            with pytest.raises(ConfigError, match="layer_dims ends in 1"):
+                train(split, cfg)
+            return
         try:
             oracle = train_per_step_public(split, cfg)
         except OsrkitError as exc:  # e.g. a ReLU layer that zeroes a row under angular scores
@@ -327,6 +480,12 @@ class TestTrain:
         for got, want in zip(history.records, oracle[2], strict=True):
             assert np.array(dataclasses.astuple(got)).tobytes() == \
                 np.array(dataclasses.astuple(want)).tobytes()
+        assert_matches_reference(split, cfg, emb, bank, history)
+
+    @pytest.mark.parametrize("arm", ["full", "euclidean"])
+    def test_standard_recipe_bit_identical_to_the_plain_numpy_reference(self, arm):
+        split, cfg = benchmark_split(0), benchmark_config(arm, 0)
+        assert_matches_reference(split, cfg, *train(split, cfg))
 
 
 class TestTrainErrors:
@@ -347,6 +506,16 @@ class TestTrainErrors:
         split.train.inputs[5, 2] = np.nan
         with pytest.raises(NumericError, match="training inputs contains non-finite"):
             train(split, small_config())
+
+    def test_one_dim_embedding_under_angular_scores_is_a_config_error(self):
+        # every cosine in one dimension is +-1: the run would score every sample alike
+        cfg = small_config()
+        cfg.model.layer_dims[-1] = 1
+        with pytest.raises(ConfigError, match="layer_dims ends in 1"):
+            train(small_split(), cfg)
+        rows = sweep(cfg, [{"classification_metric": m} for m in (Metric.ANGULAR,
+                                                                  Metric.EUCLIDEAN)], small_split())
+        assert "layer_dims ends in 1" in rows[0].error and rows[1].error is None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_input_names_epoch_and_batch(self):
