@@ -107,7 +107,7 @@ def _through_embedder_case(rng: np.random.Generator) -> float:
     feats, cache = embed_forward(embedder, inputs)
     out = total_loss(feats, bank, labels, cfg)
     egrads, _ = embed_backward(cache, out.grad_features)
-    analytic = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
+    analytic = bind_parameters(egrads, ReciprocalBank(out.grad_points, out.grad_margins))
     return grad_check(value_at, params, analytic, DEFAULT_EPS)  # grad_check copies params
 
 

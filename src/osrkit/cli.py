@@ -48,6 +48,7 @@ def _load(args) -> FullConfig:
 
 
 def _outdir(args) -> Path:
+    """``--out``, created; a command calls this just before its first write."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -61,9 +62,8 @@ def _warn_if_vacuous(loss: LossConfig, where: str = "") -> None:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     dataset = build_dataset(cfg.data)
-    path = out / ("dataset.csv" if args.csv else "dataset.ossf")
+    path = _outdir(args) / ("dataset.csv" if args.csv else "dataset.ossf")
     save_features(path, dataset)
     print(f"wrote {len(dataset)} samples x {dataset.inputs.shape[1]} dims to {path}")
     return 0
@@ -71,10 +71,10 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     split = build_split(cfg.data)
     _warn_if_vacuous(cfg.train.loss)
     embedder, bank, history = train(split, cfg.train)
+    out = _outdir(args)
     ckpt = out / "model.osrp"
     save_checkpoint(ckpt, embedder, bank)
     write_history_csv(out / "history.csv", history)
@@ -89,10 +89,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     split = build_split(cfg.data)
     embedder, bank = load_checkpoint(args.checkpoint)
     report = evaluate(embedder, bank, split, cfg.train.loss)
+    out = _outdir(args)
     write_roc_csv(out / "roc.csv", report.roc_curve)
     write_oscr_csv(out / "oscr.csv", report.oscr_curve)
     summary = {
@@ -122,7 +122,6 @@ def _cmd_sweep(args) -> int:
     if args.param and args.grid != "custom":
         raise UsageError(f"--param needs --grid custom, not --grid {args.grid}")
     cfg = _load(args)
-    out = _outdir(args)
     split = build_split(cfg.data)
     if args.grid in GRIDS:
         cells = GRIDS[args.grid]
@@ -138,7 +137,7 @@ def _cmd_sweep(args) -> int:
     for cell in cells:
         _warn_if_vacuous(_apply_overrides(cfg.train, cell).loss, f"cell {cell}: ")
     rows = sweep(cfg.train, cells, split)
-    path = out / "sweep.csv"
+    path = _outdir(args) / "sweep.csv"
     write_sweep_csv(path, rows)
     failed = [r for r in rows if r.error is not None]
     for r in failed:

@@ -136,6 +136,7 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     return _curve_area(curve), curve
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite features check reports it once
 def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig) -> EvalReport:
     """Score a frozen model on an open-set split (known + unknown test sets)."""
     config.validate()

@@ -74,12 +74,6 @@ class ForwardCache:
     preactivations: list[np.ndarray] = field(repr=False)
 
 
-@dataclass
-class EmbedderGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, ReciprocalBank]:
     """Seeded init: weights and points uniform in +-init_scale/sqrt(fan_in).
 
@@ -149,16 +143,18 @@ def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]
     return a, cache
 
 
-def embed_backward(cache: ForwardCache, grad_features) -> tuple[EmbedderGrads, np.ndarray]:
-    """Exact gradients of the forward map w.r.t. parameters and inputs."""
+def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.ndarray]:
+    """Exact gradients of the forward map w.r.t. parameters and inputs; the parameter
+    gradients are an ``Embedder`` of the cached forward pass's dims."""
     g = np.asarray(grad_features, dtype=np.float64)
     if not cache.activations or g.shape != cache.activations[-1].shape:
         raise UsageError(
             "grad_features shape does not match the cached forward output; "
             "was this cache produced by a matching embed_forward call?"
         )
-    grads = EmbedderGrads([np.empty(w.shape) for w in cache.weights],
-                          [np.empty(w.shape[1]) for w in cache.weights])
+    grads = Embedder([a.shape[1] for a in cache.activations],
+                     [np.empty(w.shape) for w in cache.weights],
+                     [np.empty(w.shape[1]) for w in cache.weights])
     delta = _backward_into(cache, g, grads.weights, grads.biases)
     return grads, delta @ cache.weights[0].T
 

@@ -100,15 +100,15 @@ class TrainHistory:
 
 
 class SGD:
-    def __init__(self, learning_rate: float):
+    def __init__(self, learning_rate: float, params: np.ndarray):
         self.learning_rate = float(learning_rate)
+        self.params = params
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        _check_shapes(params, grads)
-        self._update(params, grads)
-
-    def _update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        params -= self.learning_rate * grads
+    def step(self, grads: np.ndarray) -> None:
+        """Update the bound vector in place."""
+        if grads.shape != self.params.shape:
+            raise UsageError(f"params shape {self.params.shape} != grad shape {grads.shape}")
+        self.params -= self.learning_rate * grads
 
 
 class Adam:
@@ -117,26 +117,16 @@ class Adam:
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, learning_rate: float):
+    def __init__(self, learning_rate: float, params: np.ndarray):
         self.learning_rate = float(learning_rate)
+        self.params = params
         self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-
-    def bind(self, params: np.ndarray) -> Adam:
-        """Zero moment vectors shaped like ``params``; ``step`` binds on first use."""
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
-        return self
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        _check_shapes(params, grads)
-        if self.m is None:
-            self.bind(params)
-        _check_shapes(params, self.m, "optimizer state")
-        self._update(params, grads)
-
-    def _update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """``step`` on grads and state of the shape of ``params``."""
+    def step(self, grads: np.ndarray) -> None:
+        """Update the bound vector in place."""
+        if grads.shape != self.params.shape:
+            raise UsageError(f"params shape {self.params.shape} != grad shape {grads.shape}")
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
@@ -144,25 +134,18 @@ class Adam:
         self.m += (1.0 - self.BETA1) * grads
         self.v *= self.BETA2
         self.v += (1.0 - self.BETA2) * grads * grads
-        params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
-
-
-def _check_shapes(params: np.ndarray, other: np.ndarray, what: str = "grad") -> None:
-    if params.shape != other.shape:
-        raise UsageError(f"params shape {params.shape} != {what} shape {other.shape}")
+        self.params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
 def make_optimizer(config: TrainConfig, params: np.ndarray):
-    """The configured optimizer, its state bound to ``params``."""
-    if config.optimizer == "sgd":
-        return SGD(config.learning_rate)
-    return Adam(config.learning_rate).bind(params)
+    """The configured optimizer, made on ``params``."""
+    optimizer = SGD if config.optimizer == "sgd" else Adam
+    return optimizer(config.learning_rate, params)
 
 
-def optimizer_step(optimizer, params: np.ndarray, bank: ReciprocalBank, grads: np.ndarray) -> None:
-    """Update the ``bind_parameters`` vector in place by the unchecked core, then clamp
-    ``bank``'s margins; ``grads`` and the state ``make_optimizer`` binds match ``params``."""
-    optimizer._update(params, grads)
+def optimizer_step(optimizer, bank: ReciprocalBank, grads: np.ndarray) -> None:
+    """Step ``optimizer`` on its ``bind_parameters`` vector, then clamp ``bank``'s margins."""
+    optimizer.step(grads)
     bank.project_margins()
 
 
@@ -175,7 +158,7 @@ def _validation_accuracy(embedder, bank, dataset, loss_cfg: LossConfig) -> float
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite loss check reports it once
 def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHistory]:
     """Fit the embedder and bank on split.train; deterministic per config. The inputs
-    are validated once; the steps run the unchecked loss, backward and update cores."""
+    are validated once; the steps run the unchecked loss and backward cores."""
     config.validate()
     k = split.num_known
     if config.model.layer_dims[0] != split.train.inputs.shape[1]:
@@ -187,11 +170,10 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
     inputs = as_matrix(split.train.inputs, "training inputs")
     labels = _check_labels(split.train.labels, k, n)
     embedder, bank = init_model(config.model, k)
-    params = bind_parameters(embedder, bank)
+    optimizer = make_optimizer(config, bind_parameters(embedder, bank))
     # the gradients, bound like the parameters; each step overwrites every array
     grad_embedder, grad_bank = init_model(config.model, k)
     grads = bind_parameters(grad_embedder, grad_bank)
-    optimizer = make_optimizer(config, params)
     rng = np.random.default_rng(int(config.seed))
     history = TrainHistory()
     alpha, beta = config.loss.alpha, config.loss.beta
@@ -208,7 +190,7 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
                     f"non-finite loss {value} at epoch {epoch}, batch {start // config.batch_size}"
                 )
             _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
-            optimizer_step(optimizer, params, bank, grads)
+            optimizer_step(optimizer, bank, grads)
             sum_cls += cls * batch.size
             sum_mar += mar * batch.size
             sum_oc += oc * batch.size

@@ -14,7 +14,7 @@ from osrkit.config import DataConfig, FullConfig, load_config
 from osrkit.data import gen_synthetic, save_features
 from osrkit.errors import ConfigError
 from osrkit.losses import LossConfig
-from osrkit.model import ModelConfig
+from osrkit.model import ModelConfig, init_model, save_checkpoint
 from osrkit.numerics import Metric
 from osrkit.train import PRESETS, TrainConfig
 
@@ -482,14 +482,30 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr
         assert "overlap 1e+308" in lines[0]
-        assert not (tmp_path / "o" / "dataset.csv").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_overflowing_checkpoint_print_one_stderr_line(self, config_file, tmp_path):
+        # a subprocess, as above: numpy's overflow warning must not reach stderr
+        emb, bank = init_model(ModelConfig([5, 8, 4], seed=0), 2)
+        emb.weights = [w * 1e200 for w in emb.weights]
+        save_checkpoint(tmp_path / "model.osrp", emb, bank)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "osrkit", "eval", "--config", str(config_file),
+             "--checkpoint", str(tmp_path / "model.osrp"), "--out", str(tmp_path / "o")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:"), proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_train_one_dim_angular_embedding_exit_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text(FAST_CONFIG.replace("layer_dims = 5,8,4", "layer_dims = 5,8,1"))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: layer_dims ends in 1")
-        assert not (tmp_path / "o" / "model.osrp").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_warns_once_for_the_vacuous_gap_threshold_cell(self, config_file, tmp_path,
                                                                capsys):

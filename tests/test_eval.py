@@ -1,4 +1,6 @@
+import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_split
+from osrkit.data import LabeledDataset, SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import EvalError, UsageError
 from osrkit.evaluate import (
     auroc,
@@ -19,7 +22,8 @@ from osrkit.evaluate import (
     write_roc_csv,
 )
 from osrkit.losses import LossConfig
-from osrkit.model import ModelConfig, init_model
+from osrkit.model import Embedder, ModelConfig, ReciprocalBank, init_model
+from osrkit.train import VARIANTS, TrainConfig, _apply_overrides, train
 
 
 def pair_count_auroc(scores, is_known):
@@ -394,3 +398,66 @@ class TestEvaluate:
         write_roc_csv(base / "new.csv", curve)
         per_element_curve_csv(base / "old.csv", "threshold,fpr,tpr", curve)
         assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def trained(variant, seed):
+    """A small hard-mode split and a model briefly trained on it under ``variant``;
+    returns (split, loss config, embedder, bank, report). Callers must not mutate it."""
+    ds = gen_synthetic(5, 40, 6, 4.0, 1.0, seed=seed, hard=True)
+    split = apply_split(ds, SplitSpec([0, 1, 2], [3, 4]), 0.3, seed)
+    cfg = _apply_overrides(TrainConfig(ModelConfig([6, 16, 4]), epochs=10, batch_size=16),
+                           {**VARIANTS[variant], "gap_threshold": 0.25, "seed": seed})
+    emb, bank, _ = train(split, cfg)
+    return split, cfg.loss, emb, bank, evaluate(emb, bank, split, cfg.loss)
+
+
+def numbers(report):
+    return report.closed_accuracy, report.auroc, report.oscr
+
+
+class TestTrainedInvariances:
+    """The invariances OSSAR's evaluation relies on, on trained models, compared by bits."""
+
+    @given(st.sampled_from(["full", "euclidean"]), st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_order_of_test_rows(self, variant, seed, perm_seed):
+        split, loss, emb, bank, report = trained(variant, seed)
+        rng = np.random.default_rng(perm_seed)
+        shuffled = replace(
+            split,
+            test_known=split.test_known.subset(rng.permutation(len(split.test_known))),
+            test_unknown=split.test_unknown.subset(rng.permutation(len(split.test_unknown))),
+        )
+        assert evaluate(emb, bank, shuffled, loss) == report
+
+    @given(st.sampled_from(["full", "euclidean"]), st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_class_relabelling(self, variant, seed, perm_seed):
+        # trained scores are continuous, so no argmax tie depends on the column order
+        split, loss, emb, bank, report = trained(variant, seed)
+        perm = np.random.default_rng(perm_seed).permutation(bank.num_classes)
+        relabelled = ReciprocalBank(bank.points[perm], bank.margins[perm])
+        known = split.test_known
+        moved = LabeledDataset(known.inputs, np.argsort(perm)[known.labels], known.group_ids)
+        got = evaluate(emb, relabelled, replace(split, test_known=moved), loss)
+        assert numbers(got) == numbers(report)
+
+    @given(st.sampled_from(["full", "euclidean"]), st.integers(0, 1),
+           st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_hyperspherical_scale(self, variant, seed, exponent):
+        # a power of two scales every product exactly, so the comparisons can be bitwise
+        split, loss, emb, bank, report = trained(variant, seed)
+        c = 2.0 ** exponent
+        scaled = Embedder(emb.layer_dims, [*emb.weights[:-1], emb.weights[-1] * c],
+                          [*emb.biases[:-1], emb.biases[-1] * c])
+        got = evaluate(scaled, ReciprocalBank(bank.points * c, bank.margins), split, loss)
+        if variant == "full":  # angular scores ignore the features' and points' norms
+            assert got == report
+            return
+        # the Euclidean score scales by c**2: the same ranking, rescaled thresholds
+        assert got != report and numbers(got) == numbers(report)
+        for new, old in ((got.roc_curve, report.roc_curve), (got.oscr_curve, report.oscr_curve)):
+            assert new[:, 1:].tobytes() == old[:, 1:].tobytes()
+            assert new[:, 0].tobytes() == (old[:, 0] * c * c).tobytes()
