@@ -92,7 +92,7 @@ def _through_embedder_case(rng: np.random.Generator) -> float:
     k = int(rng.integers(2, 5))
     weights = [rng.standard_normal((d_in, h)), rng.standard_normal((h, d))]
     biases = [rng.standard_normal(h), rng.standard_normal(d)]
-    embedder = Embedder([d_in, h, d], weights, biases)
+    embedder = Embedder(weights, biases)
     bank = ReciprocalBank(rng.standard_normal((k, d)), rng.uniform(0.0, 2.0, k))
     labels = rng.integers(0, k, b)
     inputs = rng.standard_normal((b, d_in))

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands: gen-data, train, eval, sweep, grad-check. All accept
+Subcommands: gen-data, train, eval, sweep, grad-check. The first four accept
 ``--config`` (INI file, see config.py), ``--seed`` (overrides every seed
-in the config), and ``--out`` (output directory). Exit codes: 0 success,
+in the config), and ``--out`` (output directory); grad-check takes only
+``--seed`` and ``--instances``. Exit codes: 0 success,
 1 validation/usage error, a file that cannot be opened, or a sweep in
 which every cell failed, 2 numeric failure.
 """
@@ -147,7 +148,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    results = run_gradient_suite(seed=args.seed or 0, instances=args.instances)
+    results = run_gradient_suite(seed=args.seed, instances=args.instances)
     worst_failed = False
     for r in results:
         status = "ok  " if r.passed else "FAIL"
@@ -192,7 +193,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("grad-check", help="finite-difference check of all gradients")
-    common(p)
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the random instances")
     p.add_argument("--instances", type=int, default=20)
     p.set_defaults(func=_cmd_grad_check)
 

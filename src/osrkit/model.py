@@ -8,6 +8,7 @@ Checkpoints round-trip bit-exactly through a small binary format.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -38,15 +39,14 @@ class ModelConfig:
 
 @dataclass
 class Embedder:
-    """MLP parameters. weights[i] has shape (dims[i], dims[i+1])."""
+    """MLP parameters. weights[i] has shape (dims[i], dims[i+1]); ``layer_dims`` reads them."""
 
-    layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
     @property
-    def in_dim(self) -> int:
-        return self.layer_dims[0]
+    def layer_dims(self) -> list[int]:
+        return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
 
 
 @dataclass
@@ -70,8 +70,7 @@ class ForwardCache:
     """Activation record from one forward pass; consumed by embed_backward."""
 
     weights: list[np.ndarray] = field(repr=False)
-    activations: list[np.ndarray] = field(repr=False)   # inputs of each layer
-    preactivations: list[np.ndarray] = field(repr=False)
+    activations: list[np.ndarray] = field(repr=False)   # inputs of each layer, then the output
 
 
 def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, ReciprocalBank]:
@@ -85,8 +84,7 @@ def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, Recipro
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
     dims = [int(d) for d in config.layer_dims]
     rng = np.random.default_rng(int(config.seed))
-    weights = []
-    biases = []
+    weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         bound = config.init_scale / np.sqrt(d_in)
         weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
@@ -95,7 +93,7 @@ def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, Recipro
     bound = config.init_scale / np.sqrt(d)
     points = rng.uniform(-bound, bound, size=(num_classes, d))
     margins = np.zeros(num_classes)
-    return Embedder(dims, weights, biases), ReciprocalBank(points, margins)
+    return Embedder(weights, biases), ReciprocalBank(points, margins)
 
 
 def flatten(*arrays: np.ndarray) -> np.ndarray:
@@ -126,21 +124,18 @@ def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"inputs must be 2-D, got shape {x.shape}")
-    if x.shape[1] != embedder.in_dim:
-        raise ConfigError(
-            f"input dim {x.shape[1]} != embedder input dim {embedder.in_dim}"
-        )
+    d_in = embedder.weights[0].shape[0]
+    if x.shape[1] != d_in:
+        raise ConfigError(f"input dim {x.shape[1]} != embedder input dim {d_in}")
     last = len(embedder.weights) - 1
     activations = [x]
-    preactivations = []
     a = x
     for i, (w, b) in enumerate(zip(embedder.weights, embedder.biases)):
-        z = a @ w + b
-        preactivations.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
+        a = a @ w + b
+        if i != last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
-    cache = ForwardCache(list(embedder.weights), activations, preactivations)
-    return a, cache
+    return a, ForwardCache(list(embedder.weights), activations)
 
 
 def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.ndarray]:
@@ -152,8 +147,7 @@ def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.nda
             "grad_features shape does not match the cached forward output; "
             "was this cache produced by a matching embed_forward call?"
         )
-    grads = Embedder([a.shape[1] for a in cache.activations],
-                     [np.empty(w.shape) for w in cache.weights],
+    grads = Embedder([np.empty(w.shape) for w in cache.weights],
                      [np.empty(w.shape[1]) for w in cache.weights])
     delta = _backward_into(cache, g, grads.weights, grads.biases)
     return grads, delta @ cache.weights[0].T
@@ -166,7 +160,7 @@ def _backward_into(cache: ForwardCache, g: np.ndarray, grad_w: list, grad_b: lis
     delta = g
     for i in range(last, -1, -1):
         if i != last:
-            delta = (delta @ cache.weights[i + 1].T) * (cache.preactivations[i] > 0.0)
+            delta = (delta @ cache.weights[i + 1].T) * (cache.activations[i + 1] > 0.0)
         np.matmul(cache.activations[i].T, delta, out=grad_w[i])
         np.add.reduce(delta, axis=0, out=grad_b[i])
     return delta
@@ -196,12 +190,15 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64_array(self) -> np.ndarray:
+    def block(self, name: str, *shape: int) -> np.ndarray:
+        """A length-prefixed float64 block: finite, then of ``shape``'s size, then shaped."""
         n = self.u32()
         a = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
         if not np.isfinite(a).all():
             raise DataError(f"{self.path}: checkpoint holds non-finite parameters")
-        return a
+        if a.size != math.prod(shape):
+            raise DataError(f"{self.path}: {name} block size mismatch")
+        return a.reshape(shape)
 
 
 def save_checkpoint(path, embedder: Embedder, bank: ReciprocalBank) -> None:
@@ -234,26 +231,14 @@ def load_checkpoint(path) -> tuple[Embedder, ReciprocalBank]:
     dims = [r.u32() for _ in range(n_dims)]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError(f"{path}: invalid layer dims {dims}")
-    weights = []
-    biases = []
+    weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = r.f64_array()
-        if w.size != d_in * d_out:
-            raise DataError(f"{path}: weight block size mismatch")
-        weights.append(w.reshape(d_in, d_out))
-        b = r.f64_array()
-        if b.size != d_out:
-            raise DataError(f"{path}: bias block size mismatch")
-        biases.append(b)
+        weights.append(r.block("weight", d_in, d_out))
+        biases.append(r.block("bias", d_out))
     k = r.u32()
     if k < 2:
         raise DataError(f"{path}: checkpoint has {k} reciprocal point(s), need >= 2")
-    points = r.f64_array()
-    if points.size != k * dims[-1]:
-        raise DataError(f"{path}: point block size mismatch")
-    margins = r.f64_array()
-    if margins.size != k:
-        raise DataError(f"{path}: margin block size mismatch")
+    points, margins = r.block("point", k, dims[-1]), r.block("margin", k)
     if r.off != len(blob):
         raise DataError(f"{path}: trailing bytes after checkpoint payload")
-    return Embedder(dims, weights, biases), ReciprocalBank(points.reshape(k, dims[-1]), margins)
+    return Embedder(weights, biases), ReciprocalBank(points, margins)

@@ -47,6 +47,9 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 def _row_norms(a: np.ndarray, name: str) -> np.ndarray:
     norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm's own body, same bits
+    if np.isinf(norms).any():  # finite rows whose squares overflow: every cosine would be 0
+        bad = int(np.argmax(np.isinf(norms)))
+        raise NumericError(f"{name} row {bad} has an infinite norm, angular distance undefined")
     if (norms <= ZERO_NORM_EPS).any():
         bad = int(np.argmax(norms <= ZERO_NORM_EPS))
         raise DegenerateInputError(

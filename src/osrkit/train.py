@@ -194,6 +194,9 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
             sum_cls += cls * batch.size
             sum_mar += mar * batch.size
             sum_oc += oc * batch.size
+        # an inf in Adam's v makes that entry's step m / inf = 0: the run would silently freeze
+        if isinstance(optimizer, Adam) and not np.isfinite(optimizer.v).all():
+            raise NumericError(f"non-finite Adam second moment at epoch {epoch}")
         cls, mar, oc = sum_cls / n, sum_mar / n, sum_oc / n
         due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
         acc = _validation_accuracy(embedder, bank, split.test_known, config.loss) if due else math.nan

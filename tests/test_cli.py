@@ -393,6 +393,13 @@ class TestCli:
         assert "ok" not in captured.out
         assert "instances must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_grad_check_rejects_file_flags(self, tmp_path, capsys, flag):
+        path = tmp_path / "d"
+        assert main(["grad-check", flag, str(path), "--instances", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag}")
+        assert not path.exists()
+
     def test_grad_check_exit_zero(self, capsys):
         assert main(["grad-check", "--instances", "2"]) == 0
         out = capsys.readouterr().out
@@ -454,7 +461,36 @@ class TestCli:
         argv, _ = _train_on_csv(tmp_path, scale=1e200)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: non-finite loss") and "epoch 0, batch 0" in err
+        assert err.startswith("numeric failure: features row 0 has an infinite norm")
+
+    @pytest.mark.parametrize("separation", ["1e160", "1e200", "1e300"])
+    def test_eval_overflowing_feature_norm_exit_two(self, config_file, tmp_path, capsys,
+                                                     separation):
+        # an overflowing norm would make every cosine 0 and the numbers chance-level
+        assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "t")]) == 0
+        path = tmp_path / "far.ini"
+        path.write_text(FAST_CONFIG.replace("separation = 4.0", f"separation = {separation}"))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "t/model.osrp"),
+                     "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: features row")
+        assert "infinite norm" in lines[0] and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("separation,loss_keys,message", [
+        # angular margins: the loss would be a constant ln 4
+        ("1e200", "margin_metric = angular\n", "features row 0 has an infinite norm"),
+        # an inf in Adam's second moment would freeze every weight
+        ("1e150", "", "non-finite Adam second moment at epoch 0"),
+    ], ids=["angular-margin", "adam"])
+    def test_train_overflow_exit_two(self, tmp_path, capsys, separation, loss_keys, message):
+        path = tmp_path / "far.ini"
+        path.write_text(FAST_CONFIG.replace("[train]", loss_keys + "\n[train]")
+                        .replace("separation = 4.0", f"separation = {separation}"))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"numeric failure: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_train_overflowing_inputs_print_one_stderr_line(self, tmp_path):
         # a subprocess, because pytest's warning capture would hide numpy's warnings from capsys

@@ -450,7 +450,7 @@ class TestTrainedInvariances:
         # a power of two scales every product exactly, so the comparisons can be bitwise
         split, loss, emb, bank, report = trained(variant, seed)
         c = 2.0 ** exponent
-        scaled = Embedder(emb.layer_dims, [*emb.weights[:-1], emb.weights[-1] * c],
+        scaled = Embedder([*emb.weights[:-1], emb.weights[-1] * c],
                           [*emb.biases[:-1], emb.biases[-1] * c])
         got = evaluate(scaled, ReciprocalBank(bank.points * c, bank.margins), split, loss)
         if variant == "full":  # angular scores ignore the features' and points' norms

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ class TestLossGradients:
         ],
     )
     def test_loss_gradients(self, name, loss_fn):
-        rng = np.random.default_rng(hash(name) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(20):
             features, bank, labels = random_case(rng)
             value_at, x0, analytic = self._flatten_case(loss_fn, features, bank, labels)

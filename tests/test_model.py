@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,18 +57,18 @@ class TestInitModel:
 
 class TestForward:
     def test_zero_params_zero_features(self):
-        emb = Embedder([2, 3], [np.zeros((2, 3))], [np.zeros(3)])
+        emb = Embedder([np.zeros((2, 3))], [np.zeros(3)])
         feats, _ = embed_forward(emb, [[1.0, 2.0], [3.0, 4.0]])
         assert (feats == 0).all()
 
     def test_identity_layer(self):
-        emb = Embedder([2, 2], [np.eye(2)], [np.zeros(2)])
+        emb = Embedder([np.eye(2)], [np.zeros(2)])
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         feats, _ = embed_forward(emb, x)
         np.testing.assert_array_equal(feats, x)
 
     def test_hand_computed_single_layer(self):
-        emb = Embedder([2, 1], [np.array([[1.0], [1.0]])], [np.array([0.5])])
+        emb = Embedder([np.array([[1.0], [1.0]])], [np.array([0.5])])
         feats, _ = embed_forward(emb, [[1.0, 2.0]])
         assert feats[0, 0] == pytest.approx(3.5)
 
@@ -94,7 +96,7 @@ class TestBackward:
         assert (gx == 0).all()
 
     def test_identity_layer_passthrough(self):
-        emb = Embedder([2, 2], [np.eye(2)], [np.zeros(2)])
+        emb = Embedder([np.eye(2)], [np.zeros(2)])
         x = np.array([[1.0, -2.0]])
         _, cache = embed_forward(emb, x)
         g = np.array([[0.3, -0.7]])
@@ -123,7 +125,7 @@ class TestBackward:
             for b in emb.biases:
                 bs.append(vec[off : off + b.size])
                 off += b.size
-            feats, _ = embed_forward(Embedder(dims, ws, bs), x)
+            feats, _ = embed_forward(Embedder(ws, bs), x)
             return float(feats.sum())
 
         feats, cache = embed_forward(emb, x)
@@ -147,7 +149,7 @@ class TestBackward:
         x = rng.standard_normal((5, 4))
         _, cache = embed_forward(emb, x)
         grads, _ = embed_backward(cache, rng.standard_normal((5, 3)))
-        dead = (cache.preactivations[0] <= 0).all(axis=0)
+        dead = (cache.activations[1] <= 0).all(axis=0)
         assert dead[1:].all() and not dead[0]
         assert (grads.biases[0][dead] == 0).all()
         assert (grads.weights[0][:, dead] == 0).all()
@@ -169,7 +171,57 @@ class TestParameterVector:
                 unflatten(np.zeros(size), [np.zeros(2), np.zeros(2)])
 
 
+def _block(*values):
+    """One OSRP float block: a u32 count, then little-endian float64s."""
+    return struct.pack(f"<I{len(values)}d", len(values), *values)
+
+
+def _osrp_v1(version=1, dims=(2, 1), k=2, margins=(0.0, 0.75)):
+    """OSRP v1 bytes, written field by field, of a [2, 1] embedder and a K = 2 bank."""
+    return b"".join([
+        b"OSRP", struct.pack("<H", version),
+        struct.pack(f"<{len(dims) + 1}I", len(dims), *dims),
+        _block(0.5, -1.25), _block(0.25),  # the weight (2 x 1) and the bias
+        struct.pack("<I", k), _block(1.0, -2.0), _block(*margins),  # points (2 x 1), margins
+    ])
+
+
+# one corruption of the v1 bytes per message that load_checkpoint raises
+CORRUPT_CHECKPOINTS = {
+    "unsupported checkpoint version 2": _osrp_v1(version=2),
+    r"invalid layer dims \[2, 0\]": _osrp_v1(dims=(2, 0)),
+    "weight block size mismatch": _osrp_v1(dims=(3, 1)),
+    "bias block size mismatch": _osrp_v1(dims=(1, 2)),
+    "point block size mismatch": _osrp_v1(k=3),
+    "margin block size mismatch": _osrp_v1(margins=(0.75,)),
+    "trailing bytes after checkpoint payload": _osrp_v1() + b"\x00",
+}
+
+
 class TestCheckpoint:
+    def test_v1_golden_bytes(self, tmp_path):
+        emb, bank = init_model(ModelConfig([2, 1], seed=0), 2)
+        emb.weights[0][:] = [[0.5], [-1.25]]
+        emb.biases[0][:] = [0.25]
+        bank.points[:] = [[1.0], [-2.0]]
+        bank.margins[:] = [0.0, 0.75]
+        path = tmp_path / "model.osrp"
+        save_checkpoint(path, emb, bank)
+        assert path.read_bytes() == _osrp_v1()
+        emb2, bank2 = load_checkpoint(path)
+        assert emb2.layer_dims == [2, 1]
+        for a, b in zip(emb.weights + emb.biases + [bank.points, bank.margins],
+                        emb2.weights + emb2.biases + [bank2.points, bank2.margins]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("message", sorted(CORRUPT_CHECKPOINTS))
+    def test_corrupt_v1_rejected(self, tmp_path, message):
+        path = tmp_path / "model.osrp"
+        path.write_bytes(CORRUPT_CHECKPOINTS[message])
+        with pytest.raises(DataError, match=message) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_round_trip_bit_exact(self, tmp_path):
         emb, bank = init_model(ModelConfig([3, 5, 2], seed=17, init_scale=0.7), 4)
         bank.margins[:] = [0.0, 0.5, 1.25, 0.0]

@@ -55,6 +55,14 @@ class TestPairwiseScores:
         with pytest.raises(NumericError):
             pairwise_scores([[np.nan, 0.0]], [[1.0, 0.0]], Metric.EUCLIDEAN)
 
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_overflowing_norm_rejected_for_angular(self, paired):
+        # finite rows whose squared norm overflows would divide to a cosine of 0
+        f, p = np.array([[1.0, 0.0], [1e200, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="features row 1 has an infinite norm"):
+                (_paired if paired else _scores)(f, p, Metric.ANGULAR)
+
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, 100.0))
     @settings(max_examples=50, deadline=None)
     def test_angular_positive_scale_invariance(self, seed, c):
