@@ -17,13 +17,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_gradient_suite
-from .config import FullConfig, _cast, _keys, build_dataset, build_split, load_config
+from .config import FullConfig, _cast, build_dataset, build_split, load_config
 from .data import save_features
 from .errors import ConfigError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, write_oscr_csv, write_roc_csv
 from .losses import LossConfig, vacuous_overconfidence
 from .model import load_checkpoint, save_checkpoint
-from .train import (GRIDS, TrainConfig, _apply_overrides, cartesian_cells, sweep, train,
+from .train import (GRIDS, TrainConfig, _apply_overrides, _keys, cartesian_cells, sweep, train,
                     write_history_csv, write_sweep_csv)
 
 

@@ -28,21 +28,22 @@ Four sections, all optional, every key defaulted:
 A ``preset`` (desk or paper, ``train.PRESETS``) or ``variant`` (full,
 euclidean, uncalibrated, ``train.VARIANTS``) is a named set of keys,
 applied before the section's own keys. The keys of a section are the
-fields of its config dataclass, each read as the type of its default; an
-empty value keeps the default. An unknown key or section is an error.
+fields of its config dataclass that hold no nested config (``train._keys``,
+which also names what a sweep sets), each read as the type of its default;
+an empty value keeps the default. An unknown key or section is an error.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic, load_features
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import ModelConfig
 from .numerics import Metric
-from .train import PRESETS, VARIANTS, TrainConfig, named
+from .train import PRESETS, VARIANTS, TrainConfig, _keys, named
 
 
 @dataclass
@@ -90,15 +91,10 @@ def _metric(raw: str) -> Metric:
         ) from None
 
 
-# A field is a key when its value has one of these types, which picks its cast.
+# A key's cast, picked by the type of its current value.
 _CASTS = {bool: _bool, int: int, float: float, str: str, type(None): str,
           Metric: _metric, list: _int_list}
 _SECTIONS = ("model", "loss", "train", "data")
-
-
-def _keys(config) -> list[str]:
-    """The fields of a config dataclass that a key sets, in field order."""
-    return [f.name for f in fields(config) if type(getattr(config, f.name)) in _CASTS]
 
 
 def _cast(key: str, current: object, raw: str) -> object:

@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError, NumericError
 
 FEATURES_MAGIC = b"OSSF"
 FEATURES_VERSION = 1
+_HEADER = struct.Struct("<4sHII")  # magic, version, rows B, feature dim D
 
 # Non-hard class means are kept at least this far apart (degrees); the
 # hard trio uses HARD_ANGLE_DEG instead.
@@ -184,19 +185,14 @@ def gen_synthetic(
         raise ConfigError("num_groups must be >= 1")
     rng = _seeded_rng(seed)
     means = separation * _class_directions(num_classes, dim, hard, rng)
-    rows = []
-    labels = []
-    groups = []
-    for c in range(num_classes):
-        noise = rng.standard_normal((samples_per_class, dim))
-        with np.errstate(over="ignore"):  # reported below, as a NumericError
-            rows.append(means[c] + overlap * noise)
-        labels.extend([c] * samples_per_class)
-        groups.extend([i % num_groups for i in range(samples_per_class)])
-    inputs = np.vstack(rows)
+    noise = rng.standard_normal((num_classes, samples_per_class, dim))  # the same stream as C draws
+    with np.errstate(over="ignore"):  # reported below, as a NumericError
+        inputs = (means[:, None, :] + overlap * noise).reshape(-1, dim)
     if not np.isfinite(inputs).all():
         raise NumericError(f"overlap {overlap:g}, separation {separation:g}: features overflow")
-    return LabeledDataset(inputs, np.array(labels), np.array(groups))
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    groups = np.tile(np.arange(samples_per_class) % num_groups, num_classes)
+    return LabeledDataset(inputs, labels, groups)
 
 
 def apply_split(
@@ -214,7 +210,7 @@ def apply_split(
     rng = _seeded_rng(seed)
     label_map = {int(c): i for i, c in enumerate(spec.known_classes)}
 
-    train_idx: list[np.ndarray] = []
+    train_idx: list[np.ndarray] = []  # part i holds known class i's rows: label i
     test_idx: list[np.ndarray] = []
     for c in spec.known_classes:
         idx = np.flatnonzero(dataset.labels == c)
@@ -224,17 +220,14 @@ def apply_split(
         n_test = min(idx.size - 1, max(1, int(round(idx.size * test_fraction))))
         test_idx.append(perm[:n_test])
         train_idx.append(perm[n_test:])
-    train_rows = np.concatenate(train_idx)
-    test_rows = np.concatenate(test_idx)
 
-    def remapped(rows: np.ndarray) -> LabeledDataset:
-        ds = dataset.subset(rows)
-        ds.labels = np.array([label_map[int(l)] for l in ds.labels], dtype=np.int64)
+    def remapped(parts: list[np.ndarray]) -> LabeledDataset:
+        ds = dataset.subset(np.concatenate(parts))
+        ds.labels = np.repeat(np.arange(len(parts), dtype=np.int64), [p.size for p in parts])
         return ds
 
-    unknown_mask = np.isin(dataset.labels, list(spec.unknown_classes))
-    test_unknown = dataset.subset(np.flatnonzero(unknown_mask))
-    return OpenSetSplit(remapped(train_rows), remapped(test_rows), test_unknown, label_map)
+    test_unknown = dataset.subset(np.isin(dataset.labels, list(spec.unknown_classes)))
+    return OpenSetSplit(remapped(train_idx), remapped(test_idx), test_unknown, label_map)
 
 
 def save_features(path, dataset: LabeledDataset) -> None:
@@ -303,9 +296,7 @@ def _load_csv(path) -> LabeledDataset:
 def _save_binary(path, ds: LabeledDataset) -> None:
     b, d = ds.inputs.shape
     with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<H", FEATURES_VERSION))
-        fh.write(struct.pack("<II", b, d))
+        fh.write(_HEADER.pack(FEATURES_MAGIC, FEATURES_VERSION, b, d))
         fh.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
         fh.write(np.ascontiguousarray(ds.group_ids, dtype="<i8").tobytes())
         fh.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())
@@ -314,22 +305,18 @@ def _save_binary(path, ds: LabeledDataset) -> None:
 def _load_binary(path) -> LabeledDataset:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 14 or blob[:4] != FEATURES_MAGIC:
+    if len(blob) < _HEADER.size or blob[:4] != FEATURES_MAGIC:
         raise DataError(f"{path}: not an OSSF feature file")
-    version = struct.unpack("<H", blob[4:6])[0]
+    _, version, b, d = _HEADER.unpack_from(blob)
     if version != FEATURES_VERSION:
         raise DataError(f"{path}: unsupported OSSF version {version}")
-    b, d = struct.unpack("<II", blob[6:14])
-    need = 14 + 8 * b + 8 * b + 8 * b * d
+    need = _HEADER.size + 8 * b * (2 + d)
     if len(blob) != need:
         raise DataError(f"{path}: expected {need} bytes, found {len(blob)}")
-    off = 14
-    labels = np.frombuffer(blob, dtype="<i8", count=b, offset=off).astype(np.int64)
-    off += 8 * b
-    groups = np.frombuffer(blob, dtype="<i8", count=b, offset=off).astype(np.int64)
-    off += 8 * b
-    feats = np.frombuffer(blob, dtype="<f8", count=b * d, offset=off).astype(np.float64)
-    if not np.isfinite(feats).all():
-        bad = int(np.flatnonzero(~np.isfinite(feats.reshape(b, d)).all(axis=1))[0])
-        raise DataError(f"{path}: row {bad} contains non-finite values")
-    return LabeledDataset(feats.reshape(b, d), labels, groups)
+    ints = np.frombuffer(blob, "<i8", 2 * b, _HEADER.size).astype(np.int64).reshape(2, b)
+    feats = np.frombuffer(blob, "<f8", b * d, _HEADER.size + 16 * b).astype(np.float64)
+    feats = feats.reshape(b, d)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: row {int(np.argmin(finite))} contains non-finite values")
+    return LabeledDataset(feats, ints[0], ints[1])

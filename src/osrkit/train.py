@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, OsrkitError, UsageError
+from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, predict_closed
 from .losses import LossConfig, _check_labels, _total, classification_logits
 from .model import (Embedder, ModelConfig, ReciprocalBank, _backward_into, bind_parameters,
@@ -180,20 +180,21 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         sum_cls = sum_mar = sum_oc = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            feats, cache = embed_forward(embedder, inputs[batch])
-            (cls, mar, oc), grad_f = _total(feats, bank, labels[batch], config.loss, grad_bank)
-            value = cls + alpha * mar + beta * oc
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
-            optimizer_step(optimizer, bank, grads)
-            sum_cls += cls * batch.size
-            sum_mar += mar * batch.size
-            sum_oc += oc * batch.size
+        try:
+            for start in range(0, n, config.batch_size):
+                batch = perm[start : start + config.batch_size]
+                feats, cache = embed_forward(embedder, inputs[batch])
+                (cls, mar, oc), grad_f = _total(feats, bank, labels[batch], config.loss, grad_bank)
+                value = cls + alpha * mar + beta * oc
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite loss {value}")
+                _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
+                optimizer_step(optimizer, bank, grads)
+                sum_cls += cls * batch.size
+                sum_mar += mar * batch.size
+                sum_oc += oc * batch.size
+        except (NumericError, DegenerateInputError) as exc:  # a step's value check: name the step
+            raise type(exc)(f"{exc} at epoch {epoch}, batch {start // config.batch_size}") from None
         # an inf in Adam's v makes that entry's step m / inf = 0: the run would silently freeze
         if isinstance(optimizer, Adam) and not np.isfinite(optimizer.v).all():
             raise NumericError(f"non-finite Adam second moment at epoch {epoch}")
@@ -252,16 +253,22 @@ def _check_kind(name: str, current: object, value: object) -> None:
         )
 
 
+def _keys(config) -> list[str]:
+    """The fields of a config dataclass that hold no nested config, in field order: the
+    keys that a config file, ``--param`` and a sweep cell set."""
+    return [f.name for f in dataclasses.fields(config)
+            if not dataclasses.is_dataclass(getattr(config, f.name))]
+
+
 def _apply_overrides(config: TrainConfig, overrides: dict[str, object]) -> TrainConfig:
-    """Route each override to every config that has the field (``seed``
+    """Route each override to every config that has the key (``seed``
     sets both the training and the model-init seed)."""
     loss_over: dict[str, object] = {}
     train_over: dict[str, object] = {}
     model_over: dict[str, object] = {}
     targets = ((config.loss, loss_over), (config, train_over), (config.model, model_over))
     for name, value in overrides.items():
-        owners = [(obj, over) for obj, over in targets
-                  if name in {f.name for f in dataclasses.fields(obj)}]
+        owners = [(obj, over) for obj, over in targets if name in _keys(obj)]
         if not owners:
             raise ConfigError(f"unknown sweep parameter {name!r}")
         for obj, over in owners:

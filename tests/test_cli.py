@@ -574,12 +574,16 @@ class TestCli:
     @pytest.mark.parametrize("name", sorted(NEGATIVE_SEEDS))
     def test_negative_seed_exit_one(self, tmp_path, capsys, name):
         argv, edit = NEGATIVE_SEEDS[name]
-        text = FAST_CONFIG if edit is None else FAST_CONFIG.replace(*edit)
-        path = tmp_path / "cfg.ini"
-        path.write_text(text)
-        code = main(argv + ["--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "non-negative" in capsys.readouterr().err
+        if argv[0] != "grad-check":  # grad-check takes no --config or --out
+            text = FAST_CONFIG if edit is None else FAST_CONFIG.replace(*edit)
+            path = tmp_path / "cfg.ini"
+            path.write_text(text)
+            argv = argv + ["--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "non-negative" in err
+        if "--seed" in argv:
+            assert err == "error: argument --seed: seed must be a non-negative integer, got '-1'\n"
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -2,12 +2,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osrkit.data import (
     LabeledDataset,
+    OpenSetSplit,
     SplitSpec,
+    _class_directions,
     apply_split,
     gen_synthetic,
     load_features,
@@ -25,6 +27,48 @@ def per_element_csv(path, ds):
         for i in range(len(ds)):
             feats = ",".join(repr(float(v)) for v in ds.inputs[i])
             fh.write(f"{int(ds.labels[i])},{int(ds.group_ids[i])},{feats}\n")
+
+
+def per_class_synthetic(num_classes, samples_per_class, dim, separation, overlap, seed,
+                        hard=False, num_groups=5):
+    """The generator as it was, one noise draw and one row block per class: the oracle."""
+    rng = np.random.default_rng(seed)
+    means = separation * _class_directions(num_classes, dim, hard, rng)
+    rows, labels, groups = [], [], []
+    for c in range(num_classes):
+        noise = rng.standard_normal((samples_per_class, dim))
+        rows.append(means[c] + overlap * noise)
+        labels.extend([c] * samples_per_class)
+        groups.extend([i % num_groups for i in range(samples_per_class)])
+    return LabeledDataset(np.vstack(rows), np.array(labels), np.array(groups))
+
+
+def dict_remap_split(dataset, spec, test_fraction, seed):
+    """The split as it was, each row's label looked up in the label map: the oracle."""
+    rng = np.random.default_rng(seed)
+    label_map = {int(c): i for i, c in enumerate(spec.known_classes)}
+    train_idx, test_idx = [], []
+    for c in spec.known_classes:
+        perm = rng.permutation(np.flatnonzero(dataset.labels == c))
+        n_test = min(perm.size - 1, max(1, int(round(perm.size * test_fraction))))
+        test_idx.append(perm[:n_test])
+        train_idx.append(perm[n_test:])
+
+    def remapped(rows):
+        ds = dataset.subset(rows)
+        ds.labels = np.array([label_map[int(l)] for l in ds.labels], dtype=np.int64)
+        return ds
+
+    unknown = dataset.subset(np.flatnonzero(np.isin(dataset.labels, spec.unknown_classes)))
+    return OpenSetSplit(remapped(np.concatenate(train_idx)), remapped(np.concatenate(test_idx)),
+                        unknown, label_map)
+
+
+def assert_same_dataset(got, want):
+    """Equal bits, dtypes and shapes in all three arrays."""
+    for a, b in zip((got.inputs, got.labels, got.group_ids),
+                    (want.inputs, want.labels, want.group_ids)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestGenSynthetic:
@@ -106,6 +150,42 @@ class TestGenSynthetic:
     def test_overflowing_features_are_a_numeric_error(self, separation, overlap):
         with pytest.raises(NumericError, match=r"overlap 1e\+308, separation \S+: features overflow"):
             gen_synthetic(6, 20, 8, separation, overlap, seed=0)
+
+
+class TestAgainstPerClassReference:
+    @given(
+        st.integers(3, 9), st.integers(1, 12), st.integers(2, 6), st.booleans(),
+        st.integers(1, 15), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1),
+        st.floats(0.05, 0.95), st.integers(0, 2 ** 16),
+    )
+    @example(4, 1, 2, True, 5, 0.0, 0, 0.25, 0)   # one sample per class: no split
+    @example(6, 3, 3, False, 10, 0.0, 1, 0.5, 7)  # more groups than samples, no noise
+    @settings(max_examples=60, deadline=None)
+    def test_generator_and_split_match_reference(self, num_classes, per_class, dim, hard,
+                                                 num_groups, overlap, seed, test_fraction,
+                                                 split_seed):
+        hard = hard and num_classes >= 4
+        args = (num_classes, per_class, dim, 3.0, overlap, seed, hard, num_groups)
+        ds = gen_synthetic(*args)
+        assert_same_dataset(ds, per_class_synthetic(*args))
+        if per_class < 2:
+            return
+        order = np.random.default_rng(split_seed).permutation(num_classes).tolist()
+        k = 2 + split_seed % (num_classes - 2)
+        spec = SplitSpec(order[:k], order[k:])
+        got = apply_split(ds, spec, test_fraction, seed)
+        want = dict_remap_split(ds, spec, test_fraction, seed)
+        for part in ("train", "test_known", "test_unknown"):
+            assert_same_dataset(getattr(got, part), getattr(want, part))
+        assert got.label_map == want.label_map
+
+    def test_crowded_directions_relax_and_match_reference(self):
+        # 7 classes cannot keep 60 degrees apart in 2 dims: the threshold relaxes
+        ds = gen_synthetic(7, 3, 2, 2.0, 0.0, seed=0, num_groups=2)
+        assert_same_dataset(ds, per_class_synthetic(7, 3, 2, 2.0, 0.0, 0, num_groups=2))
+        u = ds.inputs[::3] / 2.0
+        cos = (u @ u.T)[np.triu_indices(7, 1)]
+        assert np.cos(np.radians(60.0)) < cos.max() < 1.0
 
 
 class TestApplySplit:
@@ -307,3 +387,72 @@ class TestFeatureIO:
         path.write_bytes(blob[:-5])
         with pytest.raises(DataError):
             load_features(path)
+
+
+def golden_ossf_dataset():
+    return LabeledDataset(np.array([[-0.0, 5e-324], [1.5, -2.0]]), np.array([3, 0]),
+                          np.array([1, 12]))
+
+
+# little-endian: magic, u16 version 1, u32 B = 2, u32 D = 2, labels, groups, features
+GOLDEN_OSSF = (
+    b"OSSF" + b"\x01\x00" + b"\x02\x00\x00\x00" + b"\x02\x00\x00\x00"
+    + b"\x03" + b"\x00" * 7 + b"\x00" * 8                     # labels 3, 0
+    + b"\x01" + b"\x00" * 7 + b"\x0c" + b"\x00" * 7          # groups 1, 12
+    + b"\x00" * 7 + b"\x80" + b"\x01" + b"\x00" * 7          # -0.0, 5e-324
+    + b"\x00" * 6 + b"\xf8\x3f" + b"\x00" * 7 + b"\xc0"      # 1.5, -2.0
+)
+
+OSSF_CORRUPTIONS = {  # id: (corrupt the golden bytes, the message after "<path>: ")
+    "13-bytes": (lambda b: b[:13], "not an OSSF feature file"),
+    "bad-magic": (lambda b: b"OSSG" + b[4:], "not an OSSF feature file"),
+    "version-2": (lambda b: b[:4] + b"\x02" + b[5:], "unsupported OSSF version 2"),
+    "byte-short": (lambda b: b[:-1], "expected 78 bytes, found 77"),
+    "byte-long": (lambda b: b + b"\x00", "expected 78 bytes, found 79"),
+    "nan-row-1": (lambda b: b[:-16] + np.array([np.nan]).tobytes() + b[-8:],
+                  "row 1 contains non-finite values"),
+}
+
+CSV_DEFECTS = {  # id: (file text, the message after "<path>: ")
+    "empty": ("", "empty file"),
+    "header": ("label,grp,f0\n0,0,1.0\n", "malformed header 'label,grp,f0'"),
+    "columns": ("label,group,f1\n0,0,1.0\n", "malformed feature columns in header"),
+    "unparsable": ("label,group,f0\n0,0,1.0\n\n1,x,2.0\n",
+                   "row 4 unparsable: invalid literal for int() with base 10: 'x'"),
+    "no-rows": ("label,group,f0\n\n", "no data rows"),
+}
+
+
+class TestFeatureFileMessages:
+    def test_ossf_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.ossf"
+        save_features(path, golden_ossf_dataset())
+        assert path.read_bytes() == GOLDEN_OSSF
+        back = load_features(path)
+        assert_same_dataset(back, golden_ossf_dataset())
+        assert all(a.flags.writeable for a in (back.inputs, back.labels, back.group_ids))
+
+    @pytest.mark.parametrize("name", sorted(OSSF_CORRUPTIONS))
+    def test_ossf_corruption_message(self, tmp_path, name):
+        corrupt, message = OSSF_CORRUPTIONS[name]
+        path = tmp_path / "bad.ossf"
+        path.write_bytes(corrupt(GOLDEN_OSSF))
+        with pytest.raises(DataError) as info:
+            load_features(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", sorted(CSV_DEFECTS))
+    def test_csv_defect_message(self, tmp_path, name):
+        text, message = CSV_DEFECTS[name]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_features(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_csv_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("label,group,f0\n0,0,1.0\n\n1,2,-0.5\n")
+        ds = load_features(path)
+        assert ds.inputs.tolist() == [[1.0], [-0.5]]
+        assert ds.labels.tolist() == [0, 1] and ds.group_ids.tolist() == [0, 2]

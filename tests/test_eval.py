@@ -335,6 +335,27 @@ class TestEvaluate:
             evaluate(emb, bank, split, LossConfig())
 
     def test_matches_per_set_scoring(self, split):
+        self.check_matches_per_set_scoring(split)
+
+    def test_matches_per_set_scoring_across_forward_blocks(self):
+        """Parts of 1,400 rows run the forward pass in two blocks each."""
+        large = apply_split(gen_synthetic(6, 700, 8, 5.0, 1.0, seed=0, hard=True),
+                            SplitSpec([0, 1, 2, 3], [4, 5]), 0.5, 0)
+        assert len(large.test_known) == len(large.test_unknown) == 1400
+        self.check_matches_per_set_scoring(large)
+
+    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049, 4000])
+    def test_blocked_features_equal_one_pass(self, rows):
+        from osrkit.evaluate import _features
+        from osrkit.model import embed_forward
+
+        emb, _ = init_model(ModelConfig([8, 32, 8], seed=4), 4)
+        x = np.random.default_rng(rows).standard_normal((rows, 8)) * 10
+        assert _features(emb, x).tobytes() == embed_forward(emb, x)[0].tobytes()
+
+    @staticmethod
+    def check_matches_per_set_scoring(split):
+        """evaluate's report equals scoring each test set in one forward pass, bit for bit."""
         from osrkit.losses import classification_logits
         from osrkit.model import embed_forward
 

@@ -510,6 +510,20 @@ class TestTrainErrors:
                                                                   Metric.EUCLIDEAN)], small_split())
         assert "layer_dims ends in 1" in rows[0].error and rows[1].error is None
 
+    @pytest.mark.parametrize("rows,scale,error,message", [
+        (137, 1e200, NumericError, "features row 17 has an infinite norm, angular distance "
+                                   "undefined at epoch 0, batch 7"),
+        (slice(None), 0.0, DegenerateInputError, "features row 0 has norm <= 1e-12, angular "
+                                                 "distance undefined at epoch 0, batch 0"),
+    ], ids=["infinite", "zero"])
+    def test_norm_failure_names_epoch_and_batch(self, rows, scale, error, message):
+        # training row 137 is row 17 of batch 7 in epoch 0's order; all-zero inputs fail at once
+        split = benchmark_split(0)
+        split.train.inputs[rows] *= scale
+        with pytest.raises(error) as info:
+            train(split, benchmark_config("full", 0))
+        assert str(info.value) == message
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_input_names_epoch_and_batch(self):
         # Euclidean scores: under angular ones the infinite-norm check fires before the loss
@@ -623,6 +637,17 @@ class TestSweep:
         split = small_split()
         with pytest.raises(ConfigError):
             sweep(small_config(epochs=1), [{"nonsense": 1}], split)
+
+    @pytest.mark.parametrize("name", ["loss", "model"])
+    def test_nested_config_is_no_parameter(self, monkeypatch, name):
+        # a whole LossConfig or ModelConfig is no key: it would replace every key it holds
+        def no_training(*args):
+            raise AssertionError("a cell trained before every cell was checked")
+
+        monkeypatch.setattr(train_module, "train", no_training)
+        value = {"loss": LossConfig(tau=2.0), "model": ModelConfig([5, 4])}[name]
+        with pytest.raises(ConfigError, match=f"^unknown sweep parameter '{name}'$"):
+            sweep(small_config(epochs=1), [{name: value}], small_split())
 
     def test_malformed_value_rejected_before_training(self, monkeypatch):
         def no_training(*args):
