@@ -5,6 +5,7 @@ Euclidean or angular form), train with margin and overconfidence hinges,
 and are evaluated with closed-set accuracy, AUROC, and OSCR.
 """
 
+from .config import TrainConfig
 from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic
 from .evaluate import EvalReport, auroc, evaluate, openset_score, oscr, predict_closed
 from .losses import (
@@ -27,7 +28,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import Metric, grad_check, pairwise_scores
-from .train import TrainConfig, TrainHistory, sweep, train
+from .train import TrainHistory, sweep, train
 
 __all__ = [
     "EvalReport",

@@ -9,10 +9,11 @@ embedding dims [8, 32, 8], 60 epochs of the desk preset, gap threshold
 
 from __future__ import annotations
 
+from .config import VARIANTS, TrainConfig, named, with_keys
 from .data import OpenSetSplit, SplitSpec, apply_split, gen_synthetic
 from .evaluate import EvalReport, evaluate
 from .model import ModelConfig
-from .train import VARIANTS, TrainConfig, _apply_overrides, named, train
+from .train import train
 
 NUM_CLASSES = 6
 SAMPLES_PER_CLASS = 200
@@ -35,7 +36,7 @@ def benchmark_split(seed: int) -> OpenSetSplit:
 
 
 def benchmark_config(variant: str, seed: int) -> TrainConfig:
-    return _apply_overrides(TrainConfig(ModelConfig(list(LAYER_DIMS))), {
+    return with_keys(TrainConfig(ModelConfig(list(LAYER_DIMS))), {
         **named(VARIANTS, "variant", variant), "gap_threshold": TUNED_GAP_THRESHOLD,
         "epochs": EPOCHS, "seed": seed})
 

@@ -134,9 +134,7 @@ def gradient_cases() -> dict[str, Callable[[np.random.Generator], float]]:
     return cases
 
 
-def run_gradient_suite(
-    seed: int = 0, instances: int = 20, tolerance: float = DEFAULT_TOL
-) -> list[GradCaseResult]:
+def run_gradient_suite(seed: int = 0, instances: int = 20) -> list[GradCaseResult]:
     """Run every case on ``instances`` seeded random instances each."""
     if instances < 1:
         raise ConfigError(f"instances must be >= 1, got {instances}")
@@ -146,5 +144,5 @@ def run_gradient_suite(
         worst = 0.0
         for _ in range(instances):
             worst = max(worst, case(rng))
-        results.append(GradCaseResult(name, worst, tolerance))
+        results.append(GradCaseResult(name, worst, DEFAULT_TOL))
     return results

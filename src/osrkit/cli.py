@@ -17,14 +17,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_gradient_suite
-from .config import FullConfig, _cast, build_dataset, build_split, load_config
+from .config import (GRIDS, FullConfig, build_dataset, build_split, load_config, param_cells,
+                     with_keys)
 from .data import save_features
-from .errors import ConfigError, NumericError, OsrkitError, UsageError
+from .errors import NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, write_oscr_csv, write_roc_csv
 from .losses import LossConfig, vacuous_overconfidence
 from .model import load_checkpoint, save_checkpoint
-from .train import (GRIDS, TrainConfig, _apply_overrides, _keys, cartesian_cells, sweep, train,
-                    write_history_csv, write_sweep_csv)
+from .train import sweep, train, write_history_csv, write_sweep_csv
 
 
 def _seed(raw: str) -> int:
@@ -43,7 +43,7 @@ def _load(args) -> FullConfig:
         raise UsageError("--config is required for this command")
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = FullConfig(_apply_overrides(cfg.train, {"seed": args.seed}),
+        cfg = FullConfig(with_keys(cfg.train, {"seed": args.seed}),
                          replace(cfg.data, seed=args.seed))
     return cfg
 
@@ -106,37 +106,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_param_values(raw: str, base: TrainConfig):
-    """``name=v1,v2,...`` with each value cast like the config key of that name."""
-    name, _, values = raw.partition("=")
-    if not values:
-        raise UsageError(f"--param expects name=v1,v2,... got {raw!r}")
-    owner = next((c for c in (base.loss, base, base.model) if name in _keys(c)), None)
-    if owner is None:
-        raise ConfigError(f"unknown sweep parameter {name!r}")
-    if isinstance(getattr(owner, name), list):  # its values would split on the commas
-        raise ConfigError(f"sweep parameter {name!r} is a list; --param cannot sweep it")
-    return name, [_cast(name, getattr(owner, name), v.strip()) for v in values.split(",")]
-
-
 def _cmd_sweep(args) -> int:
     if args.param and args.grid != "custom":
         raise UsageError(f"--param needs --grid custom, not --grid {args.grid}")
     cfg = _load(args)
     split = build_split(cfg.data)
-    if args.grid in GRIDS:
-        cells = GRIDS[args.grid]
-    elif not args.param:  # custom: the parser's choices admit no other grid
-        raise UsageError("--grid custom requires at least one --param")
-    else:
-        grid = {}
-        for name, values in (_parse_param_values(p, cfg.train) for p in args.param):
-            if name in grid:
-                raise UsageError(f"--param {name} given twice")
-            grid[name] = values
-        cells = cartesian_cells(grid)
+    # the parser admits only the named grids and custom
+    cells = GRIDS[args.grid] if args.grid in GRIDS else param_cells(cfg.train, args.param)
     for cell in cells:
-        _warn_if_vacuous(_apply_overrides(cfg.train, cell).loss, f"cell {cell}: ")
+        _warn_if_vacuous(with_keys(cfg.train, cell).loss, f"cell {cell}: ")
     rows = sweep(cfg.train, cells, split)
     path = _outdir(args) / "sweep.csv"
     write_sweep_csv(path, rows)

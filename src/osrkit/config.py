@@ -1,6 +1,10 @@
-"""INI-style configuration files for the CLI.
+"""Every config key: the config that owns it, how its text is read and written back.
 
-Four sections, all optional, every key defaulted:
+The keys of a config are its fields that hold no nested config (``_keys``). ``_owners``
+routes a key to each config that has it (``seed`` is a training and a model-init key);
+``with_keys`` sets keys by name, for ``--seed``, ``--param`` and sweep cells. A key's
+text is read as the type of its current value (``_cast``) and written by ``key_text``.
+The CLI's INI file has four sections, all optional, every key defaulted:
 
     [model]                      [loss]
     layer_dims = 8,32,16         tau = 1.0
@@ -25,25 +29,82 @@ Four sections, all optional, every key defaulted:
                                  test_fraction = 0.25
                                  features_path =   (optional; load instead of generate)
 
-A ``preset`` (desk or paper, ``train.PRESETS``) or ``variant`` (full,
-euclidean, uncalibrated, ``train.VARIANTS``) is a named set of keys,
-applied before the section's own keys. The keys of a section are the
-fields of its config dataclass that hold no nested config (``train._keys``,
-which also names what a sweep sets), each read as the type of its default;
-an empty value keeps the default. An unknown key or section is an error.
+A ``preset`` (``PRESETS``) or ``variant`` (``VARIANTS``) sets its keys before the section's
+own; an empty value keeps the default, and an unknown key or section is an error.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import numbers
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import product
+from typing import Iterable
+
+import numpy as np
 
 from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic, load_features
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .losses import LossConfig
 from .model import ModelConfig
 from .numerics import Metric
-from .train import PRESETS, VARIANTS, TrainConfig, _keys, named
+
+
+@dataclass
+class TrainConfig:
+    model: ModelConfig
+    loss: LossConfig = field(default_factory=LossConfig)
+    epochs: int = 200
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    optimizer: str = "adam"  # adam | sgd
+    seed: int = 0
+    eval_every: int = 10
+
+    def validate(self) -> None:
+        self.model.validate()
+        self.loss.validate()
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.loss.classification_metric is Metric.ANGULAR and self.model.layer_dims[-1] == 1:
+            raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
+
+
+# Named settings, each a set of config keys that is applied before any explicit key.
+PRESETS = {
+    "desk": {},  # TrainConfig's defaults: fast enough for small synthetic runs
+    "paper": {"epochs": 90, "batch_size": 64, "learning_rate": 1e-5},  # the published recipe
+}
+VARIANTS = {  # the objective arms; every other loss term is kept
+    "full": {"classification_metric": Metric.ANGULAR},
+    "euclidean": {"classification_metric": Metric.EUCLIDEAN},
+    "uncalibrated": {"classification_metric": Metric.ANGULAR, "beta": 0.0},
+}
+GRIDS = {  # the named grids of ``osrkit sweep --grid``
+    "gap-threshold": [{"gap_threshold": t} for t in (0.0, 0.25, 0.5, 1.0, 2.0)],
+    "weights": [{"alpha": a, "beta": b} for a, b in (
+        (0.05, 0.05), (0.05, 0.1), (0.1, 0.05), (0.1, 0.1), (0.1, 0.5), (0.5, 0.1), (0.5, 0.5))],
+    "margin-metric": [{"margin_metric": m} for m in Metric],  # all four, in declaration order
+}
+
+
+def named(table: dict, kind: str, name: str):
+    """``table[name]``; an unknown name is a ``ConfigError`` that lists the choices."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
+    return table[name]
 
 
 @dataclass
@@ -91,18 +152,93 @@ def _metric(raw: str) -> Metric:
         ) from None
 
 
-# A key's cast, picked by the type of its current value.
-_CASTS = {bool: _bool, int: int, float: float, str: str, type(None): str,
-          Metric: _metric, list: _int_list}
+# Per type of a key's value: how its text is read, and which sweep values may fill it.
+_KINDS = {bool: (_bool, numbers.Integral), int: (int, numbers.Integral),
+          float: (float, numbers.Real), Metric: (_metric, Metric), str: (str, str),
+          type(None): (str, type(None)), list: (_int_list, list)}
 _SECTIONS = ("model", "loss", "train", "data")
+
+
+def _kind(current: object) -> tuple:
+    """``current``'s entry: its first ``_KINDS`` type, else no cast and only its own type."""
+    return next((kind for t, kind in _KINDS.items() if isinstance(current, t)),
+                (None, type(current)))
 
 
 def _cast(key: str, current: object, raw: str) -> object:
     """``raw`` as a value of the type of ``key``'s current value."""
+    cast, _ = _kind(current)
     try:
-        return _CASTS[type(current)](raw)
+        return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+
+
+def key_text(value: object) -> str:
+    """``value`` as the text that ``_cast`` reads back (a ``sweep.csv`` cell)."""
+    if isinstance(value, Metric):
+        return value.value
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):  # one quoted field in config syntax
+        return '"' + ",".join(map(str, value)) + '"'
+    return str(value)
+
+
+def _keys(config) -> list[str]:
+    """The fields of a config dataclass that hold no nested config, in field order: the
+    keys that a config file, ``--param`` and a sweep cell set."""
+    return [f.name for f in dataclasses.fields(config)
+            if not dataclasses.is_dataclass(getattr(config, f.name))]
+
+
+def _owners(config: TrainConfig, name: str) -> list:
+    """The configs under ``config`` that have key ``name``, in routing order."""
+    owners = [c for c in (config.loss, config, config.model) if name in _keys(c)]
+    if not owners:
+        raise ConfigError(f"unknown sweep parameter {name!r}")
+    return owners
+
+
+def with_keys(config: TrainConfig, overrides: dict[str, object]) -> TrainConfig:
+    """``config`` with each key set in every config that has it (``seed`` sets both the
+    training and the model-init seed). A value of the wrong kind is a ``ConfigError``."""
+    over: dict[int, dict[str, object]] = defaultdict(dict)  # by id of the owning config
+    for name, value in overrides.items():
+        for owner in _owners(config, name):
+            current = getattr(owner, name)
+            if (isinstance(value, bool) and not isinstance(current, bool)  # an Integral, no number
+                    or not isinstance(value, _kind(current)[1])):
+                raise ConfigError(
+                    f"sweep parameter {name!r} needs a {type(current).__name__}, got {value!r}")
+            over[id(owner)][name] = value
+    cfg = replace(config, **over[id(config)])
+    return replace(cfg, loss=replace(cfg.loss, **over[id(config.loss)]),
+                   model=replace(cfg.model, **over[id(config.model)]))
+
+
+def cartesian_cells(grid: dict[str, Iterable]) -> list[dict[str, object]]:
+    """Expand named value lists into override dicts, in deterministic order."""
+    return [dict(zip(grid, combo)) for combo in product(*grid.values())]
+
+
+def param_cells(base: TrainConfig, params: list[str] | None) -> list[dict[str, object]]:
+    """The cells of ``--param name=v1,v2,...`` options, cast like the keys they name."""
+    if not params:
+        raise UsageError("--grid custom requires at least one --param")
+    grid: dict[str, list] = {}
+    for raw in params:
+        name, _, values = raw.partition("=")
+        if not values:
+            raise UsageError(f"--param expects name=v1,v2,... got {raw!r}")
+        current = getattr(_owners(base, name)[0], name)
+        if isinstance(current, list):  # its values would split on the commas
+            raise ConfigError(f"sweep parameter {name!r} is a list; --param cannot sweep it")
+        cast = [_cast(name, current, v.strip()) for v in values.split(",")]
+        if name in grid:
+            raise UsageError(f"--param {name} given twice")
+        grid[name] = cast
+    return cartesian_cells(grid)
 
 
 def _value(section, key: str, default: object) -> object:

@@ -42,7 +42,7 @@ class LabeledDataset:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.group_ids = np.asarray(self.group_ids, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
+        if self.inputs.ndim != 2 or self.inputs.size == 0:
             raise DataError(f"inputs must be a non-empty 2-D matrix, got {self.inputs.shape}")
         n = self.inputs.shape[0]
         if self.labels.shape != (n,) or self.group_ids.shape != (n,):
@@ -310,6 +310,8 @@ def _load_binary(path) -> LabeledDataset:
     _, version, b, d = _HEADER.unpack_from(blob)
     if version != FEATURES_VERSION:
         raise DataError(f"{path}: unsupported OSSF version {version}")
+    if d == 0:
+        raise DataError(f"{path}: no feature columns (D = 0)")
     need = _HEADER.size + 8 * b * (2 + d)
     if len(blob) != need:
         raise DataError(f"{path}: expected {need} bytes, found {len(blob)}")

@@ -9,76 +9,18 @@ float64 vectors bound before the first step; a step computes each loss piece onc
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import numbers
-from dataclasses import dataclass, field, replace
-from itertools import product
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig, key_text, with_keys
 from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, predict_closed
 from .losses import LossConfig, _check_labels, _total, classification_logits
-from .model import (Embedder, ModelConfig, ReciprocalBank, _backward_into, bind_parameters,
-                    embed_forward, init_model)
-from .numerics import Metric, as_matrix
-
-
-@dataclass
-class TrainConfig:
-    model: ModelConfig
-    loss: LossConfig = field(default_factory=LossConfig)
-    epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"  # adam | sgd
-    seed: int = 0
-    eval_every: int = 10
-
-    def validate(self) -> None:
-        self.model.validate()
-        self.loss.validate()
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.loss.classification_metric is Metric.ANGULAR and self.model.layer_dims[-1] == 1:
-            raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
-
-
-# Named settings, each a set of config keys that is applied before any explicit key.
-PRESETS = {
-    "desk": {},  # TrainConfig's defaults: fast enough for small synthetic runs
-    "paper": {"epochs": 90, "batch_size": 64, "learning_rate": 1e-5},  # the published recipe
-}
-VARIANTS = {  # the objective arms; every other loss term is kept
-    "full": {"classification_metric": Metric.ANGULAR},
-    "euclidean": {"classification_metric": Metric.EUCLIDEAN},
-    "uncalibrated": {"classification_metric": Metric.ANGULAR, "beta": 0.0},
-}
-GRIDS = {  # the named grids of ``osrkit sweep --grid``
-    "gap-threshold": [{"gap_threshold": t} for t in (0.0, 0.25, 0.5, 1.0, 2.0)],
-    "weights": [{"alpha": a, "beta": b} for a, b in (
-        (0.05, 0.05), (0.05, 0.1), (0.1, 0.05), (0.1, 0.1), (0.1, 0.5), (0.5, 0.1), (0.5, 0.5))],
-    "margin-metric": [{"margin_metric": m} for m in Metric],  # all four, in declaration order
-}
-
-
-def named(table: dict, kind: str, name: str):
-    """``table[name]``; an unknown name is a ``ConfigError`` that lists the choices."""
-    if name not in table:
-        raise ConfigError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
-    return table[name]
+from .model import (Embedder, ReciprocalBank, _backward_into, bind_parameters, embed_forward,
+                    init_model)
+from .numerics import as_matrix
 
 
 @dataclass
@@ -228,57 +170,6 @@ class SweepRow:
     error: str | None = None
 
 
-def cartesian_cells(grid: dict[str, Iterable]) -> list[dict[str, object]]:
-    """Expand named value lists into override dicts, in deterministic order."""
-    names = list(grid.keys())
-    cells = []
-    for combo in product(*(list(grid[n]) for n in names)):
-        cells.append(dict(zip(names, combo)))
-    return cells
-
-
-def _check_kind(name: str, current: object, value: object) -> None:
-    """Reject a sweep value that cannot fill the field it overrides."""
-    if isinstance(value, bool):  # an Integral, but no number
-        ok = isinstance(current, bool)
-    elif isinstance(current, float):
-        ok = isinstance(value, numbers.Real)
-    elif isinstance(current, int):
-        ok = isinstance(value, numbers.Integral)
-    else:
-        ok = isinstance(value, type(current))
-    if not ok:
-        raise ConfigError(
-            f"sweep parameter {name!r} needs a {type(current).__name__}, got {value!r}"
-        )
-
-
-def _keys(config) -> list[str]:
-    """The fields of a config dataclass that hold no nested config, in field order: the
-    keys that a config file, ``--param`` and a sweep cell set."""
-    return [f.name for f in dataclasses.fields(config)
-            if not dataclasses.is_dataclass(getattr(config, f.name))]
-
-
-def _apply_overrides(config: TrainConfig, overrides: dict[str, object]) -> TrainConfig:
-    """Route each override to every config that has the key (``seed``
-    sets both the training and the model-init seed)."""
-    loss_over: dict[str, object] = {}
-    train_over: dict[str, object] = {}
-    model_over: dict[str, object] = {}
-    targets = ((config.loss, loss_over), (config, train_over), (config.model, model_over))
-    for name, value in overrides.items():
-        owners = [(obj, over) for obj, over in targets if name in _keys(obj)]
-        if not owners:
-            raise ConfigError(f"unknown sweep parameter {name!r}")
-        for obj, over in owners:
-            _check_kind(name, getattr(obj, name), value)
-            over[name] = value
-    cfg = replace(config, **train_over)
-    return replace(cfg, loss=replace(cfg.loss, **loss_over),
-                   model=replace(cfg.model, **model_over))
-
-
 def sweep(base: TrainConfig, cells: list[dict[str, object]], split) -> list[SweepRow]:
     """Train and evaluate one run per cell.
 
@@ -290,7 +181,7 @@ def sweep(base: TrainConfig, cells: list[dict[str, object]], split) -> list[Swee
     if len(names) > 1:
         raise UsageError(f"sweep cells set different parameters: {' / '.join(names)}")
     rows = []
-    configs = [_apply_overrides(base, overrides) for overrides in cells]
+    configs = [with_keys(base, overrides) for overrides in cells]
     for overrides, cfg in zip(map(dict, cells), configs):
         try:
             embedder, bank, _ = train(split, cfg)
@@ -301,16 +192,6 @@ def sweep(base: TrainConfig, cells: list[dict[str, object]], split) -> list[Swee
     return rows
 
 
-def _cell_value(v: object) -> str:
-    if isinstance(v, Metric):
-        return v.value
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if isinstance(v, list):  # one quoted field in config syntax
-        return '"' + ",".join(map(str, v)) + '"'
-    return str(v)
-
-
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     if not rows:
         raise UsageError("no sweep rows to write")
@@ -318,7 +199,7 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names + ["acc", "auroc", "oscr"]) + "\n")
         for row in rows:
-            cells = [_cell_value(row.overrides[n]) for n in names]
+            cells = [key_text(row.overrides[n]) for n in names]
             if row.error is not None:
                 cells += ["error", "error", "error"]
             else:

@@ -12,6 +12,7 @@ import numpy as np
 
 from osrkit.benchmark import benchmark_config, benchmark_split, run_benchmark
 from osrkit.checks import run_gradient_suite
+from osrkit.config import GRIDS, TrainConfig
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
 from osrkit.evaluate import auroc, evaluate, oscr, roc_auc_trapezoid
 from osrkit.losses import LossConfig, classification_loss, overconfidence_loss, total_loss
@@ -23,7 +24,7 @@ from osrkit.model import (
     save_checkpoint,
 )
 from osrkit.numerics import Metric
-from osrkit.train import GRIDS, TrainConfig, sweep, train, write_sweep_csv
+from osrkit.train import sweep, train, write_sweep_csv
 from osrkit.data import load_features, save_features
 
 from test_eval import brute_force_oscr

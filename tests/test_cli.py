@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from osrkit.cli import main
-from osrkit.config import DataConfig, FullConfig, load_config
+from osrkit.config import (GRIDS, PRESETS, DataConfig, FullConfig, TrainConfig, _cast, key_text,
+                           load_config, param_cells, with_keys)
 from osrkit.data import gen_synthetic, save_features
 from osrkit.errors import ConfigError
 from osrkit.losses import LossConfig
 from osrkit.model import ModelConfig, init_model, save_checkpoint
 from osrkit.numerics import Metric
-from osrkit.train import PRESETS, TrainConfig
 
 FAST_CONFIG = """
 [model]
@@ -167,6 +167,12 @@ SECTION_CONFIGS = {"model": EMPTY_CONFIG.train.model, "loss": EMPTY_CONFIG.train
 # (section, key) for every field that is not itself a config
 CONFIG_KEYS = [(section, f.name) for section, obj in SECTION_CONFIGS.items()
                for f in fields(obj) if not is_dataclass(getattr(obj, f.name))]
+# the keys that --param can sweep: those of the training run that hold no list
+PARAM_KEYS = [(section, key) for section, key in CONFIG_KEYS if section != "data"
+              and not isinstance(getattr(SECTION_CONFIGS[section], key), list)]
+# (key, value) for every value of every named grid
+GRID_VALUES = [(key, value) for cells in GRIDS.values() for cell in cells
+               for key, value in cell.items()]
 
 
 def _other_value(value):
@@ -245,6 +251,28 @@ class TestConfigParsing:
         path = tmp_path / "p.ini"
         path.write_text(f"[{section}]\n{key} = {text}\n")
         assert load_config(path) == _with_field(EMPTY_CONFIG, section, key, value)
+
+    @pytest.mark.parametrize("section,key", PARAM_KEYS, ids=[".".join(k) for k in PARAM_KEYS])
+    def test_each_scalar_key_works_through_param(self, tmp_path, section, key):
+        value, text = _other_value(getattr(SECTION_CONFIGS[section], key))
+        path = tmp_path / "p.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        read = load_config(path)
+        read = {"model": read.train.model, "loss": read.train.loss, "train": read.train}[section]
+        (cell,) = param_cells(EMPTY_CONFIG.train, [f"{key}={text}"])
+        assert cell == {key: getattr(read, key)}
+        expected = EMPTY_CONFIG
+        for owner, name in PARAM_KEYS:  # seed is both a training and a model key
+            if name == key:
+                expected = _with_field(expected, owner, key, value)
+        assert FullConfig(with_keys(EMPTY_CONFIG.train, cell), EMPTY_CONFIG.data) == expected
+
+    @pytest.mark.parametrize("key,value", GRID_VALUES,
+                             ids=[f"{k}={key_text(v)}" for k, v in GRID_VALUES])
+    def test_grid_value_reads_back_from_its_sweep_csv_text(self, key, value):
+        default = next(getattr(SECTION_CONFIGS[s], k) for s, k in PARAM_KEYS if k == key)
+        back = _cast(key, default, key_text(value))
+        assert back == value and type(back) is type(value)
 
     @pytest.mark.parametrize("text,name", [
         ("[train]\nlearning_rat = 0.5\n", "'learning_rat'"),

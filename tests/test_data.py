@@ -252,6 +252,10 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(DataError, match=r"non-empty 2-D matrix, got \(2, 0\)"):
+            LabeledDataset(np.zeros((2, 0)), np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros(3, dtype=int))
@@ -440,6 +444,22 @@ class TestFeatureFileMessages:
         with pytest.raises(DataError) as info:
             load_features(path)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_ossf_zero_dim_rejected(self, tmp_path):
+        # a 2-row file of the right size for D = 0: the CSV reader has no such header
+        zero_dim = (
+            b"OSSF" + b"\x01\x00" + b"\x02\x00\x00\x00" + b"\x00\x00\x00\x00"
+            + b"\x03" + b"\x00" * 7 + b"\x00" * 8                 # labels 3, 0
+            + b"\x01" + b"\x00" * 7 + b"\x0c" + b"\x00" * 7      # groups 1, 12
+        )
+        path = tmp_path / "dim0.ossf"
+        path.write_bytes(zero_dim)
+        with pytest.raises(DataError) as info:
+            load_features(path)
+        assert str(info.value) == f"{path}: no feature columns (D = 0)"
+        path.write_bytes(zero_dim[:4] + b"\x02" + zero_dim[5:])  # the version is checked first
+        with pytest.raises(DataError, match="unsupported OSSF version 2$"):
+            load_features(path)
 
     @pytest.mark.parametrize("name", sorted(CSV_DEFECTS))
     def test_csv_defect_message(self, tmp_path, name):

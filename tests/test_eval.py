@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_split
+from osrkit.config import VARIANTS, TrainConfig, with_keys
 from osrkit.data import LabeledDataset, SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import EvalError, UsageError
 from osrkit.evaluate import (
@@ -23,7 +24,7 @@ from osrkit.evaluate import (
 )
 from osrkit.losses import LossConfig
 from osrkit.model import Embedder, ModelConfig, ReciprocalBank, init_model
-from osrkit.train import VARIANTS, TrainConfig, _apply_overrides, train
+from osrkit.train import train
 
 
 def pair_count_auroc(scores, is_known):
@@ -427,8 +428,8 @@ def trained(variant, seed):
     returns (split, loss config, embedder, bank, report). Callers must not mutate it."""
     ds = gen_synthetic(5, 40, 6, 4.0, 1.0, seed=seed, hard=True)
     split = apply_split(ds, SplitSpec([0, 1, 2], [3, 4]), 0.3, seed)
-    cfg = _apply_overrides(TrainConfig(ModelConfig([6, 16, 4]), epochs=10, batch_size=16),
-                           {**VARIANTS[variant], "gap_threshold": 0.25, "seed": seed})
+    cfg = with_keys(TrainConfig(ModelConfig([6, 16, 4]), epochs=10, batch_size=16),
+                    {**VARIANTS[variant], "gap_threshold": 0.25, "seed": seed})
     emb, bank, _ = train(split, cfg)
     return split, cfg.loss, emb, bank, evaluate(emb, bank, split, cfg.loss)
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_config, benchmark_split
 from osrkit.cli import build_parser
-from osrkit.config import _cast
+from osrkit.config import (GRIDS, PRESETS, VARIANTS, TrainConfig, _cast, cartesian_cells, named,
+                           with_keys)
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
 from osrkit.evaluate import predict_closed
@@ -19,17 +20,10 @@ from osrkit.model import (ModelConfig, bind_parameters, embed_backward, embed_fo
                           init_model)
 from osrkit.numerics import Metric
 from osrkit.train import (
-    GRIDS,
-    PRESETS,
-    VARIANTS,
     Adam,
     SGD,
     EpochRecord,
-    TrainConfig,
-    _apply_overrides,
-    cartesian_cells,
     make_optimizer,
-    named,
     optimizer_step,
     sweep,
     train,
@@ -569,7 +563,7 @@ class TestPresets:
                              ids=[i for i, _ in TABLE_ENTRIES])
     def test_table_entry_sets_exactly_its_fields(self, keys):
         base = TrainConfig(ModelConfig([4, 2]))
-        cfg = _apply_overrides(base, keys)
+        cfg = with_keys(base, keys)
         for old, new in ((base, cfg), (base.loss, cfg.loss), (base.model, cfg.model)):
             for f in dataclasses.fields(old):
                 if not dataclasses.is_dataclass(getattr(old, f.name)):
@@ -672,7 +666,7 @@ class TestSweep:
             sweep(small_config(epochs=1), [{"tau": 1.0}, {"alpha": 0.5}], small_split())
 
     def test_seed_reaches_model_and_training(self):
-        cfg = _apply_overrides(small_config(seed=0), {"seed": 3})
+        cfg = with_keys(small_config(seed=0), {"seed": 3})
         assert cfg.seed == 3
         assert cfg.model.seed == 3
 
