@@ -2,25 +2,26 @@
 
 Each case builds seeded random small instances, flattens the trainable
 quantities into one vector, and compares the analytic gradient against
-central differences via ``numerics.grad_check``. The CLI `grad-check`
-subcommand and the acceptance suite both run this.
+central differences via ``numerics.grad_check``. ``gradient_cases`` is the only
+list of cases: each public loss on its own inputs (``classification_<metric>``,
+``overconfidence``, ``total``, ``margin_<metric>``), then the fused ``total_loss``
+through a random embedder once per ``VARIANTS`` arm and margin ``Metric``
+(``total_through_embedder`` for the full arm with the euclidean margin, else
+``fused_<arm>_<margin>``). The CLI `grad-check` subcommand and the acceptance
+suite run every case on 20 instances; the unit tests run each on a few.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from .config import VARIANTS
 from .errors import ConfigError
-from .losses import (
-    LossConfig,
-    classification_loss,
-    margin_loss,
-    overconfidence_loss,
-    total_loss,
-)
+from .losses import (LossConfig, classification_loss, margin_loss, overconfidence_loss,
+                     total_loss)
 from .model import (Embedder, ReciprocalBank, bind_parameters, embed_backward, embed_forward,
                     flatten, unflatten)
 from .numerics import Metric, grad_check
@@ -33,11 +34,10 @@ DEFAULT_EPS = 1e-5
 class GradCaseResult:
     name: str
     max_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_error < self.tolerance
+        return self.max_error < DEFAULT_TOL
 
 
 def _random_instance(rng: np.random.Generator):
@@ -82,55 +82,55 @@ def _overconfidence_case(rng: np.random.Generator) -> float:
     return grad_check(value_at, logits.ravel(), grad.ravel(), DEFAULT_EPS)
 
 
-def _through_embedder_case(rng: np.random.Generator) -> float:
-    """Total loss backpropagated through a random 2-layer embedder, probed through
-    the ``model.bind_parameters`` vector so the optimizer's parameter layout is checked too."""
-    b = int(rng.integers(2, 6))
-    d_in = int(rng.integers(2, 5))
-    h = int(rng.integers(2, 6))
-    d = int(rng.integers(2, 5))
-    k = int(rng.integers(2, 5))
-    weights = [rng.standard_normal((d_in, h)), rng.standard_normal((h, d))]
-    biases = [rng.standard_normal(h), rng.standard_normal(d)]
-    embedder = Embedder(weights, biases)
-    bank = ReciprocalBank(rng.standard_normal((k, d)), rng.uniform(0.0, 2.0, k))
-    labels = rng.integers(0, k, b)
-    inputs = rng.standard_normal((b, d_in))
-    cfg = LossConfig(tau=1.0, alpha=0.1, beta=0.1, gap_threshold=0.25)
-    params = bind_parameters(embedder, bank)
+def _through_embedder_case(config: LossConfig) -> Callable[[np.random.Generator], float]:
+    """``total_loss`` under ``config`` backpropagated through a random 2-layer embedder,
+    probed through the ``model.bind_parameters`` vector that the optimizer steps on."""
 
-    def value_at(vec: np.ndarray) -> float:
-        params[...] = vec
-        feats, _ = embed_forward(embedder, inputs)
-        return total_loss(feats, bank, labels, cfg).value
+    def run(rng: np.random.Generator) -> float:
+        b = int(rng.integers(2, 6))
+        d_in = int(rng.integers(2, 5))
+        h = int(rng.integers(2, 6))
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 5))
+        weights = [rng.standard_normal((d_in, h)), rng.standard_normal((h, d))]
+        biases = [rng.standard_normal(h), rng.standard_normal(d)]
+        embedder = Embedder(weights, biases)
+        bank = ReciprocalBank(rng.standard_normal((k, d)), rng.uniform(0.0, 2.0, k))
+        labels = rng.integers(0, k, b)
+        inputs = rng.standard_normal((b, d_in))
+        params = bind_parameters(embedder, bank)
 
-    feats, cache = embed_forward(embedder, inputs)
-    out = total_loss(feats, bank, labels, cfg)
-    egrads, _ = embed_backward(cache, out.grad_features)
-    analytic = bind_parameters(egrads, ReciprocalBank(out.grad_points, out.grad_margins))
-    return grad_check(value_at, params, analytic, DEFAULT_EPS)  # grad_check copies params
+        def value_at(vec: np.ndarray) -> float:
+            params[...] = vec
+            feats, _ = embed_forward(embedder, inputs)
+            return total_loss(feats, bank, labels, config).value
+
+        feats, cache = embed_forward(embedder, inputs)
+        out = total_loss(feats, bank, labels, config)
+        egrads, _ = embed_backward(cache, out.grad_features)
+        analytic = bind_parameters(egrads, ReciprocalBank(out.grad_points, out.grad_margins))
+        return grad_check(value_at, params, analytic, DEFAULT_EPS)  # grad_check copies params
+
+    return run
 
 
 def gradient_cases() -> dict[str, Callable[[np.random.Generator], float]]:
-    cases: dict[str, Callable[[np.random.Generator], float]] = {
-        "classification_euclidean": _bank_loss_case(
-            lambda f, bank, y: classification_loss(f, bank, y, Metric.EUCLIDEAN, tau=1.3)
-        ),
-        "classification_angular": _bank_loss_case(
-            lambda f, bank, y: classification_loss(f, bank, y, Metric.ANGULAR, tau=1.3)
-        ),
-        "overconfidence": _overconfidence_case,
-        "total": _bank_loss_case(
-            lambda f, bank, y: total_loss(
-                f, bank, y, LossConfig(tau=1.0, alpha=0.1, beta=0.1, gap_threshold=0.25)
-            )
-        ),
-        "total_through_embedder": _through_embedder_case,
-    }
+    base = LossConfig(tau=1.0, alpha=0.1, beta=0.1, gap_threshold=0.25)
+    fused = {(arm, metric): _through_embedder_case(replace(base, **keys, margin_metric=metric))
+             for arm, keys in VARIANTS.items() for metric in Metric}
+    cases = {}
+    for metric in (Metric.EUCLIDEAN, Metric.ANGULAR):  # the classification metrics
+        cases[f"classification_{metric.value}"] = _bank_loss_case(
+            lambda f, bank, y, m=metric: classification_loss(f, bank, y, m, tau=1.3)
+        )
+    cases["overconfidence"] = _overconfidence_case
+    cases["total"] = _bank_loss_case(lambda f, bank, y: total_loss(f, bank, y, base))
+    cases["total_through_embedder"] = fused.pop(("full", Metric.EUCLIDEAN))
     for metric in Metric:
         cases[f"margin_{metric.value}"] = _bank_loss_case(
             lambda f, bank, y, m=metric: margin_loss(f, bank, y, m)
         )
+    cases.update({f"fused_{arm}_{metric.value}": case for (arm, metric), case in fused.items()})
     return cases
 
 
@@ -144,5 +144,5 @@ def run_gradient_suite(seed: int = 0, instances: int = 20) -> list[GradCaseResul
         worst = 0.0
         for _ in range(instances):
             worst = max(worst, case(rng))
-        results.append(GradCaseResult(name, worst, DEFAULT_TOL))
+        results.append(GradCaseResult(name, worst))
     return results

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .checks import run_gradient_suite
+from .checks import DEFAULT_TOL, run_gradient_suite
 from .config import (GRIDS, FullConfig, build_dataset, build_split, load_config, param_cells,
                      with_keys)
 from .data import save_features
@@ -130,7 +130,7 @@ def _cmd_grad_check(args) -> int:
     worst_failed = False
     for r in results:
         status = "ok  " if r.passed else "FAIL"
-        print(f"{status} {r.name:28s} max_rel_err={r.max_error:.3e} (tol {r.tolerance:g})")
+        print(f"{status} {r.name:28s} max_rel_err={r.max_error:.3e} (tol {DEFAULT_TOL:g})")
         worst_failed = worst_failed or not r.passed
     if worst_failed:
         raise NumericError("gradient check failed")

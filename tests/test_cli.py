@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from osrkit import checks
 from osrkit.cli import main
 from osrkit.config import (GRIDS, PRESETS, DataConfig, FullConfig, TrainConfig, _cast, key_text,
                            load_config, param_cells, with_keys)
@@ -432,6 +433,18 @@ class TestCli:
         assert main(["grad-check", "--instances", "2"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
+
+    def test_grad_check_failure_exit_two(self, capsys, monkeypatch):
+        # the cheapest real case and one whose gradient is wrong
+        cases = {"overconfidence": checks.gradient_cases()["overconfidence"],
+                 "wrong": lambda rng: 1.0}
+        monkeypatch.setattr(checks, "gradient_cases", lambda: cases)
+        assert main(["grad-check", "--instances", "1"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line[:5] for line in lines] == ["ok   ", "FAIL "]
+        assert lines[1] == f"FAIL {'wrong':28s} max_rel_err=1.000e+00 (tol 0.0001)"
+        assert captured.err == "numeric failure: gradient check failed\n"
 
     def test_missing_config_is_usage_error(self):
         assert main(["train"]) == 1

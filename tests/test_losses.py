@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osrkit.checks import DEFAULT_TOL, gradient_cases, run_gradient_suite
+from osrkit.config import VARIANTS
 from osrkit.errors import ConfigError, DataError, DegenerateInputError
 from osrkit.losses import (
     LossConfig,
@@ -22,7 +24,6 @@ from osrkit.numerics import (
     _log_softmax,
     _scores,
     _scores_backward,
-    grad_check,
     pairwise_scores,
 )
 
@@ -178,6 +179,11 @@ class TestMarginLoss:
         # class 0: two active samples -> -2/4; class 1: one active (last has d=0)
         np.testing.assert_allclose(out.grad_margins, [-0.5, -0.25])
 
+    def test_str_metric_rejected(self):
+        features, bank, labels = random_case(np.random.default_rng(8))
+        with pytest.raises(ConfigError, match="^unknown metric 'euclidean'$"):
+            margin_loss(features, bank, labels, "euclidean")
+
     @pytest.mark.parametrize("metric", list(Metric))
     def test_nonnegative(self, metric):
         rng = np.random.default_rng(7)
@@ -296,9 +302,15 @@ class TestTotalLoss:
         )
         assert out.value == pytest.approx(cls.value + oc_value, abs=1e-12)
 
-    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.ANGULAR])
-    @pytest.mark.parametrize("alpha,beta", [(0.1, 0.3), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0)])
-    def test_fused_gradients_equal_sum_of_parts(self, metric, alpha, beta):
+    @pytest.mark.parametrize("alpha,beta,metric,margin_metric", [
+        # a margin other than the default euclidean one adds itself to the id; at alpha = 0
+        # the margin term is weighted out, so only the default margin runs there
+        pytest.param(alpha, beta, metric, margin, id=f"{alpha}-{beta}-{metric}" + (
+            "" if margin is Metric.EUCLIDEAN else f"-{margin}"))
+        for margin in Metric for metric in (Metric.EUCLIDEAN, Metric.ANGULAR)
+        for alpha, beta in [(0.1, 0.3), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0)]
+        if alpha or margin is Metric.EUCLIDEAN])
+    def test_fused_gradients_equal_sum_of_parts(self, alpha, beta, metric, margin_metric):
         # total_loss scores once and runs one backward; its gradients must
         # match the unfused definition built from the loss terms and a
         # separate score backward.
@@ -307,7 +319,7 @@ class TestTotalLoss:
         for _ in range(20):
             features, bank, labels = random_case(rng)
             cfg = LossConfig(tau=1.3, alpha=alpha, beta=beta, gap_threshold=0.1,
-                             classification_metric=metric)
+                             classification_metric=metric, margin_metric=margin_metric)
             out = total_loss(features, bank, labels, cfg)
             cls = classification_loss(features, bank, labels, metric, cfg.tau)
             mar = margin_loss(features, bank, labels, cfg.margin_metric)
@@ -340,55 +352,24 @@ class TestTotalLoss:
 
 
 class TestLossGradients:
-    """Finite-difference verification on >= 20 seeded random instances."""
+    """The grad-check suite's cases, each on a few instances from a seed of its own."""
 
-    def _flatten_case(self, loss_fn, features, bank, labels):
-        b, d = features.shape
-        k = bank.num_classes
-
-        def value_at(vec):
-            f = vec[: b * d].reshape(b, d)
-            p = vec[b * d : b * d + k * d].reshape(k, d)
-            m = vec[b * d + k * d :]
-            return loss_fn(f, ReciprocalBank(p, m), labels).value
-
-        out = loss_fn(features, bank, labels)
-        x0 = np.concatenate([features.ravel(), bank.points.ravel(), bank.margins])
-        analytic = np.concatenate(
-            [out.grad_features.ravel(), out.grad_points.ravel(), out.grad_margins]
-        )
-        return value_at, x0, analytic
-
-    @pytest.mark.parametrize(
-        "name,loss_fn",
-        [
-            ("cls_euclidean", lambda f, b, y: classification_loss(f, b, y, Metric.EUCLIDEAN, 1.3)),
-            ("cls_angular", lambda f, b, y: classification_loss(f, b, y, Metric.ANGULAR, 1.3)),
-            ("margin_euclidean", lambda f, b, y: margin_loss(f, b, y, Metric.EUCLIDEAN)),
-            ("margin_angular", lambda f, b, y: margin_loss(f, b, y, Metric.ANGULAR)),
-            ("margin_manhattan", lambda f, b, y: margin_loss(f, b, y, Metric.MANHATTAN)),
-            ("margin_chebyshev", lambda f, b, y: margin_loss(f, b, y, Metric.CHEBYSHEV)),
-            ("total", lambda f, b, y: total_loss(f, b, y, LossConfig(gap_threshold=0.25))),
-        ],
-    )
-    def test_loss_gradients(self, name, loss_fn):
+    @pytest.mark.parametrize("name", list(gradient_cases()))
+    def test_loss_gradients(self, name):
+        case = gradient_cases()[name]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        for _ in range(20):
-            features, bank, labels = random_case(rng)
-            value_at, x0, analytic = self._flatten_case(loss_fn, features, bank, labels)
-            assert grad_check(value_at, x0, analytic, 1e-5) < 1e-4
+        for _ in range(3):
+            assert case(rng) < DEFAULT_TOL
 
-    def test_overconfidence_gradient(self):
-        rng = np.random.default_rng(77)
-        for _ in range(20):
-            b, k = int(rng.integers(1, 9)), int(rng.integers(2, 6))
-            logits = rng.standard_normal((b, k)) * 2
-            threshold = float(rng.uniform(0, 1.5))
-            _, grad = overconfidence_loss(logits, threshold)
-            err = grad_check(
-                lambda v: overconfidence_loss(v.reshape(b, k), threshold)[0],
-                logits.ravel(),
-                grad.ravel(),
-                1e-5,
-            )
-            assert err < 1e-4
+    def test_case_list_follows_the_arms_and_metrics(self):
+        names = [r.name for r in run_gradient_suite(instances=1)]
+        assert names[:9] == [
+            "classification_euclidean", "classification_angular", "overconfidence", "total",
+            "total_through_embedder", "margin_euclidean", "margin_angular", "margin_manhattan",
+            "margin_chebyshev",
+        ]
+        # one through-embedder case per (arm, margin metric); full x euclidean keeps its old name
+        fused = ["total_through_embedder" if (arm, m) == ("full", Metric.EUCLIDEAN)
+                 else f"fused_{arm}_{m.value}" for arm in VARIANTS for m in Metric]
+        through = [n for n in names if n.startswith("fused_") or n == "total_through_embedder"]
+        assert sorted(through) == sorted(fused)
