@@ -28,7 +28,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import Metric, grad_check, pairwise_scores
-from .train import TrainHistory, sweep, train
+from .train import sweep, train
 
 __all__ = [
     "EvalReport",
@@ -42,7 +42,6 @@ __all__ = [
     "ReciprocalBank",
     "SplitSpec",
     "TrainConfig",
-    "TrainHistory",
     "apply_split",
     "auroc",
     "classification_logits",

@@ -136,14 +136,18 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     return _curve_area(curve), curve
 
 
-def _features(embedder: Embedder, inputs: np.ndarray) -> np.ndarray:
-    """``embed_forward``'s features, in near-equal blocks of at most 1,024 rows: one pass over
-    8k rows made megabyte temporaries whose page faults came and went with the heap layout,
-    slowing ``evaluate`` up to 1.5x. No block has one row, which would round differently."""
-    if len(inputs) <= 1024:
-        return embed_forward(embedder, inputs)[0]
-    return np.vstack([embed_forward(embedder, block)[0]
-                      for block in np.array_split(inputs, -(-len(inputs) // 1024))])
+def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
+                 config: LossConfig) -> np.ndarray:
+    """The classification logits of ``inputs``: ``embed_forward``, then ``classification_logits``,
+    in near-equal blocks of at most 1,024 rows. One pass over 8k rows made megabyte temporaries
+    (the euclidean score's B x K x D difference among them) whose page faults came and went
+    with the heap layout. No block has one row, which would round differently."""
+    blocks = np.array_split(inputs, max(1, -(-len(inputs) // 1024)))
+    return np.vstack([
+        classification_logits(embed_forward(embedder, block)[0], bank,
+                              config.classification_metric, config.tau)
+        for block in blocks
+    ])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite features check reports it once
@@ -157,16 +161,11 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
     n_known, n_unknown = len(split.test_known), len(split.test_unknown)
     if n_known == 0 or n_unknown == 0:
         raise EvalError("split must contain known and unknown test samples")
-    logits = np.vstack([
-        classification_logits(
-            _features(embedder, part.inputs), bank, config.classification_metric, config.tau
-        )
-        for part in (split.test_known, split.test_unknown)
-    ])
-    is_known = np.arange(n_known + n_unknown) < n_known
+    logits = np.vstack([model_logits(embedder, bank, part.inputs, config)
+                        for part in (split.test_known, split.test_unknown)])
+    k = np.arange(n_known + n_unknown) < n_known
     correct = predict_closed(logits) == np.append(split.test_known.labels, np.full(n_unknown, -1))
-    s, k = _as_score_flags(openset_score(logits), is_known)
-    runs = _runs(s)
+    runs = _runs(openset_score(logits))
     oscr_curve = _sweep(runs, k & correct, k)
     return EvalReport(float(correct[:n_known].mean()), _auroc(runs, k), _curve_area(oscr_curve),
                       _sweep(runs, k, k), oscr_curve)

@@ -48,11 +48,10 @@ class LossConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be >= 0, got {v}")
-        if self.classification_metric not in (Metric.EUCLIDEAN, Metric.ANGULAR):
-            raise ConfigError(
-                "classification_metric must be euclidean or angular, got "
-                f"{self.classification_metric}"
-            )
+        metric = self.classification_metric
+        if metric not in (Metric.EUCLIDEAN, Metric.ANGULAR):
+            raise ConfigError("classification_metric must be euclidean or angular, got "
+                              f"{getattr(metric, 'value', metric)}")
         if not isinstance(self.margin_metric, Metric):
             raise ConfigError(f"bad margin_metric {self.margin_metric!r}")
 

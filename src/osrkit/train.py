@@ -10,14 +10,14 @@ float64 vectors bound before the first step; a step computes each loss piece onc
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TrainConfig, key_text, with_keys
 from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
-from .evaluate import evaluate, predict_closed
-from .losses import LossConfig, _check_labels, _total, classification_logits
+from .evaluate import evaluate, model_logits, predict_closed
+from .losses import _check_labels, _total
 from .model import (Embedder, ReciprocalBank, _backward_into, bind_parameters, embed_forward,
                     init_model)
 from .numerics import as_matrix
@@ -31,14 +31,6 @@ class EpochRecord:
     margin: float
     overconfidence: float
     val_accuracy: float  # on split.test_known (no held-out split); nan if not evaluated
-
-
-@dataclass
-class TrainHistory:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class SGD:
@@ -79,26 +71,14 @@ class Adam:
         self.params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
-def make_optimizer(config: TrainConfig, params: np.ndarray):
-    """The configured optimizer, made on ``params``."""
-    optimizer = SGD if config.optimizer == "sgd" else Adam
-    return optimizer(config.learning_rate, params)
-
-
 def optimizer_step(optimizer, bank: ReciprocalBank, grads: np.ndarray) -> None:
     """Step ``optimizer`` on its ``bind_parameters`` vector, then clamp ``bank``'s margins."""
     optimizer.step(grads)
     bank.project_margins()
 
 
-def _validation_accuracy(embedder, bank, dataset, loss_cfg: LossConfig) -> float:
-    feats, _ = embed_forward(embedder, dataset.inputs)
-    logits = classification_logits(feats, bank, loss_cfg.classification_metric, loss_cfg.tau)
-    return float((predict_closed(logits) == dataset.labels).mean())
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite loss check reports it once
-def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHistory]:
+def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[EpochRecord]]:
     """Fit the embedder and bank on split.train; deterministic per config. The inputs
     are validated once; the steps run the unchecked loss and backward cores."""
     config.validate()
@@ -112,12 +92,13 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
     inputs = as_matrix(split.train.inputs, "training inputs")
     labels = _check_labels(split.train.labels, k, n)
     embedder, bank = init_model(config.model, k)
-    optimizer = make_optimizer(config, bind_parameters(embedder, bank))
+    optimizer_class = SGD if config.optimizer == "sgd" else Adam
+    optimizer = optimizer_class(config.learning_rate, bind_parameters(embedder, bank))
     # the gradients, bound like the parameters; each step overwrites every array
     grad_embedder, grad_bank = init_model(config.model, k)
     grads = bind_parameters(grad_embedder, grad_bank)
     rng = np.random.default_rng(int(config.seed))
-    history = TrainHistory()
+    history: list[EpochRecord] = []
     alpha, beta = config.loss.alpha, config.loss.beta
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -141,16 +122,18 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, TrainHi
         if isinstance(optimizer, Adam) and not np.isfinite(optimizer.v).all():
             raise NumericError(f"non-finite Adam second moment at epoch {epoch}")
         cls, mar, oc = sum_cls / n, sum_mar / n, sum_oc / n
-        due = (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
-        acc = _validation_accuracy(embedder, bank, split.test_known, config.loss) if due else math.nan
-        history.records.append(EpochRecord(epoch, cls + alpha * mar + beta * oc, cls, mar, oc, acc))
+        acc = math.nan  # on split.test_known, scored as ``evaluate`` scores it
+        if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+            logits = model_logits(embedder, bank, split.test_known.inputs, config.loss)
+            acc = float((predict_closed(logits) == split.test_known.labels).mean())
+        history.append(EpochRecord(epoch, cls + alpha * mar + beta * oc, cls, mar, oc, acc))
     return embedder, bank, history
 
 
-def write_history_csv(path, history: TrainHistory) -> None:
+def write_history_csv(path, history: list[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,total,cls,amc,coc,val_acc\n")
-        for r in history.records:
+        for r in history:
             fh.write(
                 f"{r.epoch},{r.total:.17g},{r.classification:.17g},{r.margin:.17g},"
                 f"{r.overconfidence:.17g},{r.val_accuracy:.17g}\n"

@@ -111,6 +111,26 @@ UNREADABLE_CONFIGS = {
     "percent_value": b"[train]\nlearning_rate = 5%\n",
 }
 
+# One value that a config check rejects, per "section.key": (value, the error's message).
+BAD_CONFIG_VALUES = {
+    "train.epochs": ("-3", "epochs must be >= 0, got -3"),
+    "train.batch_size": ("0", "batch_size must be >= 1, got 0"),
+    "train.learning_rate": ("0", "learning_rate must be > 0, got 0.0"),
+    "train.optimizer": ("rmsprop", "optimizer must be adam or sgd, got 'rmsprop'"),
+    "train.eval_every": ("0", "eval_every must be >= 1, got 0"),
+    "model.seed": ("-1", "seed must be non-negative, got -1"),
+    "loss.alpha": ("-1", "alpha must be >= 0, got -1.0"),
+    "loss.beta": ("-1", "beta must be >= 0, got -1.0"),
+    "loss.gap_threshold": ("-0.5", "gap_threshold must be >= 0, got -0.5"),
+    "loss.classification_metric": (
+        "manhattan", "classification_metric must be euclidean or angular, got manhattan"),
+    "data.samples_per_class": ("0", "samples_per_class must be >= 1"),
+    "data.dim": ("1", "dim must be >= 2"),
+    "data.num_groups": ("0", "num_groups must be >= 1"),
+    "data.test_fraction": ("1", "test_fraction must be in (0, 1), got 1.0"),
+    "data.hard": ("maybe", "bad value for hard: 'maybe' (not a boolean: maybe)"),
+}
+
 # (command line after --config/--out, (old, new) edit of FAST_CONFIG or None)
 DATA_SEED = ("hard = false\nseed = 0", "hard = false\nseed = -3")
 NEGATIVE_SEEDS = {
@@ -452,10 +472,15 @@ class TestCli:
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["train", "--bogus"]) == 1
 
-    def test_bad_config_value_exit_one(self, tmp_path):
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
+    def test_bad_config_value_exit_one(self, tmp_path, capsys, name):
+        section, key = name.split(".")
+        value, message = BAD_CONFIG_VALUES[name]
         path = tmp_path / "bad.ini"
-        path.write_text("[train]\nepochs = -3\n[data]\nsamples_per_class = 4\n")
+        path.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
     def test_unreadable_config_exit_one(self, tmp_path, capsys, name):

@@ -1,5 +1,6 @@
 import functools
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from osrkit.errors import EvalError, UsageError
 from osrkit.evaluate import (
     auroc,
     evaluate,
+    model_logits,
     openset_score,
     oscr,
     predict_closed,
@@ -22,8 +24,9 @@ from osrkit.evaluate import (
     write_oscr_csv,
     write_roc_csv,
 )
-from osrkit.losses import LossConfig
-from osrkit.model import Embedder, ModelConfig, ReciprocalBank, init_model
+from osrkit.losses import LossConfig, classification_logits
+from osrkit.model import Embedder, ModelConfig, ReciprocalBank, embed_forward, init_model
+from osrkit.numerics import Metric
 from osrkit.train import train
 
 
@@ -115,10 +118,6 @@ class TestPredictClosed:
             predict_closed(np.zeros((0, 3)))
 
     def test_scale_invariant_labels_under_angular_scoring(self):
-        from osrkit.losses import classification_logits
-        from osrkit.model import ReciprocalBank
-        from osrkit.numerics import Metric
-
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((10, 4))
         bank = ReciprocalBank(rng.standard_normal((3, 4)), np.zeros(3))
@@ -316,6 +315,13 @@ def split():
     return benchmark_split(seed=0)
 
 
+@pytest.fixture(scope="module")
+def large():
+    """A split whose test sets have 1,400 rows each: two scoring blocks apiece."""
+    return apply_split(gen_synthetic(6, 700, 8, 5.0, 1.0, seed=0, hard=True),
+                       SplitSpec([0, 1, 2, 3], [4, 5]), 0.5, 0)
+
+
 class TestEvaluate:
 
     def test_deterministic(self, split):
@@ -338,28 +344,50 @@ class TestEvaluate:
     def test_matches_per_set_scoring(self, split):
         self.check_matches_per_set_scoring(split)
 
-    def test_matches_per_set_scoring_across_forward_blocks(self):
-        """Parts of 1,400 rows run the forward pass in two blocks each."""
-        large = apply_split(gen_synthetic(6, 700, 8, 5.0, 1.0, seed=0, hard=True),
-                            SplitSpec([0, 1, 2, 3], [4, 5]), 0.5, 0)
+    def test_matches_per_set_scoring_across_forward_blocks(self, large):
         assert len(large.test_known) == len(large.test_unknown) == 1400
         self.check_matches_per_set_scoring(large)
 
-    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049, 4000])
-    def test_blocked_features_equal_one_pass(self, rows):
-        from osrkit.evaluate import _features
-        from osrkit.model import embed_forward
-
-        emb, _ = init_model(ModelConfig([8, 32, 8], seed=4), 4)
+    @pytest.mark.parametrize("metric", [Metric.ANGULAR, Metric.EUCLIDEAN])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 4000, 9000])
+    def test_model_logits_equal_one_pass(self, metric, rows):
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=4), 4)
+        cfg = LossConfig(tau=3.0, classification_metric=metric)
         x = np.random.default_rng(rows).standard_normal((rows, 8)) * 10
-        assert _features(emb, x).tobytes() == embed_forward(emb, x)[0].tobytes()
+        one_pass = classification_logits(embed_forward(emb, x)[0], bank, metric, cfg.tau)
+        assert model_logits(emb, bank, x, cfg).tobytes() == one_pass.tobytes()
+
+    def test_euclidean_peak_memory_at_angular_level(self):
+        """The blocks bound the euclidean score's B x K x D difference as they bound the
+        forward pass's temporaries: a one-pass score on 8k rows peaked about 1.7x higher."""
+        split = apply_split(gen_synthetic(6, 4000, 8, 5.0, 1.0, seed=0),
+                            SplitSpec([0, 1, 2, 3], [4, 5]), 0.5, 0)
+        assert len(split.test_known) == len(split.test_unknown) == 8000
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for metric in (Metric.EUCLIDEAN, Metric.ANGULAR):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                evaluate(emb, bank, split, LossConfig(classification_metric=metric))
+                peaks[metric] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks[Metric.EUCLIDEAN] <= 1.25 * peaks[Metric.ANGULAR], peaks
+
+    @pytest.mark.parametrize("variant", ["full", "euclidean"])
+    def test_train_accuracy_is_evaluate_accuracy(self, large, variant):
+        """``train``'s last per-epoch accuracy and ``evaluate``'s come from one scorer."""
+        cfg = with_keys(TrainConfig(ModelConfig([8, 16, 8]), epochs=2, batch_size=64),
+                        {**VARIANTS[variant], "gap_threshold": 0.25, "eval_every": 5})
+        emb, bank, history = train(large, cfg)
+        report = evaluate(emb, bank, large, cfg.loss)
+        assert history[-1].val_accuracy.hex() == report.closed_accuracy.hex()
 
     @staticmethod
     def check_matches_per_set_scoring(split):
         """evaluate's report equals scoring each test set in one forward pass, bit for bit."""
-        from osrkit.losses import classification_logits
-        from osrkit.model import embed_forward
-
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=2), 4)
         cfg = LossConfig()
         report = evaluate(emb, bank, split, cfg)

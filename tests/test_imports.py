@@ -1,5 +1,6 @@
-"""The import rule of the package: a module imports no private name of another module,
-apart from the unchecked kernel cores that a caller runs after validating once."""
+"""The import rules of the package: a module imports no private name of another module,
+apart from the unchecked kernel cores that a caller runs after validating once, and
+every name a module imports is used there or re-exported."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,24 @@ def test_only_kernel_cores_cross_modules():
     stray = [f"{importer}: from .{module} import {name}" for importer, module, name in found
              if (importer, module, "*") not in ALLOWED and (importer, module, name) not in ALLOWED]
     assert stray == []
+
+
+def unused_imports():
+    """(module, name) for each name a module's top-level import binds that the module
+    neither reads nor lists in its ``__all__``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+        found += [(path.stem, name) for name in bound if name not in read | exported]
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

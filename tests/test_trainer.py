@@ -23,7 +23,6 @@ from osrkit.train import (
     Adam,
     SGD,
     EpochRecord,
-    make_optimizer,
     optimizer_step,
     sweep,
     train,
@@ -80,7 +79,7 @@ def train_per_step_public(split, config):
     Returns (embedder, bank, history records)."""
     embedder, bank = init_model(config.model, split.num_known)
     params = bind_parameters(embedder, bank)
-    optimizer = make_optimizer(config, params)
+    optimizer = (SGD if config.optimizer == "sgd" else Adam)(config.learning_rate, params)
     rng = np.random.default_rng(int(config.seed))
     n = len(split.train)
     records = []
@@ -255,7 +254,7 @@ def model_bytes(embedder, bank) -> bytes:
 def assert_matches_reference(split, config, embedder, bank, history):
     want_bytes, want_records = reference_train(split, config)
     assert model_bytes(embedder, bank) == want_bytes
-    for got, want in zip(history.records, want_records, strict=True):
+    for got, want in zip(history, want_records, strict=True):
         assert np.array(dataclasses.astuple(got)).tobytes() == np.array(want).tobytes()
 
 
@@ -370,7 +369,7 @@ class TestTrain:
             assert a.tobytes() == b.tobytes()
         assert r1[1].points.tobytes() == r2[1].points.tobytes()
         assert r1[1].margins.tobytes() == r2[1].margins.tobytes()
-        for ra, rb in zip(r1[2].records, r2[2].records):
+        for ra, rb in zip(r1[2], r2[2], strict=True):
             assert np.array_equal(
                 np.array([ra.epoch, ra.total, ra.classification, ra.margin,
                           ra.overconfidence, ra.val_accuracy]),
@@ -384,7 +383,7 @@ class TestTrain:
         cfg = small_config(epochs=5, alpha=0.2, beta=0.3, gap_threshold=0.1)
         emb, bank, history = train(split, cfg)
         assert len(history) == 5
-        for r in history.records:
+        for r in history:
             expected = r.classification + 0.2 * r.margin + 0.3 * r.overconfidence
             assert r.total == pytest.approx(expected, abs=1e-12)
         assert (bank.margins >= 0).all()
@@ -393,7 +392,7 @@ class TestTrain:
         split = benchmark_split(seed=0)
         cfg = benchmark_config("full", seed=0)
         _, _, history = train(split, cfg)
-        assert history.records[-1].classification < history.records[0].classification
+        assert history[-1].classification < history[0].classification
 
     def test_input_dim_mismatch(self):
         split = small_split()
@@ -407,7 +406,7 @@ class TestTrain:
         cfg = small_config(epochs=5)
         cfg.eval_every = 2
         _, _, history = train(split, cfg)
-        evaluated = [i for i, r in enumerate(history.records) if not np.isnan(r.val_accuracy)]
+        evaluated = [i for i, r in enumerate(history) if not np.isnan(r.val_accuracy)]
         assert evaluated == [1, 3, 4]  # every 2nd epoch plus the last
 
     def test_history_csv(self, tmp_path):
@@ -464,7 +463,7 @@ class TestTrain:
             return
         emb, bank, history = train(split, cfg)
         assert model_bytes(emb, bank) == model_bytes(*oracle[:2])
-        for got, want in zip(history.records, oracle[2], strict=True):
+        for got, want in zip(history, oracle[2], strict=True):
             assert np.array(dataclasses.astuple(got)).tobytes() == \
                 np.array(dataclasses.astuple(want)).tobytes()
         assert_matches_reference(split, cfg, emb, bank, history)
