@@ -77,7 +77,7 @@ class TrainConfig:
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"train seed must be non-negative, got {self.seed}")
         if self.loss.classification_metric is Metric.ANGULAR and self.model.layer_dims[-1] == 1:
             raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
 
@@ -153,16 +153,15 @@ def _metric(raw: str) -> Metric:
 
 
 # Per type of a key's value: how its text is read, and which sweep values may fill it.
-_KINDS = {bool: (_bool, numbers.Integral), int: (int, numbers.Integral),
-          float: (float, numbers.Real), Metric: (_metric, Metric), str: (str, str),
+_KINDS = {bool: (_bool, numbers.Integral), numbers.Integral: (int, numbers.Integral),
+          numbers.Real: (float, numbers.Real), Metric: (_metric, Metric), str: (str, str),
           type(None): (str, type(None)), list: (_int_list, list)}
 _SECTIONS = ("model", "loss", "train", "data")
 
 
 def _kind(current: object) -> tuple:
-    """``current``'s entry: its first ``_KINDS`` type, else no cast and only its own type."""
-    return next((kind for t, kind in _KINDS.items() if isinstance(current, t)),
-                (None, type(current)))
+    """``current``'s entry: that of its first ``_KINDS`` type."""
+    return next(kind for t, kind in _KINDS.items() if isinstance(current, t))
 
 
 def _cast(key: str, current: object, raw: str) -> object:

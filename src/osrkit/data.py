@@ -149,7 +149,7 @@ def _class_directions(
 def _seeded_rng(seed: int) -> np.random.Generator:
     seed = int(seed)
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"data seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -321,4 +321,7 @@ def _load_binary(path) -> LabeledDataset:
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}: row {int(np.argmin(finite))} contains non-finite values")
+    negative = (ints < 0).any(axis=0)
+    if negative.any():
+        raise DataError(f"{path}: row {int(np.argmax(negative))} has a negative label or group")
     return LabeledDataset(feats, ints[0], ints[1])

@@ -2,11 +2,11 @@
 
 The open-set score of a sample is its maximum classification logit;
 higher means more known-like, and no threshold is ever baked in. One
-stable descending sort serves every metric: counts read at the last
-sample of each run of tied scores give the ROC and OSCR curves as
-(T+1)x3 float64 arrays with every distinct score a threshold, and the
-runs' mean ranks give AUROC as the Mann-Whitney statistic (ties credited
-0.5), cross-checked in tests against the trapezoid under the ROC curve.
+stable descending sort and one count of unknowns, knowns and hits per
+run of tied scores serve every metric: the ROC and OSCR curves, as
+(T+1)x3 float64 arrays with every distinct score a threshold, and AUROC
+as the Mann-Whitney U in integer counts (ties credited 0.5),
+cross-checked in tests against the trapezoid under the ROC curve.
 OSCR integrates the correct classification rate on knowns against the
 false positive rate on unknowns.
 """
@@ -65,25 +65,28 @@ def _as_score_flags(scores, is_known) -> tuple[np.ndarray, np.ndarray]:
     return s, k
 
 
-def _runs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One stable descending sort of ``s``: the order, and each tie run's last index and score."""
+def _sweep(s: np.ndarray, k: np.ndarray, hits: np.ndarray) -> tuple[Curve, Curve, float]:
+    """One stable descending sort of ``s`` and one count per tie run: the ROC curve, the curve
+    of ``hits`` and AUROC. Curves have (threshold, fpr, rate) rows from (+inf, 0, 0), one per
+    distinct score, descending; fpr and rate count the unknowns and the knowns (ROC) or hits
+    scoring >= the threshold, over all unknowns and all knowns. AUROC is the Mann-Whitney U:
+    per run, its unknowns times (the knowns above it plus half those in it), in integers."""
     order = np.argsort(-s, kind="stable")
     desc = s[order]
     last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
     zero_signs = np.signbit(desc[desc == 0])
     mixed = 0 < zero_signs.sum() < zero_signs.size  # a 0.0/-0.0 run: name it as np.unique does
-    return order, last, np.unique(s)[::-1] if mixed else desc[last]
-
-
-def _sweep(runs, hits: np.ndarray, k: np.ndarray) -> Curve:
-    """(threshold, fpr, rate) rows from (+inf, 0, 0), one per distinct score, descending; rate
-    is the share of knowns that are hits scoring >= the threshold, fpr that of unknowns."""
-    order, last, thresholds = runs
-    curve = np.full((last.size + 1, 3), (np.inf, 0.0, 0.0))
-    curve[1:, 0] = thresholds
-    curve[1:, 1] = np.cumsum(~k[order])[last] / int((~k).sum())
-    curve[1:, 2] = np.cumsum(hits[order])[last] / int(k.sum())
-    return curve
+    knowns = np.cumsum(k[order])[last]
+    unknowns = last + 1 - knowns
+    n_known, n_unknown = int(knowns[-1]), int(unknowns[-1])
+    roc, rate = curves = np.empty((2, last.size + 1, 3))
+    curves[:, 0] = (np.inf, 0.0, 0.0)
+    roc[1:, 0] = rate[1:, 0] = np.unique(s)[::-1] if mixed else desc[last]
+    roc[1:, 1] = rate[1:, 1] = unknowns / n_unknown
+    roc[1:, 2] = knowns / n_known
+    rate[1:, 2] = np.cumsum(hits[order])[last] / n_known
+    twice_u = (np.diff(unknowns, prepend=0) * (2 * knowns - np.diff(knowns, prepend=0))).sum()
+    return roc, rate, float(twice_u / 2 / (n_known * n_unknown))
 
 
 def _curve_area(curve: Curve) -> float:
@@ -92,27 +95,17 @@ def _curve_area(curve: Curve) -> float:
     return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) * 0.5).sum())
 
 
-def _auroc(runs, k: np.ndarray) -> float:
-    """Mann-Whitney AUROC from the tie runs; its half-integer terms sum exactly in any order."""
-    order, last, _ = runs
-    n, n_known = k.size, int(k.sum())
-    known_in_run = np.diff(np.cumsum(k[order])[last], prepend=0)
-    mean_rank = n - (np.append(0, last[:-1] + 1) + last) / 2  # ascending ranks n-last..n-first
-    u = (known_in_run * mean_rank).sum() - n_known * (n_known + 1) / 2.0
-    return float(u / (n_known * (n - n_known)))
-
-
 def auroc(scores, is_known) -> float:
     """Rank-based AUROC of known-vs-unknown detection, ties credited 0.5."""
     s, k = _as_score_flags(scores, is_known)
-    return _auroc(_runs(s), k)
+    return _sweep(s, k, k)[2]
 
 
 def roc_points(scores, is_known) -> Curve:
     """Exact ROC sweep: (threshold, fpr, tpr) rows from (+inf, 0, 0), one per distinct
     score, descending; a sample is predicted known when its score is >= the threshold."""
     s, k = _as_score_flags(scores, is_known)
-    return _sweep(_runs(s), k, k)
+    return _sweep(s, k, k)[0]
 
 
 def roc_auc_trapezoid(scores, is_known) -> float:
@@ -132,7 +125,7 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     y = np.asarray(true_labels)
     if y.shape != (z.shape[0],):
         raise EvalError(f"true_labels must have length {z.shape[0]}")
-    curve = _sweep(_runs(s), k & (predict_closed(z) == y), k)
+    curve = _sweep(s, k, k & (predict_closed(z) == y))[1]
     return _curve_area(curve), curve
 
 
@@ -165,10 +158,9 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
                         for part in (split.test_known, split.test_unknown)])
     k = np.arange(n_known + n_unknown) < n_known
     correct = predict_closed(logits) == np.append(split.test_known.labels, np.full(n_unknown, -1))
-    runs = _runs(openset_score(logits))
-    oscr_curve = _sweep(runs, k & correct, k)
-    return EvalReport(float(correct[:n_known].mean()), _auroc(runs, k), _curve_area(oscr_curve),
-                      _sweep(runs, k, k), oscr_curve)
+    roc_curve, oscr_curve, auroc_value = _sweep(openset_score(logits), k, k & correct)
+    return EvalReport(float(correct[:n_known].mean()), auroc_value, _curve_area(oscr_curve),
+                      roc_curve, oscr_curve)
 
 
 def _write_curve_csv(path, header: str, curve) -> None:

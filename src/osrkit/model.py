@@ -34,7 +34,7 @@ class ModelConfig:
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):
             raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
         if int(self.seed) < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"model seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -111,14 +111,15 @@ UNREADABLE_CONFIGS = {
     "percent_value": b"[train]\nlearning_rate = 5%\n",
 }
 
-# One value that a config check rejects, per "section.key": (value, the error's message).
+# One value that a config check rejects, per "section.key" (a "#" suffix tells two values of
+# one key apart): (value, the error's message).
 BAD_CONFIG_VALUES = {
     "train.epochs": ("-3", "epochs must be >= 0, got -3"),
     "train.batch_size": ("0", "batch_size must be >= 1, got 0"),
     "train.learning_rate": ("0", "learning_rate must be > 0, got 0.0"),
     "train.optimizer": ("rmsprop", "optimizer must be adam or sgd, got 'rmsprop'"),
     "train.eval_every": ("0", "eval_every must be >= 1, got 0"),
-    "model.seed": ("-1", "seed must be non-negative, got -1"),
+    "model.seed": ("-1", "model seed must be non-negative, got -1"),
     "loss.alpha": ("-1", "alpha must be >= 0, got -1.0"),
     "loss.beta": ("-1", "beta must be >= 0, got -1.0"),
     "loss.gap_threshold": ("-0.5", "gap_threshold must be >= 0, got -0.5"),
@@ -129,17 +130,21 @@ BAD_CONFIG_VALUES = {
     "data.num_groups": ("0", "num_groups must be >= 1"),
     "data.test_fraction": ("1", "test_fraction must be in (0, 1), got 1.0"),
     "data.hard": ("maybe", "bad value for hard: 'maybe' (not a boolean: maybe)"),
+    "data.known_classes": ("0", "need at least 2 known classes"),
+    "data.known_classes#duplicate": ("0,0,1", "duplicate class ids in split spec"),
 }
 
-# (command line after --config/--out, (old, new) edit of FAST_CONFIG or None)
+# (command line after --config/--out, (old, new) edit of FAST_CONFIG or None, the message)
 DATA_SEED = ("hard = false\nseed = 0", "hard = false\nseed = -3")
+FLAG_SEED = "argument --seed: seed must be a non-negative integer, got '-1'"
 NEGATIVE_SEEDS = {
-    "gen-data --seed": (["gen-data", "--seed", "-1"], None),
-    "train --seed": (["train", "--seed", "-1"], None),
-    "grad-check --seed": (["grad-check", "--seed", "-1"], None),
-    "gen-data [data] seed": (["gen-data"], DATA_SEED),
-    "train [data] seed": (["train"], DATA_SEED),
-    "train [train] seed": (["train"], ("batch_size = 8\nseed = 0", "batch_size = 8\nseed = -2")),
+    "gen-data --seed": (["gen-data", "--seed", "-1"], None, FLAG_SEED),
+    "train --seed": (["train", "--seed", "-1"], None, FLAG_SEED),
+    "grad-check --seed": (["grad-check", "--seed", "-1"], None, FLAG_SEED),
+    "gen-data [data] seed": (["gen-data"], DATA_SEED, "data seed must be non-negative, got -3"),
+    "train [data] seed": (["train"], DATA_SEED, "data seed must be non-negative, got -3"),
+    "train [train] seed": (["train"], ("batch_size = 8\nseed = 0", "batch_size = 8\nseed = -2"),
+                           "train seed must be non-negative, got -2"),
 }
 
 
@@ -391,22 +396,34 @@ class TestCli:
         assert lines[2].startswith("2,") and "error" not in lines[2]
         assert "epochs must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("param,tail", [
-        pytest.param("epochs=abc,x", ["--grid", "custom"], id="epochs=abc,x"),
-        pytest.param("epochs=2.5", ["--grid", "custom"], id="epochs=2.5"),
-        pytest.param("margin_metric=bogus", ["--grid", "custom"], id="margin_metric=bogus"),
-        pytest.param("alpha=0.05,0.5", [], id="param-without-custom-grid"),
-        pytest.param("alpha=0.05", ["--grid", "custom", "--param", "alpha=0.5,0.7"],
-                     id="param-given-twice"),
-        pytest.param("layer_dims=8", ["--grid", "custom"], id="list-field"),
+    @pytest.mark.parametrize("args,message", [
+        pytest.param(["--grid", "custom", "--param", "epochs=abc,x"],
+                     "bad value for epochs: 'abc' (invalid literal for int() with base 10: 'abc')",
+                     id="epochs=abc,x"),
+        pytest.param(["--grid", "custom", "--param", "epochs=2.5"],
+                     "bad value for epochs: '2.5' (invalid literal for int() with base 10: '2.5')",
+                     id="epochs=2.5"),
+        pytest.param(["--grid", "custom", "--param", "margin_metric=bogus"],
+                     "bad value for margin_metric: 'bogus' (unknown metric 'bogus'; choose from "
+                     "euclidean, angular, manhattan, chebyshev)", id="margin_metric=bogus"),
+        pytest.param(["--param", "alpha=0.05,0.5"],
+                     "--param needs --grid custom, not --grid gap-threshold",
+                     id="param-without-custom-grid"),
+        pytest.param(["--grid", "custom", "--param", "alpha=0.05", "--param", "alpha=0.5,0.7"],
+                     "--param alpha given twice", id="param-given-twice"),
+        pytest.param(["--grid", "custom", "--param", "layer_dims=8"],
+                     "sweep parameter 'layer_dims' is a list; --param cannot sweep it",
+                     id="list-field"),
+        pytest.param(["--grid", "custom"], "--grid custom requires at least one --param",
+                     id="custom-grid-without-param"),
+        pytest.param(["--grid", "custom", "--param", "alpha"],
+                     "--param expects name=v1,v2,... got 'alpha'", id="param-without-values"),
     ])
-    def test_sweep_malformed_value_exit_one(self, config_file, tmp_path, param, tail):
-        code = main([
-            "sweep", "--config", str(config_file), "--param", param, *tail,
-            "--out", str(tmp_path / "sw"),
-        ])
+    def test_sweep_malformed_value_exit_one(self, config_file, tmp_path, capsys, args, message):
+        code = main(["sweep", "--config", str(config_file), *args, "--out", str(tmp_path / "sw")])
         assert code == 1
-        assert not (tmp_path / "sw" / "sweep.csv").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sw").exists()
 
     def test_eval_class_count_mismatch_exit_one(self, config_file, tmp_path, capsys):
         out = tmp_path / "run"
@@ -474,7 +491,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIG_VALUES))
     def test_bad_config_value_exit_one(self, tmp_path, capsys, name):
-        section, key = name.split(".")
+        section, key = name.partition("#")[0].split(".")
         value, message = BAD_CONFIG_VALUES[name]
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{key} = {value}\n")
@@ -639,17 +656,14 @@ class TestCli:
 
     @pytest.mark.parametrize("name", sorted(NEGATIVE_SEEDS))
     def test_negative_seed_exit_one(self, tmp_path, capsys, name):
-        argv, edit = NEGATIVE_SEEDS[name]
+        argv, edit, message = NEGATIVE_SEEDS[name]
         if argv[0] != "grad-check":  # grad-check takes no --config or --out
             text = FAST_CONFIG if edit is None else FAST_CONFIG.replace(*edit)
             path = tmp_path / "cfg.ini"
             path.write_text(text)
             argv = argv + ["--config", str(path), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "non-negative" in err
-        if "--seed" in argv:
-            assert err == "error: argument --seed: seed must be a non-negative integer, got '-1'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -143,7 +143,7 @@ class TestGenSynthetic:
             gen_synthetic(3, 5, 4, 2.0, 0.5, seed=0, hard=True)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match="^data seed must be non-negative, got -1$"):
             gen_synthetic(4, 5, 4, 2.0, 0.5, seed=-1)
 
     @pytest.mark.parametrize("separation,overlap", [(5.0, 1e308), (1e308, 1e308)])
@@ -237,7 +237,7 @@ class TestApplySplit:
             apply_split(ds, SplitSpec([0, 1], [2]), 0.5, seed=0)
 
     def test_negative_seed_rejected(self, dataset):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match="^data seed must be non-negative, got -1$"):
             apply_split(dataset, SplitSpec([0, 1, 2, 3], [4, 5]), 0.25, seed=-1)
 
     def test_deterministic(self, dataset):
@@ -259,6 +259,10 @@ class TestDatasetInvariants:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros(3, dtype=int))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(DataError, match="^labels and group_ids must be non-negative$"):
+            LabeledDataset(np.zeros((2, 2)), np.array([0, -1]), np.zeros(2, dtype=int))
 
 
 class TestFeatureIO:
@@ -459,6 +463,22 @@ class TestFeatureFileMessages:
         assert str(info.value) == f"{path}: no feature columns (D = 0)"
         path.write_bytes(zero_dim[:4] + b"\x02" + zero_dim[5:])  # the version is checked first
         with pytest.raises(DataError, match="unsupported OSSF version 2$"):
+            load_features(path)
+
+    @pytest.mark.parametrize("ints,row", [
+        (b"\xff" * 8 + b"\x00" * 8 + b"\x00" * 16, 0),    # labels -1, 0; groups 0, 0
+        (b"\x00" * 16 + b"\x00" * 8 + b"\xfe" + b"\xff" * 7, 1),  # labels 0, 0; groups 0, -2
+    ], ids=["label-row-0", "group-row-1"])
+    def test_ossf_negative_label_or_group_names_file_and_row(self, tmp_path, ints, row):
+        header = b"OSSF" + b"\x01\x00" + b"\x02\x00\x00\x00" + b"\x01\x00\x00\x00"  # B 2, D 1
+        features = b"\x00" * 8 + b"\x00" * 6 + b"\xf0\x3f"  # 0.0, 1.0
+        path = tmp_path / "negative.ossf"
+        path.write_bytes(header + ints + features)
+        with pytest.raises(DataError) as info:
+            load_features(path)
+        assert str(info.value) == f"{path}: row {row} has a negative label or group"
+        path.write_bytes(header + ints + features[:8] + b"\x00" * 6 + b"\xf8\x7f")  # NaN first
+        with pytest.raises(DataError, match="row 1 contains non-finite values$"):
             load_features(path)
 
     @pytest.mark.parametrize("name", sorted(CSV_DEFECTS))

@@ -1,3 +1,4 @@
+import copy
 import functools
 import sys
 import tracemalloc
@@ -154,6 +155,15 @@ class TestAuroc:
         with pytest.raises(EvalError):
             auroc([1.0, 2.0], [True, True])
 
+    @pytest.mark.parametrize("scores,is_known,message", [
+        ([0.1, 0.2], [True], "scores and is_known must be 1-D of equal length"),
+        ([0.1, np.nan], [True, False], "scores contain non-finite entries"),
+    ], ids=["length-mismatch", "nan-score"])
+    def test_malformed_scores_rejected(self, scores, is_known, message):
+        with pytest.raises(EvalError) as info:
+            auroc(scores, is_known)
+        assert str(info.value) == message
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_rank_equals_trapezoid_and_pair_count(self, seed):
@@ -277,6 +287,12 @@ class TestOscr:
         value, _ = oscr(logits, labels, is_known)
         assert value == pytest.approx(1.0)
 
+    def test_too_few_labels_rejected(self):
+        logits = np.array([[5.0, 0.0], [0.0, 4.0], [0.5, 0.4]])
+        with pytest.raises(EvalError) as info:
+            oscr(logits, [0, 1], [True, True, False])
+        assert str(info.value) == "true_labels must have length 3"
+
     def test_all_misclassified_gives_zero(self):
         logits = np.array([[5.0, 0.0], [0.0, 4.0], [9.0, 0.0]])
         labels = np.array([1, 0, -1])  # both knowns wrong
@@ -340,6 +356,15 @@ class TestEvaluate:
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 3)
         with pytest.raises(EvalError, match="3 classes"):
             evaluate(emb, bank, split, LossConfig())
+
+    def test_emptied_unknown_test_set_rejected(self, split):
+        # LabeledDataset refuses to be built empty, so only a set emptied afterwards reaches this
+        unknown = copy.copy(split.test_unknown)
+        unknown.inputs = unknown.inputs[:0]
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
+        with pytest.raises(EvalError) as info:
+            evaluate(emb, bank, replace(split, test_unknown=unknown), LossConfig())
+        assert str(info.value) == "split must contain known and unknown test samples"
 
     def test_matches_per_set_scoring(self, split):
         self.check_matches_per_set_scoring(split)

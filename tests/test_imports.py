@@ -1,6 +1,7 @@
-"""The import rules of the package: a module imports no private name of another module,
-apart from the unchecked kernel cores that a caller runs after validating once, and
-every name a module imports is used there or re-exported."""
+"""The import and raise rules of the package: a module imports no private name of another
+module, apart from the unchecked kernel cores that a caller runs after validating once;
+every name a module imports is used there or re-exported; and every ``raise`` raises a
+toolkit error, which ``cli.main`` maps to an exit code, unless its caller converts it."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,43 @@ def test_only_kernel_cores_cross_modules():
     stray = [f"{importer}: from .{module} import {name}" for importer, module, name in found
              if (importer, module, "*") not in ALLOWED and (importer, module, name) not in ALLOWED]
     assert stray == []
+
+
+# (module, function) whose raise of another class its caller turns into a toolkit error
+RAISE_ALLOWED = {
+    ("cli", "_seed"),     # ArgumentTypeError: argparse reports it through _Parser.error
+    ("config", "_bool"),  # ValueError: _cast raises a ConfigError that names the key
+    ("config", "_metric"),
+    ("train", "train"),   # raise type(exc)(...): the caught toolkit error, naming its step
+}
+
+
+def raises(node, function=""):
+    """(innermost enclosing function, node) for each ``raise`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from raises(child, child.name if inner else function)
+
+
+def foreign_raises():
+    """(module, function, statement) for each ``raise`` of a class that ``errors.py`` does
+    not define; a bare re-raise is not listed."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    errors = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, node in raises(ast.parse(path.read_text(encoding="utf-8"))):
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if node.exc is not None and not (isinstance(target, ast.Name) and target.id in errors):
+                found.append((path.stem, function, ast.unparse(node)))
+    return found
+
+
+def test_every_raise_is_a_toolkit_error():
+    found = foreign_raises()
+    assert {(module, function) for module, function, _ in found} == RAISE_ALLOWED, found
 
 
 def unused_imports():

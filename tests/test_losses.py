@@ -226,6 +226,10 @@ class TestOverconfidenceLoss:
         with pytest.raises(ConfigError):
             overconfidence_loss([[1.0, 0.0]], -0.1)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DataError, match="^empty batch$"):
+            overconfidence_loss(np.zeros((0, 3)), 0.5)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -234,6 +238,19 @@ class TestOverconfidenceLoss:
 
 
 class TestTotalLoss:
+    @pytest.mark.parametrize("rows,labels,message", [
+        (4, [0, 1, 0], r"^labels must be 1-D of length 4, got shape \(3,\)$"),
+        (0, [], "^empty batch$"),
+    ], ids=["wrong-length", "empty-batch"])
+    def test_bad_batch_rejected(self, rows, labels, message):
+        features, bank, _ = random_case(np.random.default_rng(2), b=4, d=3, k=2)
+        with pytest.raises(DataError, match=message):
+            total_loss(features[:rows], bank, labels, LossConfig())
+
+    def test_str_margin_metric_rejected(self):
+        with pytest.raises(ConfigError, match="^bad margin_metric 'euclidean'$"):
+            LossConfig(margin_metric="euclidean").validate()
+
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 20.0), st.floats(1.0, 4.0),
            st.floats(0.01, 5.0))
     @settings(max_examples=50, deadline=None)

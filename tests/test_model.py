@@ -84,6 +84,11 @@ class TestForward:
         with pytest.raises(ConfigError):
             embed_forward(emb, [[1.0, 2.0]])
 
+    def test_one_dim_inputs_rejected(self):
+        emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
+        with pytest.raises(ConfigError, match=r"^inputs must be 2-D, got shape \(3,\)$"):
+            embed_forward(emb, [1.0, 2.0, 3.0])
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):

@@ -45,6 +45,14 @@ class TestPairwiseScores:
         with pytest.raises(ConfigError):
             pairwise_scores([[1.0, 2.0]], [[1.0, 2.0, 3.0]], Metric.EUCLIDEAN)
 
+    @pytest.mark.parametrize("features,points,message", [
+        ([1.0, 2.0], [[1.0, 2.0]], r"^features must be 2-D, got shape \(2,\)$"),
+        (np.zeros((2, 0)), np.zeros((3, 0)), "^feature dimension must be >= 1$"),
+    ], ids=["1-d-features", "width-0"])
+    def test_malformed_operands_rejected(self, features, points, message):
+        with pytest.raises(ConfigError, match=message):
+            pairwise_scores(features, points, Metric.EUCLIDEAN)
+
     def test_zero_norm_rejected_for_angular(self):
         with pytest.raises(DegenerateInputError):
             pairwise_scores([[0.0, 0.0]], [[1.0, 0.0]], Metric.ANGULAR)
@@ -164,6 +172,11 @@ class TestGradCheck:
     def test_detects_wrong_gradient(self):
         err = grad_check(lambda x: float(x[0] * x[0]), [3.0], [5.0], 1e-5)
         assert err > 1e-2
+
+    def test_gradient_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match=r"^analytic gradient shape \(2,\) != parameter shape "
+                                              r"\(3,\)$"):
+            grad_check(lambda x: 0.0, [1.0, 2.0, 3.0], [0.0, 0.0])
 
     def test_eps_range_enforced(self):
         with pytest.raises(ConfigError):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_config, benchmark_split
 from osrkit.cli import build_parser
-from osrkit.config import (GRIDS, PRESETS, VARIANTS, TrainConfig, _cast, cartesian_cells, named,
-                           with_keys)
+from osrkit.config import (GRIDS, PRESETS, VARIANTS, TrainConfig, _cast, cartesian_cells, key_text,
+                           named, param_cells, with_keys)
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
 from osrkit.errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
 from osrkit.evaluate import predict_closed
@@ -558,10 +558,17 @@ class TestPresets:
         with pytest.raises(ConfigError, match="choose from full, euclidean, uncalibrated"):
             named(VARIANTS, "variant", "bogus")
 
-    @pytest.mark.parametrize("keys", [k for _, k in TABLE_ENTRIES],
-                             ids=[i for i, _ in TABLE_ENTRIES])
-    def test_table_entry_sets_exactly_its_fields(self, keys):
-        base = TrainConfig(ModelConfig([4, 2]))
+    @pytest.mark.parametrize("base,keys", [
+        *(pytest.param(TrainConfig(ModelConfig([4, 2])), k, id=i) for i, k in TABLE_ENTRIES),
+        # numpy numbers are numbers: cast and set like the int and float they stand for
+        pytest.param(TrainConfig(ModelConfig([8, 32, 8]), epochs=np.int64(5),
+                                 learning_rate=np.float32(1e-3)),
+                     {"epochs": 3, "learning_rate": 0.5}, id="numpy-typed-fields"),
+    ])
+    def test_table_entry_sets_exactly_its_fields(self, base, keys):
+        if keys:  # each entry is also a --param cell
+            params = [f"{name}={key_text(value)}" for name, value in keys.items()]
+            assert param_cells(base, params) == [keys]
         cfg = with_keys(base, keys)
         for old, new in ((base, cfg), (base.loss, cfg.loss), (base.model, cfg.model)):
             for f in dataclasses.fields(old):
@@ -613,6 +620,11 @@ class TestSweep:
         path = tmp_path / "s.csv"
         write_sweep_csv(path, rows)
         assert "error" in path.read_text().splitlines()[1]
+
+    def test_no_rows_to_write_rejected(self, tmp_path):
+        with pytest.raises(UsageError, match="^no sweep rows to write$"):
+            write_sweep_csv(tmp_path / "s.csv", [])
+        assert not (tmp_path / "s.csv").exists()
 
     def test_list_value_is_one_csv_field(self, tmp_path):
         cells = [{"layer_dims": [5, 16, 4], "tau": 1.0}, {"layer_dims": [5], "tau": 2.0}]
