@@ -1,38 +1,31 @@
 """The standard synthetic open-set benchmark.
 
-Six Gaussian classes in 8 dims (separation 5, overlap 1.0, 200 samples
-per class, hard similarity mode), split 4 known / 2 unknown. The tuned
-training recipe was fixed by a gap-threshold sweep on seeds 0-4:
-embedding dims [8, 32, 8], 60 epochs of the desk preset, gap threshold
-0.25. Tests and the README both lean on these constants.
+``DataConfig``'s default data: six Gaussian classes in 8 dims (separation 5,
+overlap 1.0, 200 samples per class, hard similarity mode), split 4 known /
+2 unknown. The tuned training recipe was fixed by a gap-threshold sweep on
+seeds 0-4: embedding dims [8, 32, 8], 60 epochs of the desk preset, gap
+threshold 0.25. Tests and the README both lean on these constants.
 """
 
 from __future__ import annotations
 
-from .config import VARIANTS, TrainConfig, named, with_keys
-from .data import OpenSetSplit, SplitSpec, apply_split, gen_synthetic
+from .config import VARIANTS, DataConfig, TrainConfig, build_split, named, with_keys
+from .data import OpenSetSplit
 from .evaluate import EvalReport, evaluate
 from .model import ModelConfig
 from .train import train
 
-NUM_CLASSES = 6
-SAMPLES_PER_CLASS = 200
-DIM = 8
-SEPARATION = 5.0
-OVERLAP = 1.0
-KNOWN_CLASSES = [0, 1, 2, 3]
-UNKNOWN_CLASSES = [4, 5]
-TEST_FRACTION = 0.25
+_DATA = DataConfig()
+NUM_CLASSES, DIM = _DATA.num_classes, _DATA.dim
+SEPARATION, OVERLAP = _DATA.separation, _DATA.overlap
+KNOWN_CLASSES, UNKNOWN_CLASSES = _DATA.known_classes, _DATA.unknown_classes
 LAYER_DIMS = [8, 32, 8]
 EPOCHS = 60
 TUNED_GAP_THRESHOLD = 0.25
 
 
 def benchmark_split(seed: int) -> OpenSetSplit:
-    dataset = gen_synthetic(
-        NUM_CLASSES, SAMPLES_PER_CLASS, DIM, SEPARATION, OVERLAP, seed=seed, hard=True
-    )
-    return apply_split(dataset, SplitSpec(KNOWN_CLASSES, UNKNOWN_CLASSES), TEST_FRACTION, seed)
+    return build_split(DataConfig(seed=seed))
 
 
 def benchmark_config(variant: str, seed: int) -> TrainConfig:

@@ -2,7 +2,7 @@
 
 The open-set score of a sample is its maximum classification logit;
 higher means more known-like, and no threshold is ever baked in. One
-stable descending sort and one count of unknowns, knowns and hits per
+descending sort and one count of unknowns, knowns and hits per
 run of tied scores serve every metric: the ROC and OSCR curves, as
 (T+1)x3 float64 arrays with every distinct score a threshold, and AUROC
 as the Mann-Whitney U in integer counts (ties credited 0.5),
@@ -66,12 +66,12 @@ def _as_score_flags(scores, is_known) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(s: np.ndarray, k: np.ndarray, hits: np.ndarray) -> tuple[Curve, Curve, float]:
-    """One stable descending sort of ``s`` and one count per tie run: the ROC curve, the curve
+    """One descending sort of ``s`` and one count per tie run: the ROC curve, the curve
     of ``hits`` and AUROC. Curves have (threshold, fpr, rate) rows from (+inf, 0, 0), one per
     distinct score, descending; fpr and rate count the unknowns and the knowns (ROC) or hits
     scoring >= the threshold, over all unknowns and all knowns. AUROC is the Mann-Whitney U:
     per run, its unknowns times (the knowns above it plus half those in it), in integers."""
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)  # counts are read at each run's end: the order within a run is moot
     desc = s[order]
     last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
     zero_signs = np.signbit(desc[desc == 0])

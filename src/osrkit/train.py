@@ -3,21 +3,22 @@
 Training is bit-deterministic for a fixed (seed, config, split): batch
 order comes from one seeded generator, batches run single-threaded, and
 the last partial batch is kept. Parameters, gradients and Adam moments are flat
-float64 vectors bound before the first step; a step computes each loss piece once
-(see ``losses``), then updates the vector, after which margins are clamped to >= 0.
+float64 vectors bound before the first step. ``_step``, which ``grad-check`` probes, computes
+each loss piece once (see ``losses``) and fills the gradient vector; the optimizer then
+updates the parameters, after which margins are clamped to >= 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .config import TrainConfig, key_text, with_keys
 from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
 from .evaluate import evaluate, model_logits, predict_closed
-from .losses import _check_labels, _total
+from .losses import LossConfig, _check_labels, _total
 from .model import (Embedder, ReciprocalBank, _backward_into, bind_parameters, embed_forward,
                     init_model)
 from .numerics import as_matrix
@@ -77,10 +78,20 @@ def optimizer_step(optimizer, bank: ReciprocalBank, grads: np.ndarray) -> None:
     bank.project_margins()
 
 
+def _step(embedder: Embedder, bank: ReciprocalBank, grad_embedder: Embedder,
+          grad_bank: ReciprocalBank, inputs, labels, loss: LossConfig) -> tuple[float, ...]:
+    """``embed_forward``, the fused loss, then the backward pass on checked inputs. Writes the
+    gradient into ``grad_embedder`` and ``grad_bank``; returns (total, cls, margin, oc)."""
+    feats, cache = embed_forward(embedder, inputs)
+    (cls, mar, oc), grad_f = _total(feats, bank, labels, loss, grad_bank)
+    _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
+    return cls + loss.alpha * mar + loss.beta * oc, cls, mar, oc
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite loss check reports it once
 def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[EpochRecord]]:
     """Fit the embedder and bank on split.train; deterministic per config. The inputs
-    are validated once; the steps run the unchecked loss and backward cores."""
+    are validated once; each batch runs ``_step`` on them, unchecked."""
     config.validate()
     k = split.num_known
     if config.model.layer_dims[0] != split.train.inputs.shape[1]:
@@ -106,12 +117,10 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
         try:
             for start in range(0, n, config.batch_size):
                 batch = perm[start : start + config.batch_size]
-                feats, cache = embed_forward(embedder, inputs[batch])
-                (cls, mar, oc), grad_f = _total(feats, bank, labels[batch], config.loss, grad_bank)
-                value = cls + alpha * mar + beta * oc
+                value, cls, mar, oc = _step(embedder, bank, grad_embedder, grad_bank,
+                                            inputs[batch], labels[batch], config.loss)
                 if not math.isfinite(value):
                     raise NumericError(f"non-finite loss {value}")
-                _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
                 optimizer_step(optimizer, bank, grads)
                 sum_cls += cls * batch.size
                 sum_mar += mar * batch.size
@@ -134,10 +143,7 @@ def write_history_csv(path, history: list[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,total,cls,amc,coc,val_acc\n")
         for r in history:
-            fh.write(
-                f"{r.epoch},{r.total:.17g},{r.classification:.17g},{r.margin:.17g},"
-                f"{r.overconfidence:.17g},{r.val_accuracy:.17g}\n"
-            )
+            fh.write(",".join("%.17g" % x for x in astuple(r)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from osrkit.benchmark import benchmark_split
 from osrkit.data import (
     LabeledDataset,
     OpenSetSplit,
@@ -245,6 +246,16 @@ class TestApplySplit:
         s2 = apply_split(dataset, SplitSpec([0, 1, 2, 3], [4, 5]), 0.25, seed=3)
         assert (s1.train.inputs == s2.train.inputs).all()
         assert (s1.test_known.inputs == s2.test_known.inputs).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_split_is_the_pinned_dataset(self, seed):
+        # the standard benchmark's data spelled out, so a changed [data] default cannot move it
+        dataset = gen_synthetic(6, 200, 8, 5.0, 1.0, seed=seed, hard=True)
+        want = apply_split(dataset, SplitSpec([0, 1, 2, 3], [4, 5]), 0.25, seed)
+        got = benchmark_split(seed)
+        for part in ("train", "test_known", "test_unknown"):
+            assert_same_dataset(getattr(got, part), getattr(want, part))
+        assert got.label_map == want.label_map
 
 
 class TestDatasetInvariants:

@@ -224,28 +224,55 @@ class TestRocCurve:
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
 
 
+def random_logits(seed, kind):
+    """(logits, is_known, labels) of 2-39 samples, knowns and unknowns both present; the
+    ``quantized`` and ``signed_zero`` kinds tie their scores."""
+    rng = np.random.default_rng(seed)
+    b = int(rng.integers(2, 40))
+    k = int(rng.integers(2, 5))
+    logits = rng.standard_normal((b, k))
+    if kind == "quantized":
+        logits = np.round(logits, 1)
+    elif kind == "signed_zero":
+        # mostly zeros of both signs, so tie runs mix 0.0 and -0.0
+        logits = np.where(rng.random((b, k)) < 0.7, 0.0, np.round(logits))
+        logits = np.copysign(logits, rng.choice([-1.0, 1.0], size=(b, k)))
+    is_known = rng.random(b) < 0.5
+    is_known[0], is_known[-1] = True, False
+    return logits, is_known, rng.integers(0, k, b)
+
+
 class TestSweepMatchesLoop:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["quantized", "signed_zero", "continuous"]))
     @settings(max_examples=150, deadline=None)
     def test_roc_and_oscr_curves(self, seed, kind):
-        rng = np.random.default_rng(seed)
-        b = int(rng.integers(2, 40))
-        k = int(rng.integers(2, 5))
-        logits = rng.standard_normal((b, k))
-        if kind == "quantized":
-            logits = np.round(logits, 1)
-        elif kind == "signed_zero":
-            # mostly zeros of both signs, so tie runs mix 0.0 and -0.0
-            logits = np.where(rng.random((b, k)) < 0.7, 0.0, np.round(logits))
-            logits = np.copysign(logits, rng.choice([-1.0, 1.0], size=(b, k)))
-        is_known = rng.random(b) < 0.5
-        is_known[0], is_known[-1] = True, False
-        labels = rng.integers(0, k, b)
+        logits, is_known, labels = random_logits(seed, kind)
         scores = logits.max(axis=1)
         assert_same_curve(roc_points(scores, is_known), loop_curve(scores, is_known, is_known))
         correct = is_known & (logits.argmax(axis=1) == labels)
         _, curve = oscr(logits, labels, is_known)
         assert_same_curve(curve, loop_curve(scores, correct, is_known))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["quantized", "signed_zero", "continuous"]))
+    @settings(max_examples=150, deadline=None)
+    def test_sample_order_changes_no_bit(self, seed, kind):
+        logits, is_known, labels = random_logits(seed, kind)
+        perm = np.random.default_rng(seed + 1).permutation(len(labels))
+        scores = logits.max(axis=1)
+        got = (roc_points(scores[perm], is_known[perm]), *oscr(logits[perm], labels[perm],
+                                                                is_known[perm]))
+        want = (roc_points(scores, is_known), *oscr(logits, labels, is_known))
+        assert got[1].hex() == want[1].hex()
+        assert auroc(scores[perm], is_known[perm]).hex() == auroc(scores, is_known).hex()
+        # a run of both 0.0 and -0.0 is named as np.unique names it, and which sign np.unique
+        # keeps follows the input order: that threshold is compared by value, not by sign
+        signs = np.signbit(scores[scores == 0])
+        mixed = 0 < signs.sum() < signs.size
+        for curve, oracle in ((got[0], want[0]), (got[2], want[2])):
+            assert (curve[:, 0] == oracle[:, 0]).all()
+            named = ~(mixed & (oracle[:, 0] == 0))
+            assert_same_curve(curve[named], oracle[named])
+            assert_same_curve(curve[:, 1:], oracle[:, 1:])
 
 
 class TestTieRuns:

@@ -1,5 +1,6 @@
 """The import and raise rules of the package: a module imports no private name of another
-module, apart from the unchecked kernel cores that a caller runs after validating once;
+module, apart from the unchecked kernel cores that a caller runs after validating once
+(or, as ``checks`` runs ``train._step``, on inputs that are valid by construction);
 every name a module imports is used there or re-exported; and every ``raise`` raises a
 toolkit error, which ``cli.main`` maps to an exit code, unless its caller converts it."""
 
@@ -13,6 +14,7 @@ ALLOWED = {
     ("train", "losses", "_total"),
     ("train", "losses", "_check_labels"),
     ("train", "model", "_backward_into"),
+    ("checks", "train", "_step"),
 }
 
 

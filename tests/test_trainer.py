@@ -418,6 +418,17 @@ class TestTrain:
         assert lines[0] == "epoch,total,cls,amc,coc,val_acc"
         assert len(lines) == 3
 
+    def test_history_csv_text(self, tmp_path):
+        # an integer epoch, then each float at 17 significant digits: nan, -0 and subnormals too
+        path = tmp_path / "history.csv"
+        write_history_csv(path, [EpochRecord(0, 1.5, 0.1, -0.0, 1e-300, float("nan")),
+                                 EpochRecord(12, 2 / 3, 0.0, 5e-324, 1e17, 0.25)])
+        assert path.read_text() == (
+            "epoch,total,cls,amc,coc,val_acc\n"
+            "0,1.5,0.10000000000000001,-0,1e-300,nan\n"
+            "12,0.66666666666666663,0,4.9406564584124654e-324,1e+17,0.25\n"
+        )
+
 
     @given(
         seed=st.integers(0, 2 ** 16),
