@@ -131,7 +131,8 @@ def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]
     activations = [x]
     a = x
     for i, (w, b) in enumerate(zip(embedder.weights, embedder.biases)):
-        a = a @ w + b
+        a = a @ w
+        a += b
         if i != last:
             np.maximum(a, 0.0, out=a)
         activations.append(a)

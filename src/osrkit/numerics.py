@@ -47,10 +47,11 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 def _row_norms(a: np.ndarray, name: str) -> np.ndarray:
     norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm's own body, same bits
-    if np.isinf(norms).any():  # finite rows whose squares overflow: every cosine would be 0
+    # one ufunc reduce per test (``initial`` keeps a 0-row input legal); norms are never NaN
+    if np.maximum.reduce(norms, initial=0.0) == np.inf:  # squares that overflow: every cosine 0
         bad = int(np.argmax(np.isinf(norms)))
         raise NumericError(f"{name} row {bad} has an infinite norm, angular distance undefined")
-    if (norms <= ZERO_NORM_EPS).any():
+    if np.minimum.reduce(norms, initial=np.inf) <= ZERO_NORM_EPS:
         bad = int(np.argmax(norms <= ZERO_NORM_EPS))
         raise DegenerateInputError(
             f"{name} row {bad} has norm <= {ZERO_NORM_EPS}, angular distance undefined"

@@ -76,7 +76,7 @@ def per_element_curve_csv(path, header, curve):
 
 
 def loop_curve(scores, hits, is_known):
-    """Per-threshold oracle: recount every sample at each distinct score."""
+    """Per-threshold oracle: recount every sample at each distinct score; zero is +0.0."""
     s = np.asarray(scores, dtype=float)
     k = np.asarray(is_known, dtype=bool)
     curve = [(float("inf"), 0.0, 0.0)]
@@ -84,7 +84,7 @@ def loop_curve(scores, hits, is_known):
         sel = s >= t
         rate = float((sel & hits).sum() / k.sum())
         fpr = float((sel & ~k).sum() / (~k).sum())
-        curve.append((float(t), fpr, rate))
+        curve.append((float(t) + 0.0, fpr, rate))
     return curve
 
 
@@ -118,6 +118,14 @@ class TestPredictClosed:
         with pytest.raises(UsageError):
             predict_closed(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("call", [
+        predict_closed, openset_score, lambda z: oscr(z, [0, 0, 0], [True, False, True]),
+    ], ids=["predict_closed", "openset_score", "oscr"])
+    def test_zero_columns_rejected(self, call):
+        with pytest.raises(UsageError) as info:
+            call(np.zeros((3, 0)))
+        assert str(info.value) == "logits need at least one column, got shape (3, 0)"
+
     def test_scale_invariant_labels_under_angular_scoring(self):
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((10, 4))
@@ -130,6 +138,17 @@ class TestPredictClosed:
 class TestOpensetScore:
     def test_max(self):
         assert openset_score([[0.2, 0.8]])[0] == pytest.approx(0.8)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["quantized", "signed_zero", "continuous"]),
+           st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_max(self, seed, kind, columns):
+        logits = random_logits(seed, kind, columns)[0]
+        want = logits.max(axis=1)
+        got = openset_score(logits)
+        assert (got == want).all()
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+        assert not np.shares_memory(got, logits)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -224,12 +243,13 @@ class TestRocCurve:
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
 
 
-def random_logits(seed, kind):
-    """(logits, is_known, labels) of 2-39 samples, knowns and unknowns both present; the
-    ``quantized`` and ``signed_zero`` kinds tie their scores."""
+def random_logits(seed, kind, columns=None):
+    """(logits, is_known, labels) of 2-39 samples, knowns and unknowns both present, with
+    ``columns`` logit columns (2-4 drawn by default); the ``quantized`` and ``signed_zero``
+    kinds tie their scores."""
     rng = np.random.default_rng(seed)
     b = int(rng.integers(2, 40))
-    k = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 5)) if columns is None else columns
     logits = rng.standard_normal((b, k))
     if kind == "quantized":
         logits = np.round(logits, 1)
@@ -264,15 +284,8 @@ class TestSweepMatchesLoop:
         want = (roc_points(scores, is_known), *oscr(logits, labels, is_known))
         assert got[1].hex() == want[1].hex()
         assert auroc(scores[perm], is_known[perm]).hex() == auroc(scores, is_known).hex()
-        # a run of both 0.0 and -0.0 is named as np.unique names it, and which sign np.unique
-        # keeps follows the input order: that threshold is compared by value, not by sign
-        signs = np.signbit(scores[scores == 0])
-        mixed = 0 < signs.sum() < signs.size
-        for curve, oracle in ((got[0], want[0]), (got[2], want[2])):
-            assert (curve[:, 0] == oracle[:, 0]).all()
-            named = ~(mixed & (oracle[:, 0] == 0))
-            assert_same_curve(curve[named], oracle[named])
-            assert_same_curve(curve[:, 1:], oracle[:, 1:])
+        assert_same_curve(got[0], want[0])
+        assert_same_curve(got[2], want[2])
 
 
 class TestTieRuns:
@@ -292,18 +305,20 @@ class TestTieRuns:
         is_known[0], is_known[-1] = True, False
         assert auroc(scores, is_known).hex() == average_rank_auroc(scores, is_known).hex()
 
-    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0]], ids=["pos_first", "neg_first"])
-    def test_zero_run_of_both_signs_named_as_np_unique(self, zeros):
-        # the run's last sample has the other sign than its first, which np.unique keeps here
+    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]],
+                             ids=["pos_first", "neg_first", "all_neg"])
+    def test_zero_run_named_positive_zero(self, zeros, tmp_path):
         scores = np.array([1.0, *zeros, 0.5, *zeros, -2.0])
         is_known = np.array([True, False, True, False, True, False, False])
         logits = np.stack([scores, scores - 1.0], axis=1)
         labels = np.array([0, -1, 1, -1, 0, -1, -1])
-        curve = roc_points(scores, is_known)
-        assert_same_curve(curve, loop_curve(scores, is_known, is_known))
+        roc = roc_points(scores, is_known)
+        assert_same_curve(roc, loop_curve(scores, is_known, is_known))
         _, curve = oscr(logits, labels, is_known)
         assert_same_curve(curve, loop_curve(scores, is_known & (labels == 0), is_known))
         assert auroc(scores, is_known).hex() == average_rank_auroc(scores, is_known).hex()
+        write_roc_csv(tmp_path / "roc.csv", roc)
+        assert (tmp_path / "roc.csv").read_text().splitlines()[4] == "0,0.75,1"
 
 
 class TestOscr:

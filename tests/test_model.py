@@ -79,6 +79,23 @@ class TestForward:
         f2, _ = embed_forward(emb, x)
         assert (f1 == f2).all()
 
+    @pytest.mark.parametrize("rows", [1, 2, 1000, 4096])
+    def test_bit_equal_to_reference_forward(self, rows):
+        emb, _ = init_model(ModelConfig([8, 32, 16, 8], seed=rows), 4)
+        rng = np.random.default_rng(rows)
+        emb.biases = [rng.standard_normal(b.shape) for b in emb.biases]
+        x = rng.standard_normal((rows, 8)) * 10
+        x_before, biases_before = x.copy(), [b.copy() for b in emb.biases]
+        want = [x]
+        for i, (w, b) in enumerate(zip(emb.weights, emb.biases)):
+            a = want[-1] @ w + b
+            want.append(np.maximum(a, 0.0) if i < len(emb.weights) - 1 else a)
+        feats, cache = embed_forward(emb, x)
+        assert feats.tobytes() == want[-1].tobytes()
+        assert [a.tobytes() for a in cache.activations] == [a.tobytes() for a in want]
+        assert x.tobytes() == x_before.tobytes()
+        assert [b.tobytes() for b in emb.biases] == [b.tobytes() for b in biases_before]
+
     def test_dim_mismatch(self):
         emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
         with pytest.raises(ConfigError):

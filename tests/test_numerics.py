@@ -63,6 +63,9 @@ class TestPairwiseScores:
         with pytest.raises(NumericError):
             pairwise_scores([[np.nan, 0.0]], [[1.0, 0.0]], Metric.EUCLIDEAN)
 
+    def test_zero_feature_rows_score_as_empty_for_angular(self):
+        assert pairwise_scores(np.zeros((0, 4)), np.ones((3, 4)), Metric.ANGULAR).shape == (0, 3)
+
     @pytest.mark.parametrize("paired", [False, True])
     def test_overflowing_norm_rejected_for_angular(self, paired):
         # finite rows whose squared norm overflows would divide to a cosine of 0
