@@ -242,14 +242,6 @@ class TestConfigParsing:
         assert cfg.train.loss.classification_metric is Metric.ANGULAR
         assert cfg.data.known_classes == [0, 1]
 
-    def test_paper_preset(self, tmp_path):
-        path = tmp_path / "p.ini"
-        path.write_text("[train]\npreset = paper\n")
-        cfg = load_config(path)
-        assert cfg.train.epochs == 90
-        assert cfg.train.batch_size == 64
-        assert cfg.train.learning_rate == 1e-5
-
     def test_variant_euclidean(self, tmp_path):
         path = tmp_path / "p.ini"
         path.write_text("[loss]\nvariant = euclidean\n")
@@ -270,6 +262,12 @@ class TestConfigParsing:
         path = tmp_path / "p.ini"
         path.write_text("")
         assert load_config(path) == EMPTY_CONFIG
+
+    def test_desk_preset_is_the_defaults(self, tmp_path):
+        path = tmp_path / "p.ini"
+        path.write_text("[train]\npreset = desk\n")
+        assert load_config(path) == EMPTY_CONFIG
+        assert EMPTY_CONFIG.train == TrainConfig(ModelConfig([8, 32, 16]), LossConfig())
 
     @pytest.mark.parametrize("section,key", CONFIG_KEYS, ids=[".".join(k) for k in CONFIG_KEYS])
     def test_each_key_sets_exactly_its_field(self, tmp_path, section, key):
@@ -306,14 +304,25 @@ class TestConfigParsing:
         ("[train]\nmodel = 8,8\n", "'model'"),
         ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
         ("[loss]\nvariant = bogus\n", "unknown variant 'bogus'; choose from full, euclidean"),
-        ("[train]\npreset = fast\n", "unknown preset 'fast'; choose from desk, paper"),
-    ], ids=["key", "section", "nested_config", "default_section", "variant", "preset"])
+        ("[train]\npreset = fast\n", "unknown preset 'fast'; choose from desk"),
+        ("[train]\npreset = paper\n", "unknown preset 'paper'; choose from desk"),
+    ], ids=["key", "section", "nested_config", "default_section", "variant", "preset",
+            "preset_paper"])
     def test_unknown_key_or_section_exit_one(self, tmp_path, capsys, text, name):
         path = tmp_path / "p.ini"
         path.write_text(text)
         out = tmp_path / "o"
         assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_with_paper_preset_exits_one(self, tmp_path, capsys):
+        """The deleted ``paper`` preset is refused by ``train`` before anything is written."""
+        path = tmp_path / "p.ini"
+        path.write_text("[train]\npreset = paper\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown preset 'paper'; choose from desk\n"
         assert not out.exists()
 
     def test_readme_example_loads(self, tmp_path):
