@@ -9,11 +9,16 @@ unknown class to make known/unknown confusion realistic.
 Feature files round-trip bit-exactly in two formats selected by
 extension: ``.csv`` (header ``label,group,f0..f{D-1}``) and the OSSF
 binary layout (magic ``OSSF``, u16 version, u32 counts, int64 labels and
-groups, float64 features, all little-endian).
+groups, float64 features, all little-endian). A CSV body is parsed in
+blocks of 1,024 lines, each split and checked at once, so the memory the
+parse needs beyond the text is bounded by a block; a block that fails a
+check is parsed again row by row, so the first defect in file order is
+still the one reported, with unchanged messages.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -25,6 +30,7 @@ from .errors import ConfigError, DataError, NumericError
 FEATURES_MAGIC = b"OSSF"
 FEATURES_VERSION = 1
 _HEADER = struct.Struct("<4sHII")  # magic, version, rows B, feature dim D
+_CSV_BLOCK_LINES = 1024  # a feature CSV is parsed this many lines at a time
 
 # Non-hard class means are kept at least this far apart (degrees); the
 # hard trio uses HARD_ANGLE_DEG instead.
@@ -246,6 +252,8 @@ def load_features(path) -> LabeledDataset:
 
 
 def _save_csv(path, ds: LabeledDataset) -> None:
+    # One joined line per row stays: the time goes to ``repr`` of each float, and a writer that
+    # formats a block of rows with one ``%r`` template measured no faster (6,000 x 16 rows).
     d = ds.inputs.shape[1]
     lines = ["label,group," + ",".join(f"f{i}" for i in range(d))]
     for label, group, row in zip(ds.labels.tolist(), ds.group_ids.tolist(), ds.inputs.tolist()):
@@ -270,8 +278,46 @@ def _load_csv(path) -> LabeledDataset:
         raise DataError(f"{path}: malformed feature columns in header")
     labels = []
     groups = []
+    blocks = []
+    for start in range(1, len(lines), _CSV_BLOCK_LINES):
+        chunk = lines[start:start + _CSV_BLOCK_LINES]
+        block = list(filter(None, chunk))  # blank lines are skipped
+        if block:
+            block_labels, block_groups, feats = (_parse_block(block, d)
+                                                 or _parse_rows(path, chunk, start + 1, d))
+            labels += block_labels
+            groups += block_groups
+            blocks.append(feats)
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    return LabeledDataset(np.vstack(blocks), np.array(labels), np.array(groups))
+
+
+def _parse_block(block: list[str], d: int):
+    """Labels, groups and the B x D features of non-blank CSV lines, one call per check over
+    the whole block; None if any line fails one, for ``_parse_rows`` to name the first."""
+    width = d + 2
+    if set(map(str.count, block, itertools.repeat(","))) != {d + 1}:
+        return None
+    fields = ",".join(block).split(",")
+    try:
+        ints = list(map(int, fields[0::width] + fields[1::width]))
+        del fields[0::width], fields[0::width - 1]  # the labels, then the groups
+        feats = np.array(list(map(float, fields)))
+    except ValueError:
+        return None
+    if not (0 <= min(ints) and max(ints) < 2**63 and np.isfinite(feats).all()):
+        return None
+    return ints[:len(block)], ints[len(block):], feats.reshape(len(block), d)
+
+
+def _parse_rows(path, lines: list[str], first_line: int, d: int):
+    """``_parse_block``'s labels, groups and features, parsed and checked row by row: the
+    first defect raises, naming its line (``lines[0]`` is line ``first_line``)."""
+    labels = []
+    groups = []
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(lines, start=first_line):
         if not line:
             continue
         parts = line.split(",")
@@ -288,9 +334,7 @@ def _load_csv(path) -> LabeledDataset:
         if not all(map(math.isfinite, vals)):
             raise DataError(f"{path}: row {ln} contains non-finite values")
         rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return LabeledDataset(np.array(rows), np.array(labels), np.array(groups))
+    return labels, groups, np.array(rows)
 
 
 def _save_binary(path, ds: LabeledDataset) -> None:

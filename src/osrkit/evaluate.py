@@ -177,10 +177,14 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
 
 
 def _write_curve_csv(path, header: str, curve) -> None:
-    rows = np.asarray(curve, dtype=np.float64).tolist()
-    lines = [header] + [",".join(["%.17g" % x for x in row]) for row in rows]
+    """``header``, then each row of ``curve`` (a 2-D array-like, or empty) as ``%.17g`` values:
+    one ``%`` over a row template repeated per row, the same bytes as formatting each value on
+    its own."""
+    values = np.asarray(curve, dtype=np.float64)
+    row = ",".join(["%.17g"] * (values.shape[1] if len(values) else 0)) + "\n"
+    body = (row * len(values)) % tuple(values.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + body)
 
 
 def write_roc_csv(path, curve: Curve) -> None:

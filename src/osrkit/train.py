@@ -11,7 +11,7 @@ updates the parameters, after which margins are clamped to >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -140,10 +140,10 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
 
 
 def write_history_csv(path, history: list[EpochRecord]) -> None:
+    row = ",".join(["%.17g"] * len(fields(EpochRecord))) + "\n"
+    body = (row * len(history)) % tuple(x for r in history for x in astuple(r))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,total,cls,amc,coc,val_acc\n")
-        for r in history:
-            fh.write(",".join("%.17g" % x for x in astuple(r)) + "\n")
+        fh.write("epoch,total,cls,amc,coc,val_acc\n" + body)
 
 
 # ---------------------------------------------------------------------------

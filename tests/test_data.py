@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from osrkit import data
 from osrkit.benchmark import benchmark_split
 from osrkit.data import (
     LabeledDataset,
     OpenSetSplit,
     SplitSpec,
     _class_directions,
+    _save_csv,
     apply_split,
     gen_synthetic,
     load_features,
@@ -28,6 +31,43 @@ def per_element_csv(path, ds):
         for i in range(len(ds)):
             feats = ",".join(repr(float(v)) for v in ds.inputs[i])
             fh.write(f"{int(ds.labels[i])},{int(ds.group_ids[i])},{feats}\n")
+
+
+def per_row_load_csv(path):
+    """The feature CSV reader as it was, one parse and one set of checks per line: the oracle."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if len(header) < 3 or header[0] != "label" or header[1] != "group":
+        raise DataError(f"{path}: malformed header {lines[0]!r}")
+    d = len(header) - 2
+    if [h for h in header[2:]] != [f"f{i}" for i in range(d)]:
+        raise DataError(f"{path}: malformed feature columns in header")
+    labels = []
+    groups = []
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 2:
+            raise DataError(f"{path}: row {ln} has {len(parts)} fields, expected {d + 2}")
+        try:
+            labels.append(int(parts[0]))
+            groups.append(int(parts[1]))
+            vals = list(map(float, parts[2:]))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {ln} unparsable: {exc}") from None
+        if not (0 <= labels[-1] < 2**63 and 0 <= groups[-1] < 2**63):
+            raise DataError(f"{path}: row {ln} label or group outside [0, 2**63)")
+        if not all(map(math.isfinite, vals)):
+            raise DataError(f"{path}: row {ln} contains non-finite values")
+        rows.append(vals)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return LabeledDataset(np.array(rows), np.array(labels), np.array(groups))
 
 
 def per_class_synthetic(num_classes, samples_per_class, dim, separation, overlap, seed,
@@ -507,3 +547,84 @@ class TestFeatureFileMessages:
         ds = load_features(path)
         assert ds.inputs.tolist() == [[1.0], [-0.5]]
         assert ds.labels.tolist() == [0, 1] and ds.group_ids.tolist() == [0, 2]
+
+
+def load_outcome(load, path):
+    """The bits, dtypes and shapes ``load`` returns for ``path``, or its ``DataError`` message."""
+    try:
+        ds = load(path)
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (ds.inputs, ds.labels, ds.group_ids)]
+
+
+CSV_FIELD_DEFECTS = {  # kind: (the columns it may hit, replacement texts); "ragged" adds or drops
+    "int": ("ints", ["x", "1.5", "", "0x1"]),
+    "float": ("floats", ["abc", "", "1e", "0x1"]),
+    "non-finite": ("floats", ["nan", "inf", "-inf", "1e999"]),
+    "range": ("ints", ["-1", str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64)]),
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """A feature CSV text: clean rows, blank lines and one or two injected defects. The defects
+    are drawn uniformly: ``st.sampled_from`` favours its first entries, and a 2**63 label or
+    group came up in 1 of 250 examples with it."""
+    d = draw(st.integers(1, 3))
+    ids = st.integers(0, 2 ** 63 - 1)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(ids, ids, st.lists(floats, min_size=d, max_size=d)),
+                         min_size=1, max_size=12))
+    lines = [[str(label), str(group), *map(repr, feats)] for label, group, feats in rows]
+    rnd = draw(st.randoms(use_true_random=True))
+    defects = [(rnd.choice(lines), rnd.choice(["ragged", *sorted(CSV_FIELD_DEFECTS)]))
+               for _ in range(rnd.choice([1, 2]))]
+    for fields, kind in sorted(defects, key=lambda defect: defect[1] == "ragged"):  # ragged last
+        if kind == "ragged" and rnd.random() < 0.5:
+            fields.append("1.0")
+        elif kind == "ragged":
+            fields.pop()
+        else:
+            columns, texts = CSV_FIELD_DEFECTS[kind]
+            column = rnd.randint(0, 1) if columns == "ints" else rnd.randint(2, d + 1)
+            fields[column] = rnd.choice(texts)
+    text = [",".join(fields) for fields in lines]
+    for _ in range(draw(st.integers(0, 4))):
+        text.insert(draw(st.integers(0, len(text))), "")
+    header = "label,group," + ",".join(f"f{i}" for i in range(d))
+    return "\n".join([header, *text]) + "\n"
+
+
+class TestBlockedCsvReader:
+    @given(csv_texts())
+    @settings(max_examples=250, deadline=None)
+    def test_small_blocks_match_per_row_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "random.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CSV_BLOCK_LINES", 3)  # small files cross block boundaries
+            assert load_outcome(load_features, path) == load_outcome(per_row_load_csv, path)
+
+    def test_big_file_defects_name_their_lines(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = LabeledDataset(rng.standard_normal((2500, 3)), rng.integers(0, 9, 2500),
+                            rng.integers(0, 4, 2500))
+        path = tmp_path / "big.csv"
+        _save_csv(path, ds)
+        lines = path.read_text().splitlines()  # line 1 is the header, data row i is line i + 1
+        lines = lines[:1500] + ["", "", ""] + lines[1500:]  # blank lines before data row 1,500
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_dataset(load_features(path), ds)
+        assert data._CSV_BLOCK_LINES == 1024  # rows 1,100 and 2,400 sit in the 2nd and 3rd block
+        ragged_line = 2400 + 1 + 3  # the header and the blank lines come before it
+        lines[ragged_line - 1] = lines[ragged_line - 1].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: row {ragged_line} has 4 fields, expected 5"
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
+        lines[1100] = lines[1100].rsplit(",", 1)[0] + ",nan"  # data row 1,100 is line 1,101
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: row 1101 contains non-finite values"
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
