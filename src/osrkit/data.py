@@ -13,7 +13,9 @@ groups, float64 features, all little-endian). A CSV body is parsed in
 blocks of 1,024 lines, each split and checked at once, so the memory the
 parse needs beyond the text is bounded by a block; a block that fails a
 check is parsed again row by row, so the first defect in file order is
-still the one reported, with unchanged messages.
+still the one reported. A field must be plain ASCII: the underscores,
+spaces, tabs and non-ASCII digits that Python's ``int`` and ``float``
+accept are errors.
 """
 
 from __future__ import annotations
@@ -299,7 +301,10 @@ def _parse_block(block: list[str], d: int):
     width = d + 2
     if set(map(str.count, block, itertools.repeat(","))) != {d + 1}:
         return None
-    fields = ",".join(block).split(",")
+    text = ",".join(block)
+    if not _plain(text):
+        return None
+    fields = text.split(",")
     try:
         ints = list(map(int, fields[0::width] + fields[1::width]))
         del fields[0::width], fields[0::width - 1]  # the labels, then the groups
@@ -309,6 +314,12 @@ def _parse_block(block: list[str], d: int):
     if not (0 <= min(ints) and max(ints) < 2**63 and np.isfinite(feats).all()):
         return None
     return ints[:len(block)], ints[len(block):], feats.reshape(len(block), d)
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` holds nothing that ``int`` and ``float`` accept but ``_save_csv`` never
+    writes: an underscore, a space, a tab or a non-ASCII character. Other whitespace ends a line."""
+    return text.isascii() and "_" not in text and " " not in text and "\t" not in text
 
 
 def _parse_rows(path, lines: list[str], first_line: int, d: int):
@@ -323,6 +334,10 @@ def _parse_rows(path, lines: list[str], first_line: int, d: int):
         parts = line.split(",")
         if len(parts) != d + 2:
             raise DataError(f"{path}: row {ln} has {len(parts)} fields, expected {d + 2}")
+        if not _plain(line):
+            field = next(p for p in parts if not _plain(p))
+            raise DataError(f"{path}: row {ln} unparsable: field {field!r} holds '_', a space, "
+                            "a tab or non-ASCII text")
         try:
             labels.append(int(parts[0]))
             groups.append(int(parts[1]))

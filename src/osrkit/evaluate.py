@@ -10,6 +10,10 @@ and AUROC as the Mann-Whitney U in integer counts (ties credited 0.5),
 cross-checked in tests against the trapezoid under the ROC curve.
 OSCR integrates the correct classification rate on knowns against the
 false positive rate on unknowns.
+
+``model_logits`` checks the inputs and the bank once per call, then runs
+the unchecked forward and scoring cores per block; ``evaluate`` checks the
+logits of both test sets once.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EvalError, UsageError
-from .losses import LossConfig, classification_logits
-from .model import Embedder, ReciprocalBank, embed_forward
-from .numerics import as_matrix
+from .errors import EvalError, NumericError, UsageError
+from .losses import LossConfig
+from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
+from .numerics import Metric, _checked_points, _scores, _unit_rows, as_matrix
 
 Curve = np.ndarray  # (T+1)x3 float64 rows (threshold, fpr, tpr-or-ccr), row 0 is (inf, 0, 0)
 
@@ -58,10 +62,15 @@ def predict_closed(logits) -> np.ndarray:
 
 
 def openset_score(logits) -> np.ndarray:
-    """Max logit per row, as a new array. Higher means more known-like. The max runs across
-    the K columns, one ``np.maximum`` per column: ``z.max(axis=1)`` loops per row, about 20x
-    slower on 16k x 4 logits. Which zero a 0.0/-0.0 tie keeps differs by CPU; no output reads it."""
-    first, *rest = _logit_matrix(logits).T
+    """Max logit per row, as a new array. Higher means more known-like."""
+    return _max_logit(_logit_matrix(logits))
+
+
+def _max_logit(z: np.ndarray) -> np.ndarray:
+    """``openset_score`` of checked logits. The max runs across the K columns, one
+    ``np.maximum`` per column: ``z.max(axis=1)`` loops per row, about 20x slower on 16k x 4
+    logits. Which zero a 0.0/-0.0 tie keeps differs by CPU; no output reads it."""
+    first, *rest = z.T
     return functools.reduce(np.maximum, rest, first.copy())
 
 
@@ -143,22 +152,48 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
 
 def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
                  config: LossConfig) -> np.ndarray:
-    """The classification logits of ``inputs``: ``embed_forward``, then ``classification_logits``,
-    in near-equal blocks of at most 1,024 rows. One pass over 8k rows made megabyte temporaries
-    (the euclidean score's B x K x D difference among them) whose page faults came and went
-    with the heap layout; ``embed_forward`` adds each bias in place, so a block makes one
-    B x width array per layer, not two. No block has one row, which would round differently."""
-    blocks = np.array_split(inputs, max(1, -(-len(inputs) // 1024)))
-    return np.vstack([
-        classification_logits(embed_forward(embedder, block)[0], bank,
-                              config.classification_metric, config.tau)
-        for block in blocks
-    ])
+    """The classification logits of ``inputs``: the bits of ``embed_forward``, then
+    ``classification_logits``, on near-equal blocks of at most 1,024 rows, with the inputs and
+    the bank checked once. One pass over 8k rows made megabyte temporaries (the euclidean
+    score's B x K x D difference among them) whose page faults came and went with the heap
+    layout. No block has one row, which would round differently. A bad feature row is named
+    by its row in ``inputs``."""
+    return _logits(embedder, bank, config, {"features": inputs})
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the non-finite features check reports it once
+def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
+            parts: dict) -> np.ndarray:
+    """``model_logits`` of each of ``parts``' inputs, in one array; a bad feature row is named
+    by its part's key and its row there. The points' unit rows, and each bias tiled to the
+    largest block's rows, are made once; each block keeps the public calls' operands and ops."""
+    xs = [_checked_inputs(embedder, x) for x in parts.values()]
+    points = _checked_points(bank.points, embedder.weights[-1].shape[1])
+    metric, tau = config.classification_metric, config.tau
+    unit_points = _unit_rows(points, "points") if metric is Metric.ANGULAR else None
+    splits = [np.array_split(x, max(1, -(-len(x) // 1024))) for x in xs]
+    rows = max(len(blocks[0]) for blocks in splits)  # array_split puts the largest block first
+    biases = [np.tile(b, (rows, 1)) for b in embedder.biases]
+    logits = np.empty((sum(map(len, xs)), len(points)))
+    end = 0  # of the rows scored so far, in ``logits``
+    for name, blocks in zip(parts, splits):
+        first = 0  # of the block, in its part
+        for block in blocks:
+            n = len(block)
+            features = _forward(embedder.weights, [b[:n] for b in biases], block)[-1]
+            if not np.isfinite(features).all():
+                bad = first + int(np.argmin(np.isfinite(features).all(axis=1)))
+                raise NumericError(f"{name} row {bad} contains non-finite entries")
+            scores = _scores(features, points, metric, unit_points, name, first)[0]
+            np.multiply(tau, scores, out=logits[end : end + n])
+            first += n
+            end += n
+    return logits
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite features or logits check reports it
 def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig) -> EvalReport:
-    """Score a frozen model on an open-set split (known + unknown test sets)."""
+    """Score a frozen model on an open-set split (known + unknown test sets). The logits are
+    checked once; a bad feature row is named by its test set and its row there."""
     config.validate()
     if bank.num_classes != split.num_known:
         raise EvalError(
@@ -167,11 +202,12 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
     n_known, n_unknown = len(split.test_known), len(split.test_unknown)
     if n_known == 0 or n_unknown == 0:
         raise EvalError("split must contain known and unknown test samples")
-    logits = np.vstack([model_logits(embedder, bank, part.inputs, config)
-                        for part in (split.test_known, split.test_unknown)])
+    logits = as_matrix(_logits(embedder, bank, config, {
+        "test_known: features": split.test_known.inputs,
+        "test_unknown: features": split.test_unknown.inputs}), "logits")
     k = np.arange(n_known + n_unknown) < n_known
-    correct = predict_closed(logits) == np.append(split.test_known.labels, np.full(n_unknown, -1))
-    roc_curve, oscr_curve, auroc_value = _sweep(openset_score(logits), k, k & correct)
+    correct = logits.argmax(axis=1) == np.append(split.test_known.labels, np.full(n_unknown, -1))
+    roc_curve, oscr_curve, auroc_value = _sweep(_max_logit(logits), k, k & correct)
     return EvalReport(float(correct[:n_known].mean()), auroc_value, _curve_area(oscr_curve),
                       roc_curve, oscr_curve)
 

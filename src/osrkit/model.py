@@ -120,23 +120,37 @@ def bind_parameters(embedder: Embedder, bank: ReciprocalBank) -> np.ndarray:
 
 
 def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]:
-    """Run the MLP. Returns (features, cache); the cache enables exact backprop."""
+    """Run the MLP. Returns (features, cache); the cache enables exact backprop. The checks,
+    then ``_forward``, the one forward body, which ``evaluate.model_logits`` runs per block."""
+    activations = _forward(embedder.weights, embedder.biases, _checked_inputs(embedder, inputs))
+    return activations[-1], ForwardCache(list(embedder.weights), activations)
+
+
+def _checked_inputs(embedder: Embedder, inputs) -> np.ndarray:
+    """The checks of ``embed_forward``: ``inputs`` as a 2-D float64 array of the input width."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"inputs must be 2-D, got shape {x.shape}")
     d_in = embedder.weights[0].shape[0]
     if x.shape[1] != d_in:
         raise ConfigError(f"input dim {x.shape[1]} != embedder input dim {d_in}")
-    last = len(embedder.weights) - 1
+    return x
+
+
+def _forward(weights: list, biases: list, x: np.ndarray) -> list[np.ndarray]:
+    """``embed_forward`` on checked inputs: each layer's input, then the output. A bias may be
+    tiled to ``x``'s rows: adding it gives the same bits as broadcasting it, in one inner loop
+    instead of one per row."""
+    last = len(weights) - 1
     activations = [x]
     a = x
-    for i, (w, b) in enumerate(zip(embedder.weights, embedder.biases)):
+    for i, (w, b) in enumerate(zip(weights, biases)):
         a = a @ w
         a += b
         if i != last:
             np.maximum(a, 0.0, out=a)
         activations.append(a)
-    return a, ForwardCache(list(embedder.weights), activations)
+    return activations
 
 
 def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.ndarray]:

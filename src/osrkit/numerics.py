@@ -45,29 +45,42 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _row_norms(a: np.ndarray, name: str) -> np.ndarray:
+def _row_norms(a: np.ndarray, name: str, first: int = 0) -> np.ndarray:
+    """The rows' norms; a row of infinite or (near-)zero norm raises as ``name`` row ``first`` +
+    its index."""
     norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm's own body, same bits
     # one ufunc reduce per test (``initial`` keeps a 0-row input legal); norms are never NaN
     if np.maximum.reduce(norms, initial=0.0) == np.inf:  # squares that overflow: every cosine 0
-        bad = int(np.argmax(np.isinf(norms)))
+        bad = first + int(np.argmax(np.isinf(norms)))
         raise NumericError(f"{name} row {bad} has an infinite norm, angular distance undefined")
     if np.minimum.reduce(norms, initial=np.inf) <= ZERO_NORM_EPS:
-        bad = int(np.argmax(norms <= ZERO_NORM_EPS))
+        bad = first + int(np.argmax(norms <= ZERO_NORM_EPS))
         raise DegenerateInputError(
             f"{name} row {bad} has norm <= {ZERO_NORM_EPS}, angular distance undefined"
         )
     return norms
 
 
+def _unit_rows(a: np.ndarray, name: str, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(``_row_norms`` of ``a``, its rows divided by them)."""
+    norms = _row_norms(a, name, first)
+    return norms, a / norms[:, None]
+
+
 def _score_operands(features, points) -> tuple[np.ndarray, np.ndarray]:
     """The checks of ``pairwise_scores``: finite 2-D inputs of one positive width."""
     f = as_matrix(features, "features")
+    return f, _checked_points(points, f.shape[1])
+
+
+def _checked_points(points, width: int) -> np.ndarray:
+    """``points`` as a finite 2-D float64 array of the features' positive ``width``."""
     p = as_matrix(points, "points")
-    if f.shape[1] != p.shape[1]:
-        raise ConfigError(f"feature dim {f.shape[1]} != point dim {p.shape[1]}")
-    if f.shape[1] < 1:
+    if width != p.shape[1]:
+        raise ConfigError(f"feature dim {width} != point dim {p.shape[1]}")
+    if width < 1:
         raise ConfigError("feature dimension must be >= 1")
-    return f, p
+    return p
 
 
 def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
@@ -83,15 +96,17 @@ def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
     return _scores(*_score_operands(features, points), metric)[0]
 
 
-def _scores(f: np.ndarray, p: np.ndarray, metric: Metric):
-    """``pairwise_scores`` on checked inputs: (scores, what ``_scores_backward`` reuses)."""
+def _scores(f: np.ndarray, p: np.ndarray, metric: Metric, unit_points=None,
+            name: str = "features", first: int = 0):
+    """``pairwise_scores`` on checked inputs: (scores, what ``_scores_backward`` reuses). A caller
+    that scores many blocks against one ``p`` passes ``_unit_rows(p, "points")`` as
+    ``unit_points``; a bad feature row is named ``name`` row ``first`` + its index."""
     if metric is Metric.EUCLIDEAN:
         diff = f[:, None, :] - p[None, :, :]
         return np.einsum("bkd,bkd->bk", diff, diff) / f.shape[1] - f @ p.T, None
     if metric is Metric.ANGULAR:
-        fn = _row_norms(f, "features")
-        pn = _row_norms(p, "points")
-        u, v = f / fn[:, None], p / pn[:, None]
+        fn, u = _unit_rows(f, name, first)
+        pn, v = unit_points or _unit_rows(p, "points")
         cos = u @ v.T
         return np.minimum(np.maximum(cos, -1.0), 1.0), (u, v, fn, pn, cos)
     raise ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")

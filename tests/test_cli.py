@@ -566,7 +566,7 @@ class TestCli:
         assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "t/model.osrp"),
                      "--out", str(tmp_path / "o")]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numeric failure: features row")
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: test_known: features row")
         assert "infinite norm" in lines[0] and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("separation,loss_keys,message", [

@@ -34,7 +34,8 @@ def per_element_csv(path, ds):
 
 
 def per_row_load_csv(path):
-    """The feature CSV reader as it was, one parse and one set of checks per line: the oracle."""
+    """The feature CSV reader as it was, one parse and one set of checks per line, and as strict
+    as ``_save_csv``'s text, since ``int`` and ``float`` take what it never writes: the oracle."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -54,6 +55,10 @@ def per_row_load_csv(path):
         parts = line.split(",")
         if len(parts) != d + 2:
             raise DataError(f"{path}: row {ln} has {len(parts)} fields, expected {d + 2}")
+        for part in parts:
+            if not part.isascii() or "_" in part or " " in part or "\t" in part:
+                raise DataError(f"{path}: row {ln} unparsable: field {part!r} holds '_', a space, "
+                                "a tab or non-ASCII text")
         try:
             labels.append(int(parts[0]))
             groups.append(int(parts[1]))
@@ -541,6 +546,20 @@ class TestFeatureFileMessages:
             load_features(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("row,line,field", [
+        ("1_0, 2 ,\u0661.5", 2, "1_0"),  # int() and float() read it as 10, 2 and 1.5
+        ("1,\t2,1.5", 2, "\t2"),
+        ("1,2,\uff11.5", 3, "\uff11.5"),  # after a clean row
+    ], ids=["underscore", "tab", "fullwidth"])
+    def test_csv_lenient_number_text_rejected(self, tmp_path, row, line, field):
+        path = tmp_path / "lenient.csv"
+        clean = "0,0,1.0\n" if line == 3 else ""
+        path.write_text(f"label,group,f0\n{clean}{row}\n", encoding="utf-8")
+        message = (f"{path}: row {line} unparsable: field {field!r} holds '_', a space, a tab "
+                   "or non-ASCII text")
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
+
     def test_csv_blank_line_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("label,group,f0\n0,0,1.0\n\n1,2,-0.5\n")
@@ -563,6 +582,8 @@ CSV_FIELD_DEFECTS = {  # kind: (the columns it may hit, replacement texts); "rag
     "float": ("floats", ["abc", "", "1e", "0x1"]),
     "non-finite": ("floats", ["nan", "inf", "-inf", "1e999"]),
     "range": ("ints", ["-1", str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64)]),
+    # texts that int() and float() both read as 1 or 10
+    "lenient": ("any", ["1_0", " 1", "1 ", "\t1", "1\t", "\u0661", "\uff11", "1\u00a0", "\u20031"]),
 }
 
 
@@ -587,7 +608,8 @@ def csv_texts(draw):
             fields.pop()
         else:
             columns, texts = CSV_FIELD_DEFECTS[kind]
-            column = rnd.randint(0, 1) if columns == "ints" else rnd.randint(2, d + 1)
+            low, high = {"ints": (0, 1), "floats": (2, d + 1), "any": (0, d + 1)}[columns]
+            column = rnd.randint(low, high)
             fields[column] = rnd.choice(texts)
     text = [",".join(fields) for fields in lines]
     for _ in range(draw(st.integers(0, 4))):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from osrkit.benchmark import benchmark_split
 from osrkit.config import VARIANTS, TrainConfig, with_keys
-from osrkit.data import LabeledDataset, SplitSpec, apply_split, gen_synthetic
-from osrkit.errors import EvalError, UsageError
+from osrkit.data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic
+from osrkit.errors import DegenerateInputError, EvalError, NumericError, UsageError
 from osrkit.evaluate import (
+    EvalReport,
     auroc,
     evaluate,
     model_logits,
@@ -26,7 +27,7 @@ from osrkit.evaluate import (
     write_roc_csv,
 )
 from osrkit.losses import LossConfig, classification_logits
-from osrkit.model import Embedder, ModelConfig, ReciprocalBank, embed_forward, init_model
+from osrkit.model import Embedder, ModelConfig, ReciprocalBank, _forward, embed_forward, init_model
 from osrkit.numerics import Metric
 from osrkit.train import train
 
@@ -427,10 +428,10 @@ class TestEvaluate:
         cfg = LossConfig(tau=3.0, classification_metric=metric)
         x = np.random.default_rng(rows).standard_normal((rows, 8)) * 10
         sizes = []
-        def counting_forward(embedder, inputs):
-            sizes.append(len(inputs))
-            return embed_forward(embedder, inputs)
-        monkeypatch.setattr(sys.modules["osrkit.evaluate"], "embed_forward", counting_forward)
+        def counting_forward(weights, biases, x):
+            sizes.append(len(x))
+            return _forward(weights, biases, x)
+        monkeypatch.setattr(sys.modules["osrkit.evaluate"], "_forward", counting_forward)
         got = model_logits(emb, bank, x, cfg)
         blocks = -(-rows // 1024)
         assert sizes == [rows // blocks + (i < rows % blocks) for i in range(blocks)]
@@ -460,6 +461,41 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peaks[Metric.EUCLIDEAN] <= 1.25 * peaks[Metric.ANGULAR], peaks
+
+    @pytest.mark.parametrize("part", ["test_known", "test_unknown"])
+    @pytest.mark.parametrize("scale,error,tail", [
+        (1e200, NumericError, "has an infinite norm, angular distance undefined"),
+        (0.0, DegenerateInputError, "has norm <= 1e-12, angular distance undefined"),
+        (np.nan, NumericError, "contains non-finite entries"),
+    ], ids=["infinite-norm", "zero-norm", "non-finite"])
+    def test_bad_feature_row_named_by_set_and_row(self, large, part, scale, error, tail):
+        """A bad row in the second scoring block is named by its test set and its row there;
+        ``model_logits`` names its row in its inputs. With zero biases, a zero row has zero
+        features."""
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
+        data = getattr(large, part)
+        inputs = data.inputs.copy()
+        inputs[1300] *= scale
+        bad = replace(large, **{part: LabeledDataset(inputs, data.labels, data.group_ids)})
+        with pytest.raises(error) as info:
+            evaluate(emb, bank, bad, LossConfig())
+        assert str(info.value) == f"{part}: features row 1300 {tail}"
+        with pytest.raises(error) as info, np.errstate(over="ignore"):
+            model_logits(emb, bank, inputs, LossConfig())
+        assert str(info.value) == f"features row 1300 {tail}"
+
+    def test_overflowing_euclidean_logits_rejected(self, large):
+        """Finite features whose squared distances overflow give infinite logits, which are
+        checked once, after scoring."""
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
+        inputs = large.test_unknown.inputs.copy()
+        inputs[1300] *= 1e160
+        unknown = LabeledDataset(inputs, large.test_unknown.labels, large.test_unknown.group_ids)
+        cfg = LossConfig(classification_metric=Metric.EUCLIDEAN)
+        assert np.isfinite(embed_forward(emb, inputs)[0]).all()
+        with pytest.raises(NumericError) as info:
+            evaluate(emb, bank, replace(large, test_unknown=unknown), cfg)
+        assert str(info.value) == "logits contains non-finite entries"
 
     @pytest.mark.parametrize("variant", ["full", "euclidean"])
     def test_train_accuracy_is_evaluate_accuracy(self, large, variant):
@@ -533,6 +569,61 @@ class TestEvaluate:
         write_roc_csv(base / "new.csv", curve)
         per_element_curve_csv(base / "old.csv", "threshold,fpr,tpr", curve)
         assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
+
+
+def public_block_report(embedder, bank, split, config):
+    """``evaluate``'s report built from public calls: each test set in ``np.array_split``
+    blocks of at most 1,024 rows, each scored by ``embed_forward`` and
+    ``classification_logits``, then ``predict_closed``, ``openset_score``, ``auroc``,
+    ``roc_points`` and ``oscr``."""
+    def logits(x):
+        return np.vstack([
+            classification_logits(embed_forward(embedder, block)[0], bank,
+                                  config.classification_metric, config.tau)
+            for block in np.array_split(x, max(1, -(-len(x) // 1024)))])
+    known, unknown = logits(split.test_known.inputs), logits(split.test_unknown.inputs)
+    z = np.vstack([known, unknown])
+    is_known = np.arange(len(z)) < len(known)
+    labels = np.concatenate([split.test_known.labels, np.full(len(unknown), -1)])
+    scores = openset_score(z)
+    area, curve = oscr(z, labels, is_known)
+    return EvalReport(float((predict_closed(known) == split.test_known.labels).mean()),
+                      auroc(scores, is_known), area, roc_points(scores, is_known), curve)
+
+
+PART_SIZES = [1, 2, 1023, 1024, 1025, 2049]
+
+
+@st.composite
+def scored_splits(draw):
+    """(embedder, bank, split, loss config): a random MLP with random biases (so no feature
+    row is zero), test sets of ``PART_SIZES`` rows with duplicate rows and signed zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = [draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 9))]
+    k = draw(st.integers(2, 5))
+    emb, bank = init_model(ModelConfig(dims, seed=draw(st.integers(0, 99))), k)
+    emb.biases = [rng.standard_normal(b.shape) for b in emb.biases]
+    parts = []
+    for rows in (draw(st.sampled_from(PART_SIZES)), draw(st.sampled_from(PART_SIZES))):
+        x = rng.standard_normal((rows, dims[0])) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[rng.integers(0, rows, rows // 4)] = x[rng.integers(0, rows, rows // 4)]  # duplicates
+        parts.append(LabeledDataset(x, rng.integers(0, k, rows), np.zeros(rows)))
+    split = OpenSetSplit(parts[0], parts[0], parts[1], {c: c for c in range(k)})
+    tau = draw(st.floats(0.125, 16.0).filter(lambda t: t != 1.0))
+    metric = draw(st.sampled_from([Metric.ANGULAR, Metric.EUCLIDEAN]))
+    return emb, bank, split, LossConfig(tau=tau, classification_metric=metric)
+
+
+class TestPublicBlockPath:
+    @given(scored_splits())
+    @settings(max_examples=60, deadline=None)
+    def test_report_bits_equal_public_block_path(self, case):
+        """``evaluate`` checks once and scores through the unchecked cores, with every bit of
+        the public calls on the same blocks."""
+        emb, bank, split, cfg = case
+        assert evaluate(emb, bank, split, cfg) == public_block_report(emb, bank, split, cfg)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,11 @@ ALLOWED = {
     ("train", "losses", "_check_labels"),
     ("train", "model", "_backward_into"),
     ("checks", "train", "_step"),
+    ("evaluate", "model", "_checked_inputs"),
+    ("evaluate", "model", "_forward"),
+    ("evaluate", "numerics", "_checked_points"),
+    ("evaluate", "numerics", "_scores"),
+    ("evaluate", "numerics", "_unit_rows"),
 }
 
 
