@@ -374,6 +374,8 @@ def _load_binary(path) -> LabeledDataset:
     need = _HEADER.size + 8 * b * (2 + d)
     if len(blob) != need:
         raise DataError(f"{path}: expected {need} bytes, found {len(blob)}")
+    if b == 0:
+        raise DataError(f"{path}: no data rows")
     ints = np.frombuffer(blob, "<i8", 2 * b, _HEADER.size).astype(np.int64).reshape(2, b)
     feats = np.frombuffer(blob, "<f8", b * d, _HEADER.size + 16 * b).astype(np.float64)
     feats = feats.reshape(b, d)

@@ -12,8 +12,9 @@ OSCR integrates the correct classification rate on knowns against the
 false positive rate on unknowns.
 
 ``model_logits`` checks the inputs and the bank once per call, then runs
-the unchecked forward and scoring cores per block; ``evaluate`` checks the
-logits of both test sets once.
+the unchecked forward and scoring cores per block. ``evaluate`` scores both
+test sets through the same blocked core, ``_logits``, checks their logits
+once and takes the argmax of the known rows only.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def _sweep(s: np.ndarray, k: np.ndarray, hits: np.ndarray) -> tuple[Curve, Curve
     in integers."""
     order = np.argsort(-s)  # counts are read at each run's end: the order within a run is moot
     desc = s[order]
-    last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
+    ends = np.ones(len(desc), dtype=bool)
+    np.not_equal(desc[1:], desc[:-1], out=ends[:-1])
+    last = np.flatnonzero(ends)
     knowns = np.cumsum(k[order])[last]
     unknowns = last + 1 - knowns
     n_known, n_unknown = int(knowns[-1]), int(unknowns[-1])
@@ -106,7 +109,8 @@ def _sweep(s: np.ndarray, k: np.ndarray, hits: np.ndarray) -> tuple[Curve, Curve
     roc[1:, 1] = rate[1:, 1] = unknowns / n_unknown
     roc[1:, 2] = knowns / n_known
     rate[1:, 2] = np.cumsum(hits[order])[last] / n_known
-    twice_u = (np.diff(unknowns, prepend=0) * (2 * knowns - np.diff(knowns, prepend=0))).sum()
+    twice_u = unknowns[0] * knowns[0] + (
+        (unknowns[1:] - unknowns[:-1]) * (knowns[1:] + knowns[:-1])).sum()
     return roc, rate, float(twice_u / 2 / (n_known * n_unknown))
 
 
@@ -150,6 +154,7 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     return _curve_area(curve), curve
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite features or logits check reports it
 def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
                  config: LossConfig) -> np.ndarray:
     """The classification logits of ``inputs``: the bits of ``embed_forward``, then
@@ -157,8 +162,8 @@ def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
     the bank checked once. One pass over 8k rows made megabyte temporaries (the euclidean
     score's B x K x D difference among them) whose page faults came and went with the heap
     layout. No block has one row, which would round differently. A bad feature row is named
-    by its row in ``inputs``."""
-    return _logits(embedder, bank, config, {"features": inputs})
+    by its row in ``inputs``; logits that overflow raise, as in ``evaluate``."""
+    return as_matrix(_logits(embedder, bank, config, {"features": inputs}), "logits")
 
 
 def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
@@ -170,22 +175,22 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
     points = _checked_points(bank.points, embedder.weights[-1].shape[1])
     metric, tau = config.classification_metric, config.tau
     unit_points = _unit_rows(points, "points") if metric is Metric.ANGULAR else None
-    splits = [np.array_split(x, max(1, -(-len(x) // 1024))) for x in xs]
-    rows = max(len(blocks[0]) for blocks in splits)  # array_split puts the largest block first
+    counts = [max(1, -(-len(x) // 1024)) for x in xs]
+    rows = max(-(-len(x) // c) for x, c in zip(xs, counts))  # the largest block
     biases = [np.tile(b, (rows, 1)) for b in embedder.biases]
     logits = np.empty((sum(map(len, xs)), len(points)))
     end = 0  # of the rows scored so far, in ``logits``
-    for name, blocks in zip(parts, splits):
-        first = 0  # of the block, in its part
-        for block in blocks:
-            n = len(block)
+    for name, x, count in zip(parts, xs, counts):
+        q, r = divmod(len(x), count)  # np.array_split's blocks: r of q + 1 rows, then q rows
+        for i in range(count):
+            first, n = i * q + min(i, r), q + (i < r)  # of the block, in its part
+            block = x[first : first + n]
             features = _forward(embedder.weights, [b[:n] for b in biases], block)[-1]
             if not np.isfinite(features).all():
                 bad = first + int(np.argmin(np.isfinite(features).all(axis=1)))
                 raise NumericError(f"{name} row {bad} contains non-finite entries")
             scores = _scores(features, points, metric, unit_points, name, first)[0]
             np.multiply(tau, scores, out=logits[end : end + n])
-            first += n
             end += n
     return logits
 
@@ -206,10 +211,11 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
         "test_known: features": split.test_known.inputs,
         "test_unknown: features": split.test_unknown.inputs}), "logits")
     k = np.arange(n_known + n_unknown) < n_known
-    correct = logits.argmax(axis=1) == np.append(split.test_known.labels, np.full(n_unknown, -1))
-    roc_curve, oscr_curve, auroc_value = _sweep(_max_logit(logits), k, k & correct)
-    return EvalReport(float(correct[:n_known].mean()), auroc_value, _curve_area(oscr_curve),
-                      roc_curve, oscr_curve)
+    correct = np.zeros(n_known + n_unknown, dtype=bool)  # no unknown row is a hit
+    np.equal(logits[:n_known].argmax(axis=1), split.test_known.labels, out=correct[:n_known])
+    roc_curve, oscr_curve, auroc_value = _sweep(_max_logit(logits), k, correct)
+    return EvalReport(float(np.count_nonzero(correct) / n_known), auroc_value,
+                      _curve_area(oscr_curve), roc_curve, oscr_curve)
 
 
 def _write_curve_csv(path, header: str, curve) -> None:

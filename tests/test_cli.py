@@ -544,6 +544,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and "row 2" in err
 
+    def test_train_on_header_only_ossf_exit_one(self, tmp_path, capsys):
+        ossf, cfg = tmp_path / "features.ossf", tmp_path / "cfg.ini"
+        ossf.write_bytes(struct.pack("<4sHII", b"OSSF", 1, 0, 5))  # B = 0 rows, D = 5
+        cfg.write_text(FAST_CONFIG + f"features_path = {ossf}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {ossf}: no data rows\n"
+
     def test_train_zero_inputs_under_angular_exit_one(self, tmp_path, capsys):
         argv, _ = _train_on_csv(tmp_path, scale=0.0)
         assert main(argv) == 1

@@ -475,6 +475,7 @@ OSSF_CORRUPTIONS = {  # id: (corrupt the golden bytes, the message after "<path>
     "byte-long": (lambda b: b + b"\x00", "expected 78 bytes, found 79"),
     "nan-row-1": (lambda b: b[:-16] + np.array([np.nan]).tobytes() + b[-8:],
                   "row 1 contains non-finite values"),
+    "no-rows": (lambda b: b[:6] + b"\x00" * 4 + b[10:14], "no data rows"),  # header only
 }
 
 CSV_DEFECTS = {  # id: (file text, the message after "<path>: ")

@@ -417,7 +417,8 @@ class TestEvaluate:
         self.check_matches_per_set_scoring(large)
 
     @pytest.mark.parametrize("metric", [Metric.ANGULAR, Metric.EUCLIDEAN])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 4000, 9000])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 3074, 4000, 7003,
+                                      9000])
     def test_model_logits_blocks_are_unblocked_calls(self, monkeypatch, metric, rows):
         """``model_logits`` scores near-equal blocks of at most 1,024 rows, each with the bits
         of an unblocked call on it. A BLAS kernel may round a row of ``a @ w`` by where it sits
@@ -480,13 +481,13 @@ class TestEvaluate:
         with pytest.raises(error) as info:
             evaluate(emb, bank, bad, LossConfig())
         assert str(info.value) == f"{part}: features row 1300 {tail}"
-        with pytest.raises(error) as info, np.errstate(over="ignore"):
+        with pytest.raises(error) as info:
             model_logits(emb, bank, inputs, LossConfig())
         assert str(info.value) == f"features row 1300 {tail}"
 
     def test_overflowing_euclidean_logits_rejected(self, large):
         """Finite features whose squared distances overflow give infinite logits, which are
-        checked once, after scoring."""
+        checked once, after scoring, by ``evaluate`` and by ``model_logits``."""
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
         inputs = large.test_unknown.inputs.copy()
         inputs[1300] *= 1e160
@@ -495,6 +496,9 @@ class TestEvaluate:
         assert np.isfinite(embed_forward(emb, inputs)[0]).all()
         with pytest.raises(NumericError) as info:
             evaluate(emb, bank, replace(large, test_unknown=unknown), cfg)
+        assert str(info.value) == "logits contains non-finite entries"
+        with pytest.raises(NumericError) as info:
+            model_logits(emb, bank, inputs, cfg)
         assert str(info.value) == "logits contains non-finite entries"
 
     @pytest.mark.parametrize("variant", ["full", "euclidean"])
@@ -591,7 +595,7 @@ def public_block_report(embedder, bank, split, config):
                       auroc(scores, is_known), area, roc_points(scores, is_known), curve)
 
 
-PART_SIZES = [1, 2, 1023, 1024, 1025, 2049]
+PART_SIZES = [1, 2, 1023, 1024, 1025, 2049, 3074]
 
 
 @st.composite
