@@ -145,12 +145,12 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     and score >= t; FPR(t) is the fraction of unknown samples scoring
     >= t. ``true_labels`` is only consulted at known positions.
     """
-    z = as_matrix(logits, "logits")
-    s, k = _as_score_flags(openset_score(z), is_known)
+    z = _logit_matrix(logits)
+    s, k = _as_score_flags(_max_logit(z), is_known)
     y = np.asarray(true_labels)
     if y.shape != (z.shape[0],):
         raise EvalError(f"true_labels must have length {z.shape[0]}")
-    curve = _sweep(s, k, k & (predict_closed(z) == y))[1]
+    curve = _sweep(s, k, k & (z.argmax(axis=1) == y))[1]
     return _curve_area(curve), curve
 
 

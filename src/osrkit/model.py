@@ -121,7 +121,7 @@ def bind_parameters(embedder: Embedder, bank: ReciprocalBank) -> np.ndarray:
 
 def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]:
     """Run the MLP. Returns (features, cache); the cache enables exact backprop. The checks,
-    then ``_forward``, the one forward body, which ``evaluate.model_logits`` runs per block."""
+    then ``_forward``, the one forward body, which ``train._step`` and ``evaluate._logits`` run."""
     activations = _forward(embedder.weights, embedder.biases, _checked_inputs(embedder, inputs))
     return activations[-1], ForwardCache(list(embedder.weights), activations)
 
@@ -138,9 +138,9 @@ def _checked_inputs(embedder: Embedder, inputs) -> np.ndarray:
 
 
 def _forward(weights: list, biases: list, x: np.ndarray) -> list[np.ndarray]:
-    """``embed_forward`` on checked inputs: each layer's input, then the output. A bias may be
-    tiled to ``x``'s rows: adding it gives the same bits as broadcasting it, in one inner loop
-    instead of one per row."""
+    """``embed_forward`` on checked inputs, as ``train._step`` and ``evaluate._logits`` run it:
+    each layer's input, then the output. A bias may be tiled to ``x``'s rows: adding it gives
+    the same bits as broadcasting it, in one inner loop instead of one per row."""
     last = len(weights) - 1
     activations = [x]
     a = x
@@ -164,19 +164,21 @@ def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.nda
         )
     grads = Embedder([np.empty(w.shape) for w in cache.weights],
                      [np.empty(w.shape[1]) for w in cache.weights])
-    delta = _backward_into(cache, g, grads.weights, grads.biases)
+    delta = _backward_into(cache.weights, cache.activations, g, grads.weights, grads.biases)
     return grads, delta @ cache.weights[0].T
 
 
-def _backward_into(cache: ForwardCache, g: np.ndarray, grad_w: list, grad_b: list) -> np.ndarray:
-    """``embed_backward``'s parameter gradients, written into ``grad_w`` and ``grad_b``;
-    returns the gradient w.r.t. the first layer's pre-activation, not the input's."""
-    last = len(cache.weights) - 1
+def _backward_into(weights: list, activations: list, g: np.ndarray, grad_w: list,
+                   grad_b: list) -> np.ndarray:
+    """``embed_backward``'s and ``train._step``'s parameter gradients of ``_forward``'s
+    ``activations``, written into ``grad_w`` and ``grad_b``; returns the gradient w.r.t. the
+    first layer's pre-activation, not the input's."""
+    last = len(weights) - 1
     delta = g
     for i in range(last, -1, -1):
         if i != last:
-            delta = (delta @ cache.weights[i + 1].T) * (cache.activations[i + 1] > 0.0)
-        np.matmul(cache.activations[i].T, delta, out=grad_w[i])
+            delta = (delta @ weights[i + 1].T) * (activations[i + 1] > 0.0)
+        np.matmul(activations[i].T, delta, out=grad_w[i])
         np.add.reduce(delta, axis=0, out=grad_b[i])
     return delta
 

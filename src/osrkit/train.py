@@ -3,9 +3,10 @@
 Training is bit-deterministic for a fixed (seed, config, split): batch
 order comes from one seeded generator, batches run single-threaded, and
 the last partial batch is kept. Parameters, gradients and Adam moments are flat
-float64 vectors bound before the first step. ``_step``, which ``grad-check`` probes, computes
-each loss piece once (see ``losses``) and fills the gradient vector; the optimizer then
-updates the parameters, after which margins are clamped to >= 0.
+float64 vectors bound before the first step. ``train`` checks its inputs once; then each
+batch runs ``_step``, which ``grad-check`` probes: ``model._forward``, the fused loss (see
+``losses``) and ``model._backward_into`` fill the gradient vector. The optimizer updates the
+parameters, margins are clamped to >= 0, and each scored epoch runs ``evaluate._logits``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 
 from .config import TrainConfig, key_text, with_keys
 from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
-from .evaluate import evaluate, model_logits, predict_closed
+from .evaluate import _logits, evaluate, predict_closed
 from .losses import LossConfig, _check_labels, _total
-from .model import (Embedder, ReciprocalBank, _backward_into, bind_parameters, embed_forward,
-                    init_model)
+from .model import Embedder, ReciprocalBank, _backward_into, _forward, bind_parameters, init_model
 from .numerics import as_matrix
 
 
@@ -72,19 +72,13 @@ class Adam:
         self.params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
-def optimizer_step(optimizer, bank: ReciprocalBank, grads: np.ndarray) -> None:
-    """Step ``optimizer`` on its ``bind_parameters`` vector, then clamp ``bank``'s margins."""
-    optimizer.step(grads)
-    bank.project_margins()
-
-
 def _step(embedder: Embedder, bank: ReciprocalBank, grad_embedder: Embedder,
           grad_bank: ReciprocalBank, inputs, labels, loss: LossConfig) -> tuple[float, ...]:
-    """``embed_forward``, the fused loss, then the backward pass on checked inputs. Writes the
+    """The forward pass, the fused loss, then the backward pass on checked inputs. Writes the
     gradient into ``grad_embedder`` and ``grad_bank``; returns (total, cls, margin, oc)."""
-    feats, cache = embed_forward(embedder, inputs)
-    (cls, mar, oc), grad_f = _total(feats, bank, labels, loss, grad_bank)
-    _backward_into(cache, grad_f, grad_embedder.weights, grad_embedder.biases)
+    acts = _forward(embedder.weights, embedder.biases, inputs)
+    (cls, mar, oc), grad_f = _total(acts[-1], bank, labels, loss, grad_bank)
+    _backward_into(embedder.weights, acts, grad_f, grad_embedder.weights, grad_embedder.biases)
     return cls + loss.alpha * mar + loss.beta * oc, cls, mar, oc
 
 
@@ -94,13 +88,11 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
     are validated once; each batch runs ``_step`` on them, unchecked."""
     config.validate()
     k = split.num_known
-    if config.model.layer_dims[0] != split.train.inputs.shape[1]:
-        raise ConfigError(
-            f"model input dim {config.model.layer_dims[0]} != "
-            f"data dim {split.train.inputs.shape[1]}"
-        )
-    n = len(split.train)
     inputs = as_matrix(split.train.inputs, "training inputs")
+    if config.model.layer_dims[0] != inputs.shape[1]:
+        raise ConfigError(f"model input dim {config.model.layer_dims[0]} != "
+                          f"data dim {inputs.shape[1]}")
+    n = len(inputs)
     labels = _check_labels(split.train.labels, k, n)
     embedder, bank = init_model(config.model, k)
     optimizer_class = SGD if config.optimizer == "sgd" else Adam
@@ -121,7 +113,8 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
                                             inputs[batch], labels[batch], config.loss)
                 if not math.isfinite(value):
                     raise NumericError(f"non-finite loss {value}")
-                optimizer_step(optimizer, bank, grads)
+                optimizer.step(grads)
+                bank.project_margins()
                 sum_cls += cls * batch.size
                 sum_mar += mar * batch.size
                 sum_oc += oc * batch.size
@@ -133,7 +126,7 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
         cls, mar, oc = sum_cls / n, sum_mar / n, sum_oc / n
         acc = math.nan  # on split.test_known, scored as ``evaluate`` scores it
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-            logits = model_logits(embedder, bank, split.test_known.inputs, config.loss)
+            logits = _logits(embedder, bank, config.loss, {"features": split.test_known.inputs})
             acc = float((predict_closed(logits) == split.test_known.labels).mean())
         history.append(EpochRecord(epoch, cls + alpha * mar + beta * oc, cls, mar, oc, acc))
     return embedder, bank, history

@@ -1,6 +1,7 @@
 """The import and raise rules of the package: a module imports no private name of another
 module, apart from the unchecked kernel cores that a caller runs after validating once
-(or, as ``checks`` runs ``train._step``, on inputs that are valid by construction);
+(or, as ``checks`` runs ``train._step``, on inputs that are valid by construction), and
+the blocked scoring core ``evaluate._logits``, through which ``train`` scores its epochs;
 every name a module imports is used there or re-exported; and every ``raise`` raises a
 toolkit error, which ``cli.main`` maps to an exit code, unless its caller converts it."""
 
@@ -14,6 +15,8 @@ ALLOWED = {
     ("train", "losses", "_total"),
     ("train", "losses", "_check_labels"),
     ("train", "model", "_backward_into"),
+    ("train", "model", "_forward"),
+    ("train", "evaluate", "_logits"),
     ("checks", "train", "_step"),
     ("evaluate", "model", "_checked_inputs"),
     ("evaluate", "model", "_forward"),

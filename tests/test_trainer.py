@@ -23,7 +23,6 @@ from osrkit.train import (
     Adam,
     SGD,
     EpochRecord,
-    optimizer_step,
     sweep,
     train,
     write_history_csv,
@@ -93,7 +92,8 @@ def train_per_step_public(split, config):
             out = total_loss(feats, bank, split.train.labels[batch], config.loss)
             egrads, _ = embed_backward(cache, out.grad_features)
             grads = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
-            optimizer_step(optimizer, bank, grads)
+            optimizer.step(grads)
+            bank.project_margins()
             for key in sums:
                 sums[key] += out.parts[key] * len(batch)
         means = {key: sums[key] / n for key in sums}
@@ -298,7 +298,8 @@ class TestOptimizers:
         bank.margins[:] = [0.05, 0.0]
         grads = np.zeros_like(params)
         grads[-2:] = 1.0
-        optimizer_step(SGD(1.0, params), bank, grads)
+        SGD(1.0, params).step(grads)
+        bank.project_margins()
         # raw update would be [-0.95, -1.0]; projection clamps to zero
         np.testing.assert_array_equal(bank.margins, [0.0, 0.0])
         np.testing.assert_array_equal(params[-2:], [0.0, 0.0])
@@ -309,7 +310,8 @@ class TestOptimizers:
         params = bind_parameters(emb, bank)
         np.testing.assert_array_equal(params, np.concatenate([a.ravel() for a in arrays]))
         grads = -np.linspace(0.1, 1.0, params.size)  # every parameter, margins too, rises
-        optimizer_step(Adam(0.1, params), bank, grads)
+        Adam(0.1, params).step(grads)
+        bank.project_margins()
         views = [*emb.weights, *emb.biases, bank.points, bank.margins]
         for view, before in zip(views, arrays):
             assert view.shape == before.shape
@@ -507,11 +509,27 @@ class TestTrainErrors:
         def no_step(*args):
             raise AssertionError("a training step ran on non-finite inputs")
 
-        monkeypatch.setattr(train_module, "embed_forward", no_step)
+        monkeypatch.setattr(train_module, "_forward", no_step)
         split = small_split()
         split.train.inputs[5, 2] = np.nan
         with pytest.raises(NumericError, match="training inputs contains non-finite"):
             train(split, small_config())
+
+    def test_one_dim_training_inputs_are_a_config_error(self):
+        split = small_split()
+        split.train.inputs = split.train.inputs[:, 0]
+        n = len(split.train.inputs)
+        with pytest.raises(ConfigError) as info:
+            train(split, small_config())
+        assert str(info.value) == f"training inputs must be 2-D, got shape ({n},)"
+
+    def test_empty_test_known_is_an_empty_batch(self):
+        split = small_split()
+        split.test_known.inputs = split.test_known.inputs[:0]
+        split.test_known.labels = split.test_known.labels[:0]
+        with pytest.raises(UsageError) as info:
+            train(split, small_config(epochs=1))
+        assert str(info.value) == "empty batch"
 
     def test_one_dim_embedding_under_angular_scores_is_a_config_error(self):
         # every cosine in one dimension is +-1: the run would score every sample alike
