@@ -11,17 +11,16 @@ extension: ``.csv`` (header ``label,group,f0..f{D-1}``) and the OSSF
 binary layout (magic ``OSSF``, u16 version, u32 counts, int64 labels and
 groups, float64 features, all little-endian). A CSV body is parsed in
 blocks of 1,024 lines, each split and checked at once, so the memory the
-parse needs beyond the text is bounded by a block; a block that fails a
-check is parsed again row by row, so the first defect in file order is
-still the one reported. A field must be plain ASCII: the underscores,
-spaces, tabs and non-ASCII digits that Python's ``int`` and ``float``
-accept are errors.
+parse needs beyond the text is bounded by a block; the lines of a block
+that fails a check are checked again one at a time by the same checks, so
+the first defect in file order is still the one reported. A field must be
+plain ASCII: the underscores, spaces, tabs and non-ASCII digits that
+Python's ``int`` and ``float`` accept are errors.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from dataclasses import dataclass
 
@@ -265,6 +264,8 @@ def _save_csv(path, ds: LabeledDataset) -> None:
 
 
 def _load_csv(path) -> LabeledDataset:
+    """Parse the body a block at a time; in a block that fails, check its non-blank lines
+    again one at a time and raise the first one's reason, naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -285,8 +286,12 @@ def _load_csv(path) -> LabeledDataset:
         chunk = lines[start:start + _CSV_BLOCK_LINES]
         block = list(filter(None, chunk))  # blank lines are skipped
         if block:
-            block_labels, block_groups, feats = (_parse_block(block, d)
-                                                 or _parse_rows(path, chunk, start + 1, d))
+            parsed = _parse_block(block, d)
+            if isinstance(parsed, str):  # every check is of one line, so name the first to fail
+                for ln, line in enumerate(chunk, start=start + 1):
+                    if line and isinstance(reason := _parse_block([line], d), str):
+                        raise DataError(f"{path}: row {ln} {reason}")
+            block_labels, block_groups, feats = parsed
             labels += block_labels
             groups += block_groups
             blocks.append(feats)
@@ -297,22 +302,28 @@ def _load_csv(path) -> LabeledDataset:
 
 def _parse_block(block: list[str], d: int):
     """Labels, groups and the B x D features of non-blank CSV lines, one call per check over
-    the whole block; None if any line fails one, for ``_parse_rows`` to name the first."""
+    the whole block; or, if a line fails a check, the reason as text. Each check is a property
+    of one line, so a block fails just when one of its lines fails alone, and a one-line
+    block's reason is that of the first check its line fails."""
     width = d + 2
-    if set(map(str.count, block, itertools.repeat(","))) != {d + 1}:
-        return None
+    commas = set(map(str.count, block, itertools.repeat(",")))
+    if commas != {d + 1}:
+        return f"has {max(commas - {d + 1}) + 1} fields, expected {width}"
     text = ",".join(block)
-    if not _plain(text):
-        return None
     fields = text.split(",")
+    if not _plain(text):
+        field = next(f for f in fields if not _plain(f))
+        return f"unparsable: field {field!r} holds '_', a space, a tab or non-ASCII text"
     try:
         ints = list(map(int, fields[0::width] + fields[1::width]))
         del fields[0::width], fields[0::width - 1]  # the labels, then the groups
         feats = np.array(list(map(float, fields)))
-    except ValueError:
-        return None
-    if not (0 <= min(ints) and max(ints) < 2**63 and np.isfinite(feats).all()):
-        return None
+    except ValueError as exc:
+        return f"unparsable: {exc}"
+    if not (0 <= min(ints) and max(ints) < 2**63):
+        return "label or group outside [0, 2**63)"
+    if not np.isfinite(feats).all():
+        return "contains non-finite values"
     return ints[:len(block)], ints[len(block):], feats.reshape(len(block), d)
 
 
@@ -320,36 +331,6 @@ def _plain(text: str) -> bool:
     """Whether ``text`` holds nothing that ``int`` and ``float`` accept but ``_save_csv`` never
     writes: an underscore, a space, a tab or a non-ASCII character. Other whitespace ends a line."""
     return text.isascii() and "_" not in text and " " not in text and "\t" not in text
-
-
-def _parse_rows(path, lines: list[str], first_line: int, d: int):
-    """``_parse_block``'s labels, groups and features, parsed and checked row by row: the
-    first defect raises, naming its line (``lines[0]`` is line ``first_line``)."""
-    labels = []
-    groups = []
-    rows = []
-    for ln, line in enumerate(lines, start=first_line):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 2:
-            raise DataError(f"{path}: row {ln} has {len(parts)} fields, expected {d + 2}")
-        if not _plain(line):
-            field = next(p for p in parts if not _plain(p))
-            raise DataError(f"{path}: row {ln} unparsable: field {field!r} holds '_', a space, "
-                            "a tab or non-ASCII text")
-        try:
-            labels.append(int(parts[0]))
-            groups.append(int(parts[1]))
-            vals = list(map(float, parts[2:]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {ln} unparsable: {exc}") from None
-        if not (0 <= labels[-1] < 2**63 and 0 <= groups[-1] < 2**63):
-            raise DataError(f"{path}: row {ln} label or group outside [0, 2**63)")
-        if not all(map(math.isfinite, vals)):
-            raise DataError(f"{path}: row {ln} contains non-finite values")
-        rows.append(vals)
-    return labels, groups, np.array(rows)
 
 
 def _save_binary(path, ds: LabeledDataset) -> None:

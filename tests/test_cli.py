@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import struct
@@ -8,6 +10,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
 from osrkit import checks
 from osrkit.cli import main
@@ -18,6 +21,7 @@ from osrkit.errors import ConfigError
 from osrkit.losses import LossConfig
 from osrkit.model import ModelConfig, init_model, save_checkpoint
 from osrkit.numerics import Metric
+from test_data import csv_texts, load_outcome, per_row_load_csv
 
 FAST_CONFIG = """
 [model]
@@ -543,6 +547,22 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and "row 2" in err
+
+    @given(csv_texts())
+    @settings(max_examples=50, deadline=None)
+    def test_defective_feature_csv_exit_one(self, tmp_path_factory, text):
+        """``train`` on a drawn feature CSV exits 1 with the per-row reader's message, before
+        it creates ``--out``."""
+        tmp = tmp_path_factory.mktemp("csv")
+        path, cfg, out = tmp / "features.csv", tmp / "cfg.ini", tmp / "o"
+        path.write_text(text, encoding="utf-8")
+        message = load_outcome(per_row_load_csv, path)
+        assume(isinstance(message, str))  # two ragged edits of one line can cancel out
+        cfg.write_text(FAST_CONFIG + f"features_path = {path}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert (status, err.getvalue(), out.exists()) == (1, f"error: {message}\n", False)
 
     def test_train_on_header_only_ossf_exit_one(self, tmp_path, capsys):
         ossf, cfg = tmp_path / "features.ossf", tmp_path / "cfg.ini"

@@ -620,13 +620,16 @@ def csv_texts(draw):
 
 
 class TestBlockedCsvReader:
+    # at 1 each line is its own block, so the one-line reasons alone make the messages;
+    # at 2 and 3 small files cross block boundaries
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
     @given(csv_texts())
     @settings(max_examples=250, deadline=None)
-    def test_small_blocks_match_per_row_reader(self, tmp_path_factory, text):
+    def test_small_blocks_match_per_row_reader(self, tmp_path_factory, block_lines, text):
         path = tmp_path_factory.getbasetemp() / "random.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_CSV_BLOCK_LINES", 3)  # small files cross block boundaries
+            mp.setattr(data, "_CSV_BLOCK_LINES", block_lines)
             assert load_outcome(load_features, path) == load_outcome(per_row_load_csv, path)
 
     def test_big_file_defects_name_their_lines(self, tmp_path):
@@ -644,6 +647,14 @@ class TestBlockedCsvReader:
         lines[ragged_line - 1] = lines[ragged_line - 1].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         message = f"{path}: row {ragged_line} has 4 fields, expected 5"
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
+        # two kinds of defect in the 2nd block: the first line wins, not the first check
+        same_block = list(lines)
+        same_block[1199] = "x" + same_block[1199][same_block[1199].index(","):]  # line 1,200
+        same_block[1299] = same_block[1299].rsplit(",", 1)[0]  # line 1,300
+        path.write_text("\n".join(same_block) + "\n")
+        message = f"{path}: row 1200 unparsable: invalid literal for int() with base 10: 'x'"
         assert load_outcome(load_features, path) == message
         assert load_outcome(per_row_load_csv, path) == message
         lines[1100] = lines[1100].rsplit(",", 1)[0] + ",nan"  # data row 1,100 is line 1,101
