@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EvalError, NumericError, UsageError
+from .errors import ConfigError, EvalError, NumericError, UsageError
 from .losses import LossConfig
 from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
 from .numerics import Metric, _checked_points, _scores, _unit_rows, as_matrix
@@ -133,11 +133,6 @@ def roc_points(scores, is_known) -> Curve:
     return _sweep(s, k, k)[0]
 
 
-def roc_auc_trapezoid(scores, is_known) -> float:
-    """Trapezoidal area under the exact ROC curve (cross-check for auroc)."""
-    return _curve_area(roc_points(scores, is_known))
-
-
 def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     """Open-set classification rate: area of CCR vs FPR over all thresholds.
 
@@ -174,6 +169,8 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
     xs = [_checked_inputs(embedder, x) for x in parts.values()]
     points = _checked_points(bank.points, embedder.weights[-1].shape[1])
     metric, tau = config.classification_metric, config.tau
+    if metric is Metric.ANGULAR and points.shape[1] == 1:  # as ``TrainConfig.validate`` refuses
+        raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
     unit_points = _unit_rows(points, "points") if metric is Metric.ANGULAR else None
     counts = [max(1, -(-len(x) // 1024)) for x in xs]
     rows = max(-(-len(x) // c) for x, c in zip(xs, counts))  # the largest block

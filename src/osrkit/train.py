@@ -3,7 +3,8 @@
 Training is bit-deterministic for a fixed (seed, config, split): batch
 order comes from one seeded generator, batches run single-threaded, and
 the last partial batch is kept. Parameters, gradients and Adam moments are flat
-float64 vectors bound before the first step. ``train`` checks its inputs once; then each
+float64 vectors bound before the first step; the gradient arrays start as a copy of the
+initial model, which the first step overwrites. ``train`` checks its inputs once; then each
 batch runs ``_step``, which ``grad-check`` probes: ``model._forward``, the fused loss (see
 ``losses``) and ``model._backward_into`` fill the gradient vector. The optimizer updates the
 parameters, margins are clamped to >= 0, and each scored epoch runs ``evaluate._logits``.
@@ -11,8 +12,9 @@ parameters, margins are clamped to >= 0, and each scored epoch runs ``evaluate._
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -98,7 +100,7 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
     optimizer_class = SGD if config.optimizer == "sgd" else Adam
     optimizer = optimizer_class(config.learning_rate, bind_parameters(embedder, bank))
     # the gradients, bound like the parameters; each step overwrites every array
-    grad_embedder, grad_bank = init_model(config.model, k)
+    grad_embedder, grad_bank = copy.deepcopy((embedder, bank))
     grads = bind_parameters(grad_embedder, grad_bank)
     rng = np.random.default_rng(int(config.seed))
     history: list[EpochRecord] = []
@@ -133,10 +135,8 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
 
 
 def write_history_csv(path, history: list[EpochRecord]) -> None:
-    row = ",".join(["%.17g"] * len(fields(EpochRecord))) + "\n"
-    body = (row * len(history)) % tuple(x for r in history for x in astuple(r))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,total,cls,amc,coc,val_acc\n" + body)
+    np.savetxt(path, [astuple(r) for r in history], "%.17g", ",",  # no rows: the header alone
+               header="epoch,total,cls,amc,coc,val_acc", comments="", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +178,9 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     if not rows:
         raise UsageError("no sweep rows to write")
     names = list(rows[0].overrides.keys())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names + ["acc", "auroc", "oscr"]) + "\n")
-        for row in rows:
-            cells = [key_text(row.overrides[n]) for n in names]
-            if row.error is not None:
-                cells += ["error", "error", "error"]
-            else:
-                cells += [f"{row.accuracy:.17g}", f"{row.auroc:.17g}", f"{row.oscr:.17g}"]
-            fh.write(",".join(cells) + "\n")
+    results = lambda r: ["error"] * 3 if r.error is not None else [r.accuracy, r.auroc, r.oscr]
+    # object cells: a numpy string array would drop a cell's trailing NULs
+    cells = np.array([[key_text(v) for v in [*(r.overrides[n] for n in names), *results(r)]]
+                      for r in rows], dtype=object)
+    np.savetxt(path, cells, "%s", ",", header=",".join(names + ["acc", "auroc", "oscr"]),
+               comments="", encoding="utf-8")

@@ -14,7 +14,7 @@ from osrkit.benchmark import benchmark_config, benchmark_split, run_benchmark
 from osrkit.checks import run_gradient_suite
 from osrkit.config import GRIDS, TrainConfig
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
-from osrkit.evaluate import auroc, evaluate, oscr, roc_auc_trapezoid
+from osrkit.evaluate import auroc, evaluate, oscr
 from osrkit.losses import LossConfig, classification_loss, overconfidence_loss, total_loss
 from osrkit.model import (
     ModelConfig,
@@ -27,7 +27,7 @@ from osrkit.numerics import Metric
 from osrkit.train import sweep, train, write_sweep_csv
 from osrkit.data import load_features, save_features
 
-from test_eval import brute_force_oscr
+from test_eval import brute_force_oscr, roc_auc_trapezoid
 
 # frozen from the first benchmark run (seeds 0-4, tuned gap threshold 0.25)
 FROZEN_FULL_ACC = 0.9340

@@ -662,6 +662,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: layer_dims ends in 1")
         assert not (tmp_path / "o").exists()
 
+    def test_eval_one_dim_embedding_under_angular_head_exit_one(self, tmp_path, capsys):
+        # ``train`` refuses the 1-wide angular head; ``eval`` of a euclidean checkpoint must too
+        one_wide = FAST_CONFIG.replace("layer_dims = 5,8,4", "layer_dims = 5,8,1")
+        trained, angular = tmp_path / "euclidean.ini", tmp_path / "full.ini"
+        trained.write_text(one_wide.replace("variant = full", "variant = euclidean"))
+        angular.write_text(one_wide)
+        assert main(["train", "--config", str(trained), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(angular), "--checkpoint",
+                     str(tmp_path / "run" / "model.osrp"), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: layer_dims ends in 1: every angular score would be +-1\n"
+        assert not (tmp_path / "e").exists()
+
     def test_sweep_warns_once_for_the_vacuous_gap_threshold_cell(self, config_file, tmp_path,
                                                                capsys):
         out = tmp_path / "sw"

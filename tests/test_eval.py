@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from osrkit.benchmark import benchmark_split
 from osrkit.config import VARIANTS, TrainConfig, with_keys
 from osrkit.data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic
-from osrkit.errors import DegenerateInputError, EvalError, NumericError, UsageError
+from osrkit.errors import ConfigError, DegenerateInputError, EvalError, NumericError, UsageError
 from osrkit.evaluate import (
     EvalReport,
     auroc,
@@ -21,7 +21,6 @@ from osrkit.evaluate import (
     openset_score,
     oscr,
     predict_closed,
-    roc_auc_trapezoid,
     roc_points,
     write_oscr_csv,
     write_roc_csv,
@@ -46,6 +45,13 @@ def pair_count_auroc(scores, is_known):
             elif a == b:
                 wins += 0.5
     return wins / total
+
+
+def roc_auc_trapezoid(scores, is_known):
+    """Trapezoidal area under ``roc_points``'s curve: the cross-check of ``auroc``."""
+    curve = roc_points(scores, is_known)
+    x, y = curve[:, 1], curve[:, 2]
+    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) * 0.5).sum())
 
 
 def brute_force_oscr(logits, labels, is_known):
@@ -400,6 +406,17 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="3 classes"):
             evaluate(emb, bank, split, LossConfig())
 
+    def test_one_wide_embedding_has_no_angular_score(self, split):
+        # every cosine of a 1-wide feature is +-1: the refusal of ``TrainConfig.validate``
+        emb, bank = init_model(ModelConfig([8, 32, 1], seed=0), 4)
+        message = "^layer_dims ends in 1: every angular score would be \\+-1$"
+        with pytest.raises(ConfigError, match=message):
+            evaluate(emb, bank, split, LossConfig())
+        with pytest.raises(ConfigError, match=message):
+            model_logits(emb, bank, split.test_known.inputs, LossConfig())
+        euclidean = LossConfig(classification_metric=Metric.EUCLIDEAN)
+        assert model_logits(emb, bank, split.test_known.inputs, euclidean).shape[1] == 4
+
     def test_emptied_unknown_test_set_rejected(self, split):
         # LabeledDataset refuses to be built empty, so only a set emptied afterwards reaches this
         unknown = copy.copy(split.test_unknown)
@@ -603,7 +620,10 @@ def scored_splits(draw):
     """(embedder, bank, split, loss config): a random MLP with random biases (so no feature
     row is zero), test sets of ``PART_SIZES`` rows with duplicate rows and signed zeros."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dims = [draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 9))]
+    metric = draw(st.sampled_from([Metric.ANGULAR, Metric.EUCLIDEAN]))
+    # a 1-wide embedding has no angular score (see test_one_wide_embedding_has_no_angular_score)
+    out_min = 2 if metric is Metric.ANGULAR else 1
+    dims = [draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(out_min, 9))]
     k = draw(st.integers(2, 5))
     emb, bank = init_model(ModelConfig(dims, seed=draw(st.integers(0, 99))), k)
     emb.biases = [rng.standard_normal(b.shape) for b in emb.biases]
@@ -616,7 +636,6 @@ def scored_splits(draw):
         parts.append(LabeledDataset(x, rng.integers(0, k, rows), np.zeros(rows)))
     split = OpenSetSplit(parts[0], parts[0], parts[1], {c: c for c in range(k)})
     tau = draw(st.floats(0.125, 16.0).filter(lambda t: t != 1.0))
-    metric = draw(st.sampled_from([Metric.ANGULAR, Metric.EUCLIDEAN]))
     return emb, bank, split, LossConfig(tau=tau, classification_metric=metric)
 
 

@@ -23,6 +23,7 @@ from osrkit.train import (
     Adam,
     SGD,
     EpochRecord,
+    SweepRow,
     sweep,
     train,
     write_history_csv,
@@ -48,6 +49,52 @@ def small_config(seed=0, epochs=3, **loss_kwargs):
         learning_rate=1e-3,
         seed=seed,
     )
+
+
+def template_history_csv(path, history):
+    """``write_history_csv`` as it was, one ``%`` over a row template per record: the oracle."""
+    row = ",".join(["%.17g"] * len(dataclasses.fields(EpochRecord))) + "\n"
+    body = (row * len(history)) % tuple(x for r in history for x in dataclasses.astuple(r))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,total,cls,amc,coc,val_acc\n" + body)
+
+
+def per_row_sweep_csv(path, rows):
+    """``write_sweep_csv`` as it was, one write per row: the oracle."""
+    names = list(rows[0].overrides.keys())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names + ["acc", "auroc", "oscr"]) + "\n")
+        for row in rows:
+            cells = [key_text(row.overrides[n]) for n in names]
+            if row.error is not None:
+                cells += ["error", "error", "error"]
+            else:
+                cells += [f"{row.accuracy:.17g}", f"{row.auroc:.17g}", f"{row.oscr:.17g}"]
+            fh.write(",".join(cells) + "\n")
+
+
+# floats with the edge values drawn often: nan, signed zeros, the largest and subnormals
+EDGE_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), 0.0, -0.0, 1e308, -1e308, 5e-324, -2.5e-320, 2.2250738585072009e-308])
+HISTORIES = st.lists(st.builds(EpochRecord, st.integers(0, 10 ** 6), EDGE_FLOATS, EDGE_FLOATS,
+                               EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), max_size=6)
+# a sweep parameter of each type a cell holds; strs with non-ASCII text and a trailing NUL
+PARAM_VALUES = st.one_of(st.booleans(), st.integers(), EDGE_FLOATS, st.sampled_from(list(Metric)),
+                         st.lists(st.integers(0, 99), max_size=4), st.text(max_size=6),
+                         st.sampled_from(["µs", "wärme", "a\x00", ""]))
+
+
+@st.composite
+def sweep_rows(draw):
+    """1-5 ``SweepRow``s over 0-3 parameters; a failed row's error text may be empty."""
+    names = draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        overrides = {name: draw(PARAM_VALUES) for name in names}
+        error = draw(st.none() | st.text(max_size=6))
+        results = [None] * 3 if error is not None else [draw(EDGE_FLOATS) for _ in range(3)]
+        rows.append(SweepRow(overrides, *results, error=error))
+    return rows
 
 
 def adam_per_array(params, grads, state, lr, t):
@@ -440,6 +487,21 @@ class TestTrain:
             "12,0.66666666666666663,0,4.9406564584124654e-324,1e+17,0.25\n"
         )
 
+    @given(HISTORIES)
+    @settings(max_examples=100, deadline=None)
+    def test_history_csv_bytes_match_the_template_writer(self, tmp_path_factory, history):
+        base = tmp_path_factory.getbasetemp()
+        write_history_csv(base / "new.csv", history)
+        template_history_csv(base / "old.csv", history)
+        assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
+
+    def test_one_init_model_per_run(self, monkeypatch):
+        # the gradient buffers are a copy of the initial model, not a second seeded draw
+        calls = []
+        monkeypatch.setattr(train_module, "init_model",
+                            lambda *args: calls.append(args) or init_model(*args))
+        train(small_split(), small_config(epochs=1))
+        assert len(calls) == 1
 
     @given(
         seed=st.integers(0, 2 ** 16),
@@ -651,6 +713,14 @@ class TestSweep:
         path = tmp_path / "s.csv"
         write_sweep_csv(path, rows)
         assert "error" in path.read_text().splitlines()[1]
+
+    @given(sweep_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_csv_bytes_match_the_per_row_writer(self, tmp_path_factory, rows):
+        base = tmp_path_factory.getbasetemp()
+        write_sweep_csv(base / "new.csv", rows)
+        per_row_sweep_csv(base / "old.csv", rows)
+        assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
 
     def test_no_rows_to_write_rejected(self, tmp_path):
         with pytest.raises(UsageError, match="^no sweep rows to write$"):
