@@ -75,11 +75,11 @@ def _cmd_train(args) -> int:
     split = build_split(cfg.data)
     _warn_if_vacuous(cfg.train.loss)
     embedder, bank, history = train(split, cfg.train)
+    report = evaluate(embedder, bank, split, cfg.train.loss)
     out = _outdir(args)
     ckpt = out / "model.osrp"
     save_checkpoint(ckpt, embedder, bank)
     write_history_csv(out / "history.csv", history)
-    report = evaluate(embedder, bank, split, cfg.train.loss)
     print(f"checkpoint: {ckpt}")
     print(f"history:    {out / 'history.csv'}")
     print(

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, EvalError, NumericError, UsageError
 from .losses import LossConfig
 from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
-from .numerics import Metric, _checked_points, _scores, _unit_rows, as_matrix
+from .numerics import Metric, _checked_points, _scores, as_matrix
 
 Curve = np.ndarray  # (T+1)x3 float64 rows (threshold, fpr, tpr-or-ccr), row 0 is (inf, 0, 0)
 
@@ -97,9 +97,7 @@ def _sweep(s: np.ndarray, k: np.ndarray, hits: np.ndarray) -> tuple[Curve, Curve
     in integers."""
     order = np.argsort(-s)  # counts are read at each run's end: the order within a run is moot
     desc = s[order]
-    ends = np.ones(len(desc), dtype=bool)
-    np.not_equal(desc[1:], desc[:-1], out=ends[:-1])
-    last = np.flatnonzero(ends)
+    last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
     knowns = np.cumsum(k[order])[last]
     unknowns = last + 1 - knowns
     n_known, n_unknown = int(knowns[-1]), int(unknowns[-1])
@@ -164,14 +162,13 @@ def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
 def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
             parts: dict) -> np.ndarray:
     """``model_logits`` of each of ``parts``' inputs, in one array; a bad feature row is named
-    by its part's key and its row there. The points' unit rows, and each bias tiled to the
-    largest block's rows, are made once; each block keeps the public calls' operands and ops."""
+    by its part's key and its row there. Each bias is tiled to the largest block's rows once;
+    each block keeps the public calls' operands and ops."""
     xs = [_checked_inputs(embedder, x) for x in parts.values()]
     points = _checked_points(bank.points, embedder.weights[-1].shape[1])
     metric, tau = config.classification_metric, config.tau
     if metric is Metric.ANGULAR and points.shape[1] == 1:  # as ``TrainConfig.validate`` refuses
         raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
-    unit_points = _unit_rows(points, "points") if metric is Metric.ANGULAR else None
     counts = [max(1, -(-len(x) // 1024)) for x in xs]
     rows = max(-(-len(x) // c) for x, c in zip(xs, counts))  # the largest block
     biases = [np.tile(b, (rows, 1)) for b in embedder.biases]
@@ -186,7 +183,7 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
             if not np.isfinite(features).all():
                 bad = first + int(np.argmin(np.isfinite(features).all(axis=1)))
                 raise NumericError(f"{name} row {bad} contains non-finite entries")
-            scores = _scores(features, points, metric, unit_points, name, first)[0]
+            scores = _scores(features, points, metric, name, first)[0]
             np.multiply(tau, scores, out=logits[end : end + n])
             end += n
     return logits

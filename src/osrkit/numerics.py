@@ -61,12 +61,6 @@ def _row_norms(a: np.ndarray, name: str, first: int = 0) -> np.ndarray:
     return norms
 
 
-def _unit_rows(a: np.ndarray, name: str, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(``_row_norms`` of ``a``, its rows divided by them)."""
-    norms = _row_norms(a, name, first)
-    return norms, a / norms[:, None]
-
-
 def _score_operands(features, points) -> tuple[np.ndarray, np.ndarray]:
     """The checks of ``pairwise_scores``: finite 2-D inputs of one positive width."""
     f = as_matrix(features, "features")
@@ -96,17 +90,17 @@ def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
     return _scores(*_score_operands(features, points), metric)[0]
 
 
-def _scores(f: np.ndarray, p: np.ndarray, metric: Metric, unit_points=None,
-            name: str = "features", first: int = 0):
-    """``pairwise_scores`` on checked inputs: (scores, what ``_scores_backward`` reuses). A caller
-    that scores many blocks against one ``p`` passes ``_unit_rows(p, "points")`` as
-    ``unit_points``; a bad feature row is named ``name`` row ``first`` + its index."""
+def _scores(f: np.ndarray, p: np.ndarray, metric: Metric, name: str = "features",
+            first: int = 0):
+    """``pairwise_scores`` on checked inputs: (scores, what ``_scores_backward`` reuses). Under
+    ANGULAR a bad feature row, checked before the points, is named ``name`` row ``first`` + its
+    index."""
     if metric is Metric.EUCLIDEAN:
         diff = f[:, None, :] - p[None, :, :]
         return np.einsum("bkd,bkd->bk", diff, diff) / f.shape[1] - f @ p.T, None
     if metric is Metric.ANGULAR:
-        fn, u = _unit_rows(f, name, first)
-        pn, v = unit_points or _unit_rows(p, "points")
+        fn, pn = _row_norms(f, name, first), _row_norms(p, "points")
+        u, v = f / fn[:, None], p / pn[:, None]
         cos = u @ v.T
         return np.minimum(np.maximum(cos, -1.0), 1.0), (u, v, fn, pn, cos)
     raise ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")

@@ -7,7 +7,8 @@ float64 vectors bound before the first step; the gradient arrays start as a copy
 initial model, which the first step overwrites. ``train`` checks its inputs once; then each
 batch runs ``_step``, which ``grad-check`` probes: ``model._forward``, the fused loss (see
 ``losses``) and ``model._backward_into`` fill the gradient vector. The optimizer updates the
-parameters, margins are clamped to >= 0, and each scored epoch runs ``evaluate._logits``.
+parameters, margins are clamped to >= 0, and each scored epoch takes the argmax of the public
+``evaluate.model_logits`` on ``split.test_known``, which ``train`` checks non-empty up front.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .config import TrainConfig, key_text, with_keys
 from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
-from .evaluate import _logits, evaluate, predict_closed
+from .evaluate import evaluate, model_logits
 from .losses import LossConfig, _check_labels, _total
 from .model import Embedder, ReciprocalBank, _backward_into, _forward, bind_parameters, init_model
 from .numerics import as_matrix
@@ -96,6 +97,8 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
                           f"data dim {inputs.shape[1]}")
     n = len(inputs)
     labels = _check_labels(split.train.labels, k, n)
+    if config.epochs and len(split.test_known) == 0:  # the last epoch scores it
+        raise UsageError("empty batch")
     embedder, bank = init_model(config.model, k)
     optimizer_class = SGD if config.optimizer == "sgd" else Adam
     optimizer = optimizer_class(config.learning_rate, bind_parameters(embedder, bank))
@@ -128,8 +131,8 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
         cls, mar, oc = sum_cls / n, sum_mar / n, sum_oc / n
         acc = math.nan  # on split.test_known, scored as ``evaluate`` scores it
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-            logits = _logits(embedder, bank, config.loss, {"features": split.test_known.inputs})
-            acc = float((predict_closed(logits) == split.test_known.labels).mean())
+            logits = model_logits(embedder, bank, split.test_known.inputs, config.loss)
+            acc = float((logits.argmax(axis=1) == split.test_known.labels).mean())
         history.append(EpochRecord(epoch, cls + alpha * mar + beta * oc, cls, mar, oc, acc))
     return embedder, bank, history
 

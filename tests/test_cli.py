@@ -174,13 +174,13 @@ def _unopenable(tmp_path, name):
     return ["eval", "--config", str(cfg), "--checkpoint", str(path), "--out", str(out)], path
 
 
-def _train_on_csv(tmp_path, scale=1.0, text=None):
+def _train_on_csv(tmp_path, scale=1.0, text=None, rows=slice(None)):
     """``train`` argv for FAST_CONFIG reading a feature CSV: its own data with the
-    inputs multiplied by ``scale``, or ``text`` verbatim."""
+    inputs' ``rows`` multiplied by ``scale``, or ``text`` verbatim."""
     path = tmp_path / "features.csv"
     if text is None:
         ds = gen_synthetic(4, 20, 5, 4.0, 0.8, seed=0)
-        ds.inputs = ds.inputs * scale
+        ds.inputs[rows] *= scale
         save_features(path, ds)
     else:
         path.write_text(text)
@@ -581,6 +581,15 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: features row 0 has an infinite norm")
+
+    def test_train_unscorable_test_set_exit_two_and_no_output(self, tmp_path, capsys):
+        # training never reads class 3; scoring the test sets fails before --out is made
+        ds = gen_synthetic(4, 20, 5, 4.0, 0.8, seed=0)
+        argv, _ = _train_on_csv(tmp_path, scale=1e200, rows=ds.labels.tolist().index(3))
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: test_unknown: features row")
+        assert "infinite norm" in lines[0] and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("separation", ["1e160", "1e200", "1e300"])
     def test_eval_overflowing_feature_norm_exit_two(self, config_file, tmp_path, capsys,

@@ -1,9 +1,9 @@
 """The import and raise rules of the package: a module imports no private name of another
 module, apart from the unchecked kernel cores that a caller runs after validating once
 (or, as ``checks`` runs ``train._step``, on inputs that are valid by construction), and
-the blocked scoring core ``evaluate._logits``, through which ``train`` scores its epochs;
-every name a module imports is used there or re-exported; and every ``raise`` raises a
-toolkit error, which ``cli.main`` maps to an exit code, unless its caller converts it."""
+every such permission names an import the package makes; every name a module imports is
+used there or re-exported; and every ``raise`` raises a toolkit error, which ``cli.main``
+maps to an exit code, unless its caller converts it."""
 
 import ast
 from pathlib import Path
@@ -16,13 +16,11 @@ ALLOWED = {
     ("train", "losses", "_check_labels"),
     ("train", "model", "_backward_into"),
     ("train", "model", "_forward"),
-    ("train", "evaluate", "_logits"),
     ("checks", "train", "_step"),
     ("evaluate", "model", "_checked_inputs"),
     ("evaluate", "model", "_forward"),
     ("evaluate", "numerics", "_checked_points"),
     ("evaluate", "numerics", "_scores"),
-    ("evaluate", "numerics", "_unit_rows"),
 }
 
 
@@ -43,6 +41,11 @@ def test_only_kernel_cores_cross_modules():
     stray = [f"{importer}: from .{module} import {name}" for importer, module, name in found
              if (importer, module, "*") not in ALLOWED and (importer, module, name) not in ALLOWED]
     assert stray == []
+
+
+def test_every_named_permission_is_used():
+    # a permission left behind by a deleted import would admit that import again unseen
+    assert {entry for entry in ALLOWED if entry[2] != "*"} - set(private_imports()) == set()
 
 
 # (module, function) whose raise of another class its caller turns into a toolkit error

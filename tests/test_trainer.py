@@ -585,13 +585,16 @@ class TestTrainErrors:
             train(split, small_config())
         assert str(info.value) == f"training inputs must be 2-D, got shape ({n},)"
 
-    def test_empty_test_known_is_an_empty_batch(self):
+    def test_empty_test_known_is_an_empty_batch(self, monkeypatch):
+        # checked with the other inputs, before any step runs
         split = small_split()
         split.test_known.inputs = split.test_known.inputs[:0]
         split.test_known.labels = split.test_known.labels[:0]
+        monkeypatch.setattr(train_module, "_step", lambda *args: pytest.fail("a step ran"))
         with pytest.raises(UsageError) as info:
             train(split, small_config(epochs=1))
         assert str(info.value) == "empty batch"
+        assert train(split, small_config(epochs=0))[2] == []  # no epoch scores it
 
     def test_one_dim_embedding_under_angular_scores_is_a_config_error(self):
         # every cosine in one dimension is +-1: the run would score every sample alike
