@@ -4,7 +4,7 @@ Each case builds seeded random small instances, flattens the trainable
 quantities into one vector, and compares the analytic gradient against
 central differences via ``numerics.grad_check``. ``gradient_cases`` is the only
 list of cases: each public loss on its own inputs (``classification_<metric>``,
-``overconfidence``, ``total``, ``margin_<metric>``), then ``train``'s own step, ``_step``,
+``overconfidence``, ``total``, ``margin_<metric>``), then ``train``'s own step, ``_Run.step``,
 on a random embedder once per ``VARIANTS`` arm and margin ``Metric``
 (``total_through_embedder`` for the full arm with the euclidean margin, else
 ``fused_<arm>_<margin>``). The CLI `grad-check` subcommand and the acceptance
@@ -13,7 +13,6 @@ suite run every case on 20 instances; the unit tests run each on a few.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -23,9 +22,9 @@ from .config import VARIANTS
 from .errors import ConfigError
 from .losses import (LossConfig, classification_loss, margin_loss, overconfidence_loss,
                      total_loss)
-from .model import Embedder, ReciprocalBank, bind_parameters, flatten, unflatten
+from .model import Embedder, ReciprocalBank, flatten, unflatten
 from .numerics import Metric, grad_check
-from .train import _step
+from .train import _Run
 
 DEFAULT_TOL = 1e-4
 DEFAULT_EPS = 1e-5
@@ -84,8 +83,8 @@ def _overconfidence_case(rng: np.random.Generator) -> float:
 
 
 def _through_embedder_case(config: LossConfig) -> Callable[[np.random.Generator], float]:
-    """``train``'s own step under ``config`` on a random 2-layer embedder, probed through the
-    ``model.bind_parameters`` vector that the optimizer steps on."""
+    """``train``'s own run state and step under ``config`` on a random 2-layer embedder,
+    probed through the parameter vector that the optimizer steps on."""
 
     def run(rng: np.random.Generator) -> float:
         b = int(rng.integers(2, 6))
@@ -99,17 +98,15 @@ def _through_embedder_case(config: LossConfig) -> Callable[[np.random.Generator]
         bank = ReciprocalBank(rng.standard_normal((k, d)), rng.uniform(0.0, 2.0, k))
         labels = rng.integers(0, k, b)
         inputs = rng.standard_normal((b, d_in))
-        twin = copy.deepcopy((embedder, bank))  # the gradient, bound as ``train`` binds it
-        grads = bind_parameters(*twin)
-        params = bind_parameters(embedder, bank)
+        run = _Run(embedder, bank, config)
 
         def value_at(vec: np.ndarray) -> float:
-            params[...] = vec
-            return _step(embedder, bank, *twin, inputs, labels, config)[0]
+            run.params[...] = vec
+            return run.step(inputs, labels)[0]
 
-        value_at(params)  # fills the twin: the analytic gradient at params
+        value_at(run.params)  # fills the twin: the analytic gradient at params
         # grad_check copies params; value_at overwrites the twin as it probes, so copy it here
-        return grad_check(value_at, params, grads.copy(), DEFAULT_EPS)
+        return grad_check(value_at, run.params, run.grads.copy(), DEFAULT_EPS)
 
     return run
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable
@@ -200,7 +199,6 @@ def _owners(config: TrainConfig, name: str) -> list:
 def with_keys(config: TrainConfig, overrides: dict[str, object]) -> TrainConfig:
     """``config`` with each key set in every config that has it (``seed`` sets both the
     training and the model-init seed). A value of the wrong kind is a ``ConfigError``."""
-    over: dict[int, dict[str, object]] = defaultdict(dict)  # by id of the owning config
     for name, value in overrides.items():
         for owner in _owners(config, name):
             current = getattr(owner, name)
@@ -208,10 +206,9 @@ def with_keys(config: TrainConfig, overrides: dict[str, object]) -> TrainConfig:
                     or not isinstance(value, _kind(current)[1])):
                 raise ConfigError(
                     f"sweep parameter {name!r} needs a {type(current).__name__}, got {value!r}")
-            over[id(owner)][name] = value
-    cfg = replace(config, **over[id(config)])
-    return replace(cfg, loss=replace(cfg.loss, **over[id(config.loss)]),
-                   model=replace(cfg.model, **over[id(config.model)]))
+    own = lambda c: {name: overrides[name] for name in overrides.keys() & _keys(c)}
+    return replace(config, **own(config), loss=replace(config.loss, **own(config.loss)),
+                   model=replace(config.model, **own(config.model)))
 
 
 def cartesian_cells(grid: dict[str, Iterable]) -> list[dict[str, object]]:

@@ -120,8 +120,8 @@ def bind_parameters(embedder: Embedder, bank: ReciprocalBank) -> np.ndarray:
 
 
 def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]:
-    """Run the MLP. Returns (features, cache); the cache enables exact backprop. The checks,
-    then ``_forward``, the one forward body, which ``train._step`` and ``evaluate._logits`` run."""
+    """Run the MLP. Returns (features, cache); the cache enables exact backprop. The checks, then
+    ``_forward``, the one forward body, which ``train._Run.step`` and ``evaluate._logits`` run."""
     activations = _forward(embedder.weights, embedder.biases, _checked_inputs(embedder, inputs))
     return activations[-1], ForwardCache(list(embedder.weights), activations)
 
@@ -138,7 +138,7 @@ def _checked_inputs(embedder: Embedder, inputs) -> np.ndarray:
 
 
 def _forward(weights: list, biases: list, x: np.ndarray) -> list[np.ndarray]:
-    """``embed_forward`` on checked inputs, as ``train._step`` and ``evaluate._logits`` run it:
+    """``embed_forward`` on checked inputs, as ``train._Run.step`` and ``evaluate._logits`` run it:
     each layer's input, then the output. A bias may be tiled to ``x``'s rows: adding it gives
     the same bits as broadcasting it, in one inner loop instead of one per row."""
     last = len(weights) - 1
@@ -170,7 +170,7 @@ def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.nda
 
 def _backward_into(weights: list, activations: list, g: np.ndarray, grad_w: list,
                    grad_b: list) -> np.ndarray:
-    """``embed_backward``'s and ``train._step``'s parameter gradients of ``_forward``'s
+    """``embed_backward``'s and ``train._Run.step``'s parameter gradients of ``_forward``'s
     ``activations``, written into ``grad_w`` and ``grad_b``; returns the gradient w.r.t. the
     first layer's pre-activation, not the input's."""
     last = len(weights) - 1

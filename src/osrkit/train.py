@@ -3,9 +3,9 @@
 Training is bit-deterministic for a fixed (seed, config, split): batch
 order comes from one seeded generator, batches run single-threaded, and
 the last partial batch is kept. Parameters, gradients and Adam moments are flat
-float64 vectors bound before the first step; the gradient arrays start as a copy of the
-initial model, which the first step overwrites. ``train`` checks its inputs once; then each
-batch runs ``_step``, which ``grad-check`` probes: ``model._forward``, the fused loss (see
+float64 vectors bound before the first step. ``train`` checks its inputs once, then builds one
+run state, ``_Run``: the model and its gradient twin, each bound to one vector. Each batch runs
+``_Run.step``, which ``grad-check`` probes: ``model._forward``, the fused loss (see
 ``losses``) and ``model._backward_into`` fill the gradient vector. The optimizer updates the
 parameters, margins are clamped to >= 0, and each scored epoch takes the argmax of the public
 ``evaluate.model_logits`` on ``split.test_known``, which ``train`` checks non-empty up front.
@@ -75,20 +75,29 @@ class Adam:
         self.params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
-def _step(embedder: Embedder, bank: ReciprocalBank, grad_embedder: Embedder,
-          grad_bank: ReciprocalBank, inputs, labels, loss: LossConfig) -> tuple[float, ...]:
-    """The forward pass, the fused loss, then the backward pass on checked inputs. Writes the
-    gradient into ``grad_embedder`` and ``grad_bank``; returns (total, cls, margin, oc)."""
-    acts = _forward(embedder.weights, embedder.biases, inputs)
-    (cls, mar, oc), grad_f = _total(acts[-1], bank, labels, loss, grad_bank)
-    _backward_into(embedder.weights, acts, grad_f, grad_embedder.weights, grad_embedder.biases)
-    return cls + loss.alpha * mar + loss.beta * oc, cls, mar, oc
+class _Run:
+    """A run's state: the model bound to ``params``, its gradient twin to ``grads``, the loss."""
+
+    def __init__(self, embedder: Embedder, bank: ReciprocalBank, loss: LossConfig):
+        self.embedder, self.bank, self.loss = embedder, bank, loss
+        self.params = bind_parameters(embedder, bank)
+        self.twin = copy.deepcopy((embedder, bank))  # the initial model; each step overwrites it
+        self.grads = bind_parameters(*self.twin)
+
+    def step(self, inputs, labels) -> tuple[float, ...]:
+        """The forward pass, the fused loss, then the backward pass on checked inputs. Writes
+        the gradient into ``grads``; returns (total, cls, margin, oc)."""
+        embedder, (grad_embedder, grad_bank), loss = self.embedder, self.twin, self.loss
+        acts = _forward(embedder.weights, embedder.biases, inputs)
+        (cls, mar, oc), grad_f = _total(acts[-1], self.bank, labels, loss, grad_bank)
+        _backward_into(embedder.weights, acts, grad_f, grad_embedder.weights, grad_embedder.biases)
+        return cls + loss.alpha * mar + loss.beta * oc, cls, mar, oc
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the non-finite loss check reports it once
 def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[EpochRecord]]:
     """Fit the embedder and bank on split.train; deterministic per config. The inputs
-    are validated once; each batch runs ``_step`` on them, unchecked."""
+    are validated once; each batch runs ``_Run.step`` on them, unchecked."""
     config.validate()
     k = split.num_known
     inputs = as_matrix(split.train.inputs, "training inputs")
@@ -100,11 +109,8 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
     if config.epochs and len(split.test_known) == 0:  # the last epoch scores it
         raise UsageError("empty batch")
     embedder, bank = init_model(config.model, k)
-    optimizer_class = SGD if config.optimizer == "sgd" else Adam
-    optimizer = optimizer_class(config.learning_rate, bind_parameters(embedder, bank))
-    # the gradients, bound like the parameters; each step overwrites every array
-    grad_embedder, grad_bank = copy.deepcopy((embedder, bank))
-    grads = bind_parameters(grad_embedder, grad_bank)
+    run = _Run(embedder, bank, config.loss)
+    optimizer = (SGD if config.optimizer == "sgd" else Adam)(config.learning_rate, run.params)
     rng = np.random.default_rng(int(config.seed))
     history: list[EpochRecord] = []
     alpha, beta = config.loss.alpha, config.loss.beta
@@ -114,11 +120,10 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
         try:
             for start in range(0, n, config.batch_size):
                 batch = perm[start : start + config.batch_size]
-                value, cls, mar, oc = _step(embedder, bank, grad_embedder, grad_bank,
-                                            inputs[batch], labels[batch], config.loss)
+                value, cls, mar, oc = run.step(inputs[batch], labels[batch])
                 if not math.isfinite(value):
                     raise NumericError(f"non-finite loss {value}")
-                optimizer.step(grads)
+                optimizer.step(run.grads)
                 bank.project_margins()
                 sum_cls += cls * batch.size
                 sum_mar += mar * batch.size

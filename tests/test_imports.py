@@ -1,6 +1,6 @@
 """The import and raise rules of the package: a module imports no private name of another
 module, apart from the unchecked kernel cores that a caller runs after validating once
-(or, as ``checks`` runs ``train._step``, on inputs that are valid by construction), and
+(or, as ``checks`` runs ``train._Run``'s step, on inputs that are valid by construction), and
 every such permission names an import the package makes; every name a module imports is
 used there or re-exported; and every ``raise`` raises a toolkit error, which ``cli.main``
 maps to an exit code, unless its caller converts it."""
@@ -9,14 +9,19 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "osrkit"
-# (importing module, imported module, name); "*" admits every private name of the module
+# (importing module, imported module, name)
 ALLOWED = {
-    ("losses", "numerics", "*"),
+    ("losses", "numerics", "_log_softmax"),
+    ("losses", "numerics", "_paired"),
+    ("losses", "numerics", "_paired_backward"),
+    ("losses", "numerics", "_score_operands"),
+    ("losses", "numerics", "_scores"),
+    ("losses", "numerics", "_scores_backward"),
     ("train", "losses", "_total"),
     ("train", "losses", "_check_labels"),
     ("train", "model", "_backward_into"),
     ("train", "model", "_forward"),
-    ("checks", "train", "_step"),
+    ("checks", "train", "_Run"),
     ("evaluate", "model", "_checked_inputs"),
     ("evaluate", "model", "_forward"),
     ("evaluate", "numerics", "_checked_points"),
@@ -39,13 +44,13 @@ def test_only_kernel_cores_cross_modules():
     found = private_imports()
     assert ("train", "losses", "_total") in found  # the walk reached the package
     stray = [f"{importer}: from .{module} import {name}" for importer, module, name in found
-             if (importer, module, "*") not in ALLOWED and (importer, module, name) not in ALLOWED]
+             if (importer, module, name) not in ALLOWED]
     assert stray == []
 
 
 def test_every_named_permission_is_used():
     # a permission left behind by a deleted import would admit that import again unseen
-    assert {entry for entry in ALLOWED if entry[2] != "*"} - set(private_imports()) == set()
+    assert ALLOWED - set(private_imports()) == set()
 
 
 # (module, function) whose raise of another class its caller turns into a toolkit error

@@ -503,6 +503,18 @@ class TestTrain:
         train(small_split(), small_config(epochs=1))
         assert len(calls) == 1
 
+    def test_run_state_binds_both_vectors_and_each_step_overwrites_every_gradient(self):
+        split = small_split()
+        emb, bank = init_model(ModelConfig([5, 8, 4], seed=0), split.num_known)
+        run = train_module._Run(emb, bank, LossConfig())
+        for (e, b), vector in (((emb, bank), run.params), (run.twin, run.grads)):
+            for array in (*e.weights, *e.biases, b.points, b.margins):
+                assert np.shares_memory(array, vector)
+        # the twin starts as the initial model: harmless only if a step writes every entry
+        run.grads[:] = np.nan
+        run.step(split.train.inputs[:8], split.train.labels[:8].astype(np.int64))
+        assert np.isfinite(run.grads).all()
+
     @given(
         seed=st.integers(0, 2 ** 16),
         classes=st.integers(3, 5),
@@ -590,7 +602,7 @@ class TestTrainErrors:
         split = small_split()
         split.test_known.inputs = split.test_known.inputs[:0]
         split.test_known.labels = split.test_known.labels[:0]
-        monkeypatch.setattr(train_module, "_step", lambda *args: pytest.fail("a step ran"))
+        monkeypatch.setattr(train_module._Run, "step", lambda *args: pytest.fail("a step ran"))
         with pytest.raises(UsageError) as info:
             train(split, small_config(epochs=1))
         assert str(info.value) == "empty batch"
