@@ -64,7 +64,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model.validate()
-        self.loss.validate()
+        self.loss.validate(self.model.layer_dims[-1])
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -77,8 +77,6 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.seed < 0:
             raise ConfigError(f"train seed must be non-negative, got {self.seed}")
-        if self.loss.classification_metric is Metric.ANGULAR and self.model.layer_dims[-1] == 1:
-            raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
 
 
 # Named settings, each a set of config keys applied before any explicit key. The one
@@ -182,10 +180,10 @@ def key_text(value: object) -> str:
 
 
 def _keys(config) -> list[str]:
-    """The fields of a config dataclass that hold no nested config, in field order: the
-    keys that a config file, ``--param`` and a sweep cell set."""
+    """The fields of a config dataclass but ``TrainConfig``'s nested configs, in field order:
+    the keys that a config file, ``--param`` and a sweep cell set."""
     return [f.name for f in dataclasses.fields(config)
-            if not dataclasses.is_dataclass(getattr(config, f.name))]
+            if f.name not in ("model", "loss")]
 
 
 def _owners(config: TrainConfig, name: str) -> list:

@@ -11,10 +11,10 @@ cross-checked in tests against the trapezoid under the ROC curve.
 OSCR integrates the correct classification rate on knowns against the
 false positive rate on unknowns.
 
-``model_logits`` checks the inputs and the bank once per call, then runs
-the unchecked forward and scoring cores per block. ``evaluate`` scores both
-test sets through the same blocked core, ``_logits``, checks their logits
-once and takes the argmax of the known rows only.
+``_logits``, the one blocked scoring core, checks the loss config at the
+embedder's width, the inputs and the bank once per call, scores block by
+block with the unchecked cores and checks the logits once. ``model_logits``
+and ``evaluate`` (argmax of the known rows only) score through it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, EvalError, NumericError, UsageError
+from .errors import EvalError, NumericError, UsageError
 from .losses import LossConfig
 from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
-from .numerics import Metric, _checked_points, _scores, as_matrix
+from .numerics import _checked_points, _scores, as_matrix
 
 Curve = np.ndarray  # (T+1)x3 float64 rows (threshold, fpr, tpr-or-ccr), row 0 is (inf, 0, 0)
 
@@ -147,28 +147,27 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     return _curve_area(curve), curve
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the non-finite features or logits check reports it
 def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
                  config: LossConfig) -> np.ndarray:
     """The classification logits of ``inputs``: the bits of ``embed_forward``, then
-    ``classification_logits``, on near-equal blocks of at most 1,024 rows, with the inputs and
-    the bank checked once. One pass over 8k rows made megabyte temporaries (the euclidean
-    score's B x K x D difference among them) whose page faults came and went with the heap
-    layout. No block has one row, which would round differently. A bad feature row is named
+    ``classification_logits``, on near-equal blocks of at most 1,024 rows, with the config, the
+    inputs and the bank checked once. One pass over 8k rows made megabyte temporaries (the
+    euclidean score's B x K x D difference among them) whose page faults came and went with the
+    heap layout. No block has one row, which would round differently. A bad feature row is named
     by its row in ``inputs``; logits that overflow raise, as in ``evaluate``."""
-    return as_matrix(_logits(embedder, bank, config, {"features": inputs}), "logits")
+    return _logits(embedder, bank, config, {"features": inputs})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite features or logits check reports it
 def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
             parts: dict) -> np.ndarray:
-    """``model_logits`` of each of ``parts``' inputs, in one array; a bad feature row is named
-    by its part's key and its row there. Each bias is tiled to the largest block's rows once;
-    each block keeps the public calls' operands and ops."""
+    """``model_logits`` of each of ``parts``' inputs, in one checked array, after ``config``'s
+    check at the embedder's width; a bad feature row is named by its part's key and its row
+    there. Each bias is tiled to the largest block's rows once; blocks keep the public ops."""
+    config.validate(embedder.weights[-1].shape[1])
     xs = [_checked_inputs(embedder, x) for x in parts.values()]
     points = _checked_points(bank.points, embedder.weights[-1].shape[1])
     metric, tau = config.classification_metric, config.tau
-    if metric is Metric.ANGULAR and points.shape[1] == 1:  # as ``TrainConfig.validate`` refuses
-        raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
     counts = [max(1, -(-len(x) // 1024)) for x in xs]
     rows = max(-(-len(x) // c) for x, c in zip(xs, counts))  # the largest block
     biases = [np.tile(b, (rows, 1)) for b in embedder.biases]
@@ -186,14 +185,12 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
             scores = _scores(features, points, metric, name, first)[0]
             np.multiply(tau, scores, out=logits[end : end + n])
             end += n
-    return logits
+    return as_matrix(logits, "logits")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the non-finite features or logits check reports it
 def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig) -> EvalReport:
-    """Score a frozen model on an open-set split (known + unknown test sets). The logits are
-    checked once; a bad feature row is named by its test set and its row there."""
-    config.validate()
+    """Score a frozen model on an open-set split (known + unknown test sets) through ``_logits``,
+    which checks the config and the logits once and names a bad feature row by set and row."""
     if bank.num_classes != split.num_known:
         raise EvalError(
             f"model has {bank.num_classes} classes but the split has {split.num_known} known"
@@ -201,9 +198,9 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
     n_known, n_unknown = len(split.test_known), len(split.test_unknown)
     if n_known == 0 or n_unknown == 0:
         raise EvalError("split must contain known and unknown test samples")
-    logits = as_matrix(_logits(embedder, bank, config, {
+    logits = _logits(embedder, bank, config, {
         "test_known: features": split.test_known.inputs,
-        "test_unknown: features": split.test_unknown.inputs}), "logits")
+        "test_unknown: features": split.test_unknown.inputs})
     k = np.arange(n_known + n_unknown) < n_known
     correct = np.zeros(n_known + n_unknown, dtype=bool)  # no unknown row is a hit
     np.equal(logits[:n_known].argmax(axis=1), split.test_known.labels, out=correct[:n_known])

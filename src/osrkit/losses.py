@@ -16,8 +16,8 @@ Three ingredients, each differentiable by hand:
 beta * overconfidence. It computes each piece of a batch once: the scores
 and norms, the tau-scaled logits both logit terms share (their gradients
 are summed and chained by one backward), and the margin hinge's differences.
-Each public loss validates its inputs, then calls a private core that trusts
-them (``_total``, ``_margin_hinge``, ...); ``train`` validates once, then calls ``_total``.
+Each public loss checks its inputs, and its settings with ``LossConfig.validate``, then calls
+a trusting core (``_total``, ``_margin_hinge``, ...); ``train`` checks once, then calls ``_total``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .model import ReciprocalBank
 from .numerics import (Metric, _log_softmax, _paired, _paired_backward,
-                       _score_operands, _scores, _scores_backward, as_matrix, pairwise_scores)
+                       _score_operands, _scores, _scores_backward, as_matrix)
 
 
 @dataclass
@@ -41,7 +41,8 @@ class LossConfig:
     classification_metric: Metric = Metric.ANGULAR
     margin_metric: Metric = Metric.EUCLIDEAN
 
-    def validate(self) -> None:
+    def validate(self, width: int | None = None) -> None:
+        """The loss rules; given ``width``, the features' width, also the angular width rule."""
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be > 0, got {self.tau}")
         for name in ("alpha", "beta", "gap_threshold"):
@@ -52,6 +53,8 @@ class LossConfig:
         if metric not in (Metric.EUCLIDEAN, Metric.ANGULAR):
             raise ConfigError("classification_metric must be euclidean or angular, got "
                               f"{getattr(metric, 'value', metric)}")
+        if metric is Metric.ANGULAR and width == 1:
+            raise ConfigError("layer_dims ends in 1: every angular score would be +-1")
         if not isinstance(self.margin_metric, Metric):
             raise ConfigError(f"bad margin_metric {self.margin_metric!r}")
 
@@ -79,9 +82,17 @@ def _check_labels(labels, num_classes: int, batch: int) -> np.ndarray:
     return y
 
 
+def _check_margins(bank: ReciprocalBank) -> None:
+    if np.shape(bank.margins) != (bank.num_classes,):
+        raise ConfigError(f"margins have shape {np.shape(bank.margins)}, not ({bank.num_classes},)")
+    as_matrix([bank.margins], "margins")  # a non-finite margin: NumericError, as for the points
+
+
 def classification_logits(features, bank: ReciprocalBank, metric: Metric, tau: float) -> np.ndarray:
     """Pre-softmax logits: tau * score(feature, point) for every class."""
-    return tau * pairwise_scores(features, bank.points, metric)
+    f, p = _score_operands(features, bank.points)
+    LossConfig(tau, classification_metric=metric).validate(f.shape[1])
+    return tau * _scores(f, p, metric)[0]
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
@@ -100,8 +111,7 @@ def classification_loss(
     """Mean cross-entropy of the true class under softmax(tau * scores)."""
     f, _ = _score_operands(features, bank.points)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
-    if not (np.isfinite(tau) and tau > 0):
-        raise ConfigError(f"tau must be positive, got {tau}")
+    LossConfig(tau, classification_metric=metric).validate(f.shape[1])
     scores, saved = _scores(f, bank.points, metric)
     value, grad_logits = _cross_entropy(tau * scores, y, np.arange(f.shape[0]))
     grad_f, grad_p = _scores_backward(f, bank.points, metric, tau * grad_logits, saved)
@@ -118,6 +128,7 @@ def margin_loss(
     margin gradient; the kink at exactly zero takes subgradient 0.
     """
     f, _ = _score_operands(features, bank.points)
+    _check_margins(bank)
     y = _check_labels(labels, bank.num_classes, f.shape[0])
     return LossOutput(*_margin_hinge(f, bank, y, metric))
 
@@ -147,8 +158,7 @@ def overconfidence_loss(logits, gap_threshold: float) -> tuple[float, np.ndarray
     Returns (value, grad_logits).
     """
     z = as_matrix(logits, "logits")
-    if not (np.isfinite(gap_threshold) and gap_threshold >= 0):
-        raise ConfigError(f"gap_threshold must be >= 0, got {gap_threshold}")
+    LossConfig(gap_threshold=gap_threshold).validate()
     if z.shape[0] == 0:
         raise DataError("empty batch")
     return _overconfidence(z, gap_threshold, np.arange(z.shape[0]))
@@ -179,8 +189,9 @@ def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> Lo
     uses, so the batch is scored once and both terms' logit gradients are chained
     by one backward. The value is not checked: ``train`` raises on a non-finite one.
     """
-    config.validate()
     f, _ = _score_operands(features, bank.points)
+    _check_margins(bank)
+    config.validate(f.shape[1])
     y = _check_labels(labels, bank.num_classes, f.shape[0])
     grads = ReciprocalBank(np.empty_like(bank.points), np.empty(bank.num_classes))
     (cls, mar, oc), grad_f = _total(f, bank, y, config, grads)

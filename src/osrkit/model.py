@@ -230,14 +230,18 @@ def save_checkpoint(path, embedder: Embedder, bank: ReciprocalBank) -> None:
     parts.append(struct.pack("<I", bank.num_classes))
     parts.append(_pack_array(bank.points))
     parts.append(_pack_array(bank.margins))
+    _parse_checkpoint(blob := b"".join(parts), path)  # load's checks, before the file opens
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> tuple[Embedder, ReciprocalBank]:
     """Read an OSRP checkpoint; round-trips with save_checkpoint bit-exactly."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        return _parse_checkpoint(fh.read(), path)
+
+
+def _parse_checkpoint(blob: bytes, path) -> tuple[Embedder, ReciprocalBank]:
     r = _Reader(blob, str(path))
     if r.take(4) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic, not an OSRP checkpoint")

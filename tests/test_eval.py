@@ -25,7 +25,7 @@ from osrkit.evaluate import (
     write_oscr_csv,
     write_roc_csv,
 )
-from osrkit.losses import LossConfig, classification_logits
+from osrkit.losses import LossConfig, classification_logits, classification_loss, total_loss
 from osrkit.model import Embedder, ModelConfig, ReciprocalBank, _forward, embed_forward, init_model
 from osrkit.numerics import Metric
 from osrkit.train import train
@@ -407,7 +407,7 @@ class TestEvaluate:
             evaluate(emb, bank, split, LossConfig())
 
     def test_one_wide_embedding_has_no_angular_score(self, split):
-        # every cosine of a 1-wide feature is +-1: the refusal of ``TrainConfig.validate``
+        # every cosine of a 1-wide feature is +-1: the width rule of ``LossConfig.validate``
         emb, bank = init_model(ModelConfig([8, 32, 1], seed=0), 4)
         message = "^layer_dims ends in 1: every angular score would be \\+-1$"
         with pytest.raises(ConfigError, match=message):
@@ -637,6 +637,41 @@ def scored_splits(draw):
     split = OpenSetSplit(parts[0], parts[0], parts[1], {c: c for c in range(k)})
     tau = draw(st.floats(0.125, 16.0).filter(lambda t: t != 1.0))
     return emb, bank, split, LossConfig(tau=tau, classification_metric=metric)
+
+
+# public scoring entries, each called on a model and the split's known test set
+SCORING_ENTRIES = {
+    "evaluate": evaluate,
+    "model_logits": lambda emb, bank, split, cfg: model_logits(
+        emb, bank, split.test_known.inputs, cfg),
+    "classification_logits": lambda emb, bank, split, cfg: classification_logits(
+        embed_forward(emb, split.test_known.inputs)[0], bank, cfg.classification_metric, cfg.tau),
+    "classification_loss": lambda emb, bank, split, cfg: classification_loss(
+        embed_forward(emb, split.test_known.inputs)[0], bank, split.test_known.labels,
+        cfg.classification_metric, cfg.tau),
+    "total_loss": lambda emb, bank, split, cfg: total_loss(
+        embed_forward(emb, split.test_known.inputs)[0], bank, split.test_known.labels, cfg),
+}
+# scoring heads that ``LossConfig.validate`` refuses: (layer_dims, config)
+BAD_HEADS = {
+    "tau-zero": ([8, 32, 8], LossConfig(tau=0.0)),
+    "tau-negative": ([8, 32, 8], LossConfig(tau=-1.0)),
+    "tau-nan": ([8, 32, 8], LossConfig(tau=float("nan"))),
+    "angular-one-wide": ([8, 32, 1], LossConfig(classification_metric=Metric.ANGULAR)),
+}
+
+
+@pytest.mark.parametrize("head", sorted(BAD_HEADS))
+@pytest.mark.parametrize("entry", sorted(SCORING_ENTRIES))
+def test_every_scoring_entry_refuses_a_bad_head(split, entry, head):
+    """Each public scoring entry raises ``LossConfig.validate``'s own error for a bad head."""
+    dims, cfg = BAD_HEADS[head]
+    with pytest.raises(ConfigError) as expected:
+        cfg.validate(dims[-1])
+    emb, bank = init_model(ModelConfig(dims, seed=0), 4)
+    with pytest.raises(ConfigError) as info:
+        SCORING_ENTRIES[entry](emb, bank, split, cfg)
+    assert str(info.value) == str(expected.value)
 
 
 class TestPublicBlockPath:

@@ -2,8 +2,9 @@
 module, apart from the unchecked kernel cores that a caller runs after validating once
 (or, as ``checks`` runs ``train._Run``'s step, on inputs that are valid by construction), and
 every such permission names an import the package makes; every name a module imports is
-used there or re-exported; and every ``raise`` raises a toolkit error, which ``cli.main``
-maps to an exit code, unless its caller converts it."""
+used there or re-exported; every ``raise`` raises a toolkit error, which ``cli.main``
+maps to an exit code, unless its caller converts it; and each ``ConfigError`` rule is raised
+from one place."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,35 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def message_template(node) -> str:
+    """The text of a message expression, each f-string placeholder or other part as ``{}``."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(message_template(v) if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return message_template(node.left) + message_template(node.right)
+    return "{}"
+
+
+def raised_templates(error: str) -> dict[str, list[str]]:
+    """Per message template of a ``raise error(...)`` in the package, where it is raised."""
+    found: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == error
+                    and node.exc.args):
+                where = f"{path.name}:{node.lineno}"
+                found.setdefault(message_template(node.exc.args[0]), []).append(where)
+    return found
+
+
+def test_each_config_rule_is_raised_from_one_place():
+    # a rule written twice can drift apart, or be missed by an entry that holds the other copy
+    found = raised_templates("ConfigError")
+    assert "tau must be > 0, got {}" in found  # the walk reached the package
+    assert {t: where for t, where in found.items() if len(where) > 1} == {}

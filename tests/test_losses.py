@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from osrkit.checks import DEFAULT_TOL, gradient_cases, run_gradient_suite
 from osrkit.config import VARIANTS
-from osrkit.errors import ConfigError, DataError, DegenerateInputError
+from osrkit.errors import ConfigError, DataError, DegenerateInputError, NumericError
 from osrkit.losses import (
     LossConfig,
     classification_logits,
@@ -190,6 +190,23 @@ class TestMarginLoss:
         for _ in range(10):
             features, bank, labels = random_case(rng)
             assert margin_loss(features, bank, labels, metric).value >= 0
+
+
+@pytest.mark.parametrize("margins, error, message", [
+    (np.zeros(2), ConfigError, r"^margins have shape \(2,\), not \(3,\)$"),
+    (np.zeros((3, 1)), ConfigError, r"^margins have shape \(3, 1\), not \(3,\)$"),
+    (np.array([0.0, np.inf, 0.0]), NumericError, "^margins contains non-finite entries$"),
+    (np.array([0.0, 0.0, np.nan]), NumericError, "^margins contains non-finite entries$"),
+], ids=["short", "column", "inf", "nan"])
+@pytest.mark.parametrize("loss", [
+    margin_loss, lambda f, bank, y: total_loss(f, bank, y, LossConfig())
+], ids=["margin_loss", "total_loss"])
+def test_bad_margins_rejected(loss, margins, error, message):
+    # at K = 3: a short bank escaped as IndexError, a column as TypeError, and an
+    # infinite margin switched its hinge off
+    features, bank, _ = random_case(np.random.default_rng(4), b=5, d=3, k=3)
+    with pytest.raises(error, match=message):
+        loss(features, ReciprocalBank(bank.points, margins), [0, 1, 2, 0, 2])
 
 
 class TestOverconfidenceLoss:

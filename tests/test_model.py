@@ -217,6 +217,8 @@ CORRUPT_CHECKPOINTS = {
     "point block size mismatch": _osrp_v1(k=3),
     "margin block size mismatch": _osrp_v1(margins=(0.75,)),
     "trailing bytes after checkpoint payload": _osrp_v1() + b"\x00",
+    "checkpoint holds non-finite parameters": _osrp_v1(margins=(0.0, np.nan)),
+    r"checkpoint has 1 reciprocal point\(s\), need >= 2": _osrp_v1(k=1),
 }
 
 
@@ -274,23 +276,43 @@ class TestCheckpoint:
     @pytest.mark.parametrize("array", ["weights", "biases", "points", "margins"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, tmp_path, array, value):
+        # save_checkpoint runs the reader's checks on its bytes: what load refuses is not written
         emb, bank = init_model(ModelConfig([3, 4, 2], seed=0), 3)
         target = getattr(emb, array)[-1] if array in ("weights", "biases") else getattr(bank, array)
         target.flat[-1] = value
         path = tmp_path / "model.osrp"
-        save_checkpoint(path, emb, bank)
         with pytest.raises(DataError, match="non-finite") as info:
-            load_checkpoint(path)
+            save_checkpoint(path, emb, bank)
         assert str(path) in str(info.value)
+        assert not path.exists()
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_fewer_than_two_points_rejected(self, tmp_path, k):
         emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
         path = tmp_path / "model.osrp"
-        save_checkpoint(path, emb, ReciprocalBank(np.zeros((k, 2)), np.zeros(k)))
         with pytest.raises(DataError, match="need >= 2") as info:
-            load_checkpoint(path)
+            save_checkpoint(path, emb, ReciprocalBank(np.zeros((k, 2)), np.zeros(k)))
         assert str(path) in str(info.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("nan-weight", "checkpoint holds non-finite parameters"),
+        ("extra-margin", "margin block size mismatch"),
+        ("narrow-points", "point block size mismatch"),
+    ])
+    def test_save_writes_only_what_load_reads(self, tmp_path, case, message):
+        emb, bank = init_model(ModelConfig([3, 4, 2], seed=0), 3)
+        if case == "nan-weight":
+            emb.weights[0][0, 0] = np.nan
+        elif case == "extra-margin":  # K + 1 margins
+            bank = ReciprocalBank(bank.points, np.zeros(4))
+        else:  # points of width 1, under an embedder whose output is 2 wide
+            bank = ReciprocalBank(bank.points[:, :1], bank.margins)
+        path = tmp_path / "model.osrp"
+        with pytest.raises(DataError) as info:
+            save_checkpoint(path, emb, bank)
+        assert str(info.value) == f"{path}: {message}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_margin_projection(self):
         bank = ReciprocalBank(np.zeros((3, 2)), np.array([0.5, -0.2, 0.0]))
