@@ -7,11 +7,10 @@ and are evaluated with closed-set accuracy, AUROC, and OSCR.
 
 from .config import TrainConfig
 from .data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic
-from .evaluate import EvalReport, auroc, evaluate, openset_score, oscr, predict_closed
+from .evaluate import EvalReport, auroc, evaluate, model_logits, oscr, roc_points
 from .losses import (
     LossConfig,
     LossOutput,
-    classification_logits,
     classification_loss,
     margin_loss,
     overconfidence_loss,
@@ -21,13 +20,11 @@ from .model import (
     Embedder,
     ModelConfig,
     ReciprocalBank,
-    embed_backward,
-    embed_forward,
     init_model,
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import Metric, grad_check, pairwise_scores
+from .numerics import Metric, grad_check
 from .train import sweep, train
 
 __all__ = [
@@ -44,21 +41,17 @@ __all__ = [
     "TrainConfig",
     "apply_split",
     "auroc",
-    "classification_logits",
     "classification_loss",
-    "embed_backward",
-    "embed_forward",
     "evaluate",
     "gen_synthetic",
     "grad_check",
     "init_model",
     "load_checkpoint",
     "margin_loss",
-    "openset_score",
+    "model_logits",
     "oscr",
     "overconfidence_loss",
-    "pairwise_scores",
-    "predict_closed",
+    "roc_points",
     "save_checkpoint",
     "sweep",
     "total_loss",

@@ -24,7 +24,7 @@ class DegenerateInputError(OsrkitError):
 
 
 class UsageError(OsrkitError):
-    """API misuse: stale caches, empty batches, mismatched call order."""
+    """API misuse: mismatched call order, shapes or arguments."""
 
 
 class EvalError(OsrkitError):

@@ -46,31 +46,11 @@ class EvalReport:
         return isinstance(other, EvalReport) and bits(self) == bits(other)
 
 
-def _logit_matrix(logits) -> np.ndarray:
-    """``logits`` as a finite 2-D float64 array with at least one column."""
-    z = as_matrix(logits, "logits")
-    if z.shape[1] == 0:
-        raise UsageError(f"logits need at least one column, got shape {z.shape}")
-    return z
-
-
-def predict_closed(logits) -> np.ndarray:
-    """Per-row argmax labels; ties break to the lowest index."""
-    z = _logit_matrix(logits)
-    if z.shape[0] == 0:
-        raise UsageError("empty batch")
-    return z.argmax(axis=1)
-
-
-def openset_score(logits) -> np.ndarray:
-    """Max logit per row, as a new array. Higher means more known-like."""
-    return _max_logit(_logit_matrix(logits))
-
-
 def _max_logit(z: np.ndarray) -> np.ndarray:
-    """``openset_score`` of checked logits. The max runs across the K columns, one
-    ``np.maximum`` per column: ``z.max(axis=1)`` loops per row, about 20x slower on 16k x 4
-    logits. Which zero a 0.0/-0.0 tie keeps differs by CPU; no output reads it."""
+    """The open-set score of checked logits: each row's max, as a new array. The max runs
+    across the K columns, one ``np.maximum`` per column: ``z.max(axis=1)`` loops per row, about
+    20x slower on 16k x 4 logits. Which zero a 0.0/-0.0 tie keeps differs by CPU; no output
+    reads it."""
     first, *rest = z.T
     return functools.reduce(np.maximum, rest, first.copy())
 
@@ -138,7 +118,9 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     and score >= t; FPR(t) is the fraction of unknown samples scoring
     >= t. ``true_labels`` is only consulted at known positions.
     """
-    z = _logit_matrix(logits)
+    z = as_matrix(logits, "logits")
+    if z.shape[1] == 0:
+        raise UsageError(f"logits need at least one column, got shape {z.shape}")
     s, k = _as_score_flags(_max_logit(z), is_known)
     y = np.asarray(true_labels)
     if y.shape != (z.shape[0],):
@@ -149,9 +131,9 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
 
 def model_logits(embedder: Embedder, bank: ReciprocalBank, inputs,
                  config: LossConfig) -> np.ndarray:
-    """The classification logits of ``inputs``: the bits of ``embed_forward``, then
-    ``classification_logits``, on near-equal blocks of at most 1,024 rows, with the config, the
-    inputs and the bank checked once. One pass over 8k rows made megabyte temporaries (the
+    """The classification logits of ``inputs``: tau times ``numerics._scores`` of the
+    ``model._forward`` features, on near-equal blocks of at most 1,024 rows, with the config,
+    the inputs and the bank checked once. One pass over 8k rows made megabyte temporaries (the
     euclidean score's B x K x D difference among them) whose page faults came and went with the
     heap layout. No block has one row, which would round differently. A bad feature row is named
     by its row in ``inputs``; logits that overflow raise, as in ``evaluate``."""

@@ -18,6 +18,7 @@ and norms, the tau-scaled logits both logit terms share (their gradients
 are summed and chained by one backward), and the margin hinge's differences.
 Each public loss checks its inputs, and its settings with ``LossConfig.validate``, then calls
 a trusting core (``_total``, ``_margin_hinge``, ...); ``train`` checks once, then calls ``_total``.
+A model's tau-scaled logits, without a loss, are ``evaluate.model_logits``.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ def _check_margins(bank: ReciprocalBank) -> None:
     if np.shape(bank.margins) != (bank.num_classes,):
         raise ConfigError(f"margins have shape {np.shape(bank.margins)}, not ({bank.num_classes},)")
     as_matrix([bank.margins], "margins")  # a non-finite margin: NumericError, as for the points
-
-
-def classification_logits(features, bank: ReciprocalBank, metric: Metric, tau: float) -> np.ndarray:
-    """Pre-softmax logits: tau * score(feature, point) for every class."""
-    f, p = _score_operands(features, bank.points)
-    LossConfig(tau, classification_metric=metric).validate(f.shape[1])
-    return tau * _scores(f, p, metric)[0]
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError
 
 CHECKPOINT_MAGIC = b"OSRP"
 CHECKPOINT_VERSION = 1
@@ -65,14 +65,6 @@ class ReciprocalBank:
         np.maximum(self.margins, 0.0, out=self.margins)
 
 
-@dataclass
-class ForwardCache:
-    """Activation record from one forward pass; consumed by embed_backward."""
-
-    weights: list[np.ndarray] = field(repr=False)
-    activations: list[np.ndarray] = field(repr=False)   # inputs of each layer, then the output
-
-
 def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, ReciprocalBank]:
     """Seeded init: weights and points uniform in +-init_scale/sqrt(fan_in).
 
@@ -119,15 +111,9 @@ def bind_parameters(embedder: Embedder, bank: ReciprocalBank) -> np.ndarray:
     return vec
 
 
-def embed_forward(embedder: Embedder, inputs) -> tuple[np.ndarray, ForwardCache]:
-    """Run the MLP. Returns (features, cache); the cache enables exact backprop. The checks, then
-    ``_forward``, the one forward body, which ``train._Run.step`` and ``evaluate._logits`` run."""
-    activations = _forward(embedder.weights, embedder.biases, _checked_inputs(embedder, inputs))
-    return activations[-1], ForwardCache(list(embedder.weights), activations)
-
-
 def _checked_inputs(embedder: Embedder, inputs) -> np.ndarray:
-    """The checks of ``embed_forward``: ``inputs`` as a 2-D float64 array of the input width."""
+    """``inputs`` as a 2-D float64 array of the embedder's input width: the checks that
+    ``evaluate._logits`` runs once per call, before ``_forward``."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"inputs must be 2-D, got shape {x.shape}")
@@ -138,7 +124,7 @@ def _checked_inputs(embedder: Embedder, inputs) -> np.ndarray:
 
 
 def _forward(weights: list, biases: list, x: np.ndarray) -> list[np.ndarray]:
-    """``embed_forward`` on checked inputs, as ``train._Run.step`` and ``evaluate._logits`` run it:
+    """The MLP on checked inputs, as ``train._Run.step`` and ``evaluate._logits`` run it:
     each layer's input, then the output. A bias may be tiled to ``x``'s rows: adding it gives
     the same bits as broadcasting it, in one inner loop instead of one per row."""
     last = len(weights) - 1
@@ -153,26 +139,11 @@ def _forward(weights: list, biases: list, x: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def embed_backward(cache: ForwardCache, grad_features) -> tuple[Embedder, np.ndarray]:
-    """Exact gradients of the forward map w.r.t. parameters and inputs; the parameter
-    gradients are an ``Embedder`` of the cached forward pass's dims."""
-    g = np.asarray(grad_features, dtype=np.float64)
-    if not cache.activations or g.shape != cache.activations[-1].shape:
-        raise UsageError(
-            "grad_features shape does not match the cached forward output; "
-            "was this cache produced by a matching embed_forward call?"
-        )
-    grads = Embedder([np.empty(w.shape) for w in cache.weights],
-                     [np.empty(w.shape[1]) for w in cache.weights])
-    delta = _backward_into(cache.weights, cache.activations, g, grads.weights, grads.biases)
-    return grads, delta @ cache.weights[0].T
-
-
 def _backward_into(weights: list, activations: list, g: np.ndarray, grad_w: list,
-                   grad_b: list) -> np.ndarray:
-    """``embed_backward``'s and ``train._Run.step``'s parameter gradients of ``_forward``'s
-    ``activations``, written into ``grad_w`` and ``grad_b``; returns the gradient w.r.t. the
-    first layer's pre-activation, not the input's."""
+                   grad_b: list) -> None:
+    """The exact parameter gradients of ``_forward``'s ``activations`` under the output's
+    upstream gradient ``g``, written into ``grad_w`` and ``grad_b``, as ``train._Run.step``
+    runs it."""
     last = len(weights) - 1
     delta = g
     for i in range(last, -1, -1):
@@ -180,7 +151,6 @@ def _backward_into(weights: list, activations: list, g: np.ndarray, grad_w: list
             delta = (delta @ weights[i + 1].T) * (activations[i + 1] > 0.0)
         np.matmul(activations[i].T, delta, out=grad_w[i])
         np.add.reduce(delta, axis=0, out=grad_b[i])
-    return delta
 
 
 def _pack_array(a: np.ndarray) -> bytes:

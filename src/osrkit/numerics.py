@@ -1,9 +1,9 @@
 """Dense float64 kernels: distance scores, stable log-softmax, gradient checking.
 
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
-``pairwise_scores`` checks its inputs; the private cores (``_scores``, ``_paired``,
-``_log_softmax``, ...) trust theirs. Gradients are hand-derived and must
-pass ``grad_check``.
+The private cores (``_scores``, ``_paired``, ``_log_softmax``, ...) trust their
+inputs: the public losses and ``evaluate`` check them first, with ``_score_operands``
+and ``_checked_points``. Gradients are hand-derived and must pass ``grad_check``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ class Metric(Enum):
     """Distance variants used for classification scores and margin hinges.
 
     EUCLIDEAN is the composite score ``|f - p|^2 / D - f . p`` when used
-    for classification (see ``pairwise_scores``) and the pure squared
+    for classification (see ``_scores``) and the pure squared
     distance ``|f - p|^2 / D`` inside the margin hinge (see
     ``_paired``). ANGULAR is the cosine of the angle between the
     vectors. MANHATTAN and CHEBYSHEV are the plain L1 / Linf distances and
-    exist only for the margin hinge: ``pairwise_scores`` rejects them.
+    exist only for the margin hinge: ``LossConfig.validate`` refuses them
+    as a classification metric.
     """
 
     EUCLIDEAN = "euclidean"
@@ -62,7 +63,7 @@ def _row_norms(a: np.ndarray, name: str, first: int = 0) -> np.ndarray:
 
 
 def _score_operands(features, points) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of ``pairwise_scores``: finite 2-D inputs of one positive width."""
+    """The checks of the public losses' operands: finite 2-D inputs of one positive width."""
     f = as_matrix(features, "features")
     return f, _checked_points(points, f.shape[1])
 
@@ -77,33 +78,23 @@ def _checked_points(points, width: int) -> np.ndarray:
     return p
 
 
-def pairwise_scores(features, points, metric: Metric) -> np.ndarray:
-    """Score every feature row against every point row.
-
-    Returns a B x K matrix whose (b, k) entry is, per metric:
+def _scores(f: np.ndarray, p: np.ndarray, metric: Metric, name: str = "features",
+            first: int = 0):
+    """Score every checked feature row against every point row, under a classification
+    metric: (the B x K scores, what ``_scores_backward`` reuses). The (b, k) score is
 
     - EUCLIDEAN:  |f_b - p_k|^2 / D - f_b . p_k   (composite classification score)
     - ANGULAR:    cos(f_b, p_k), clipped to [-1, 1]
 
-    These are the two classification metrics; any other raises ConfigError.
-    """
-    return _scores(*_score_operands(features, points), metric)[0]
-
-
-def _scores(f: np.ndarray, p: np.ndarray, metric: Metric, name: str = "features",
-            first: int = 0):
-    """``pairwise_scores`` on checked inputs: (scores, what ``_scores_backward`` reuses). Under
-    ANGULAR a bad feature row, checked before the points, is named ``name`` row ``first`` + its
-    index."""
+    Under ANGULAR a bad feature row, checked before the points, is named ``name`` row
+    ``first`` + its index."""
     if metric is Metric.EUCLIDEAN:
         diff = f[:, None, :] - p[None, :, :]
         return np.einsum("bkd,bkd->bk", diff, diff) / f.shape[1] - f @ p.T, None
-    if metric is Metric.ANGULAR:
-        fn, pn = _row_norms(f, name, first), _row_norms(p, "points")
-        u, v = f / fn[:, None], p / pn[:, None]
-        cos = u @ v.T
-        return np.minimum(np.maximum(cos, -1.0), 1.0), (u, v, fn, pn, cos)
-    raise ConfigError(f"pairwise scores support euclidean or angular, got {metric!r}")
+    fn, pn = _row_norms(f, name, first), _row_norms(p, "points")
+    u, v = f / fn[:, None], p / pn[:, None]
+    cos = u @ v.T
+    return np.minimum(np.maximum(cos, -1.0), 1.0), (u, v, fn, pn, cos)
 
 
 def _scores_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray, saved):

@@ -20,7 +20,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .config import TrainConfig, key_text, with_keys
-from .errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
+from .errors import (ConfigError, DataError, DegenerateInputError, NumericError, OsrkitError,
+                     UsageError)
 from .evaluate import evaluate, model_logits
 from .losses import LossConfig, _check_labels, _total
 from .model import Embedder, ReciprocalBank, _backward_into, _forward, bind_parameters, init_model
@@ -107,7 +108,7 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
     n = len(inputs)
     labels = _check_labels(split.train.labels, k, n)
     if config.epochs and len(split.test_known) == 0:  # the last epoch scores it
-        raise UsageError("empty batch")
+        raise DataError("empty batch")
     embedder, bank = init_model(config.model, k)
     run = _Run(embedder, bank, config.loss)
     optimizer = (SGD if config.optimizer == "sgd" else Adam)(config.learning_rate, run.params)

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from osrkit.benchmark import benchmark_config, benchmark_split, run_benchmark
+from osrkit.benchmark import benchmark_config, benchmark_split
 from osrkit.checks import run_gradient_suite
 from osrkit.config import GRIDS, TrainConfig
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
-from osrkit.evaluate import auroc, evaluate, oscr
+from osrkit.evaluate import _max_logit, auroc, evaluate, model_logits, oscr
 from osrkit.losses import LossConfig, classification_loss, overconfidence_loss, total_loss
 from osrkit.model import (
     ModelConfig,
@@ -23,7 +23,7 @@ from osrkit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from osrkit.numerics import Metric
+from osrkit.numerics import Metric, _scores
 from osrkit.train import sweep, train, write_sweep_csv
 from osrkit.data import load_features, save_features
 
@@ -123,10 +123,7 @@ class TestCriterion3LossIdentities:
         for _ in range(20):
             feats = rng.standard_normal((6, 4))
             pts = rng.standard_normal((3, 4))
-            b2 = ReciprocalBank(pts, np.zeros(3))
-            from osrkit.losses import classification_logits
-
-            logits = classification_logits(feats, b2, Metric.ANGULAR, tau)
+            logits = tau * _scores(feats, pts, Metric.ANGULAR)[0]
             value, grad = overconfidence_loss(logits, 2.0 * tau)
             coc_ok = coc_ok and value == 0.0 and (grad == 0).all()
 
@@ -166,12 +163,20 @@ class TestCriterion3LossIdentities:
         assert uniform_ok and coc_ok and sum_ok and scale_ok
 
 
+def benchmark_run(variant, seed):
+    """One benchmark run: (split, loss config, embedder, bank, evaluation report)."""
+    split, cfg = benchmark_split(seed), benchmark_config(variant, seed)
+    emb, bank, _ = train(split, cfg)
+    return split, cfg.loss, emb, bank, evaluate(emb, bank, split, cfg.loss)
+
+
 class TestCriterion4DirectionalBenchmark:
     def test_directional_benchmark(self):
         t0 = time.perf_counter()
         seeds = range(5)
-        full = [run_benchmark("full", s) for s in seeds]
-        eucl = [run_benchmark("euclidean", s) for s in seeds]
+        runs = [benchmark_run("full", s) for s in seeds]
+        full = [report for *_, report in runs]
+        eucl = [benchmark_run("euclidean", s)[-1] for s in seeds]
         per_seed = time.perf_counter() - t0
         acc = float(np.mean([r.closed_accuracy for r in full]))
         auroc_full = float(np.mean([r.auroc for r in full]))
@@ -194,18 +199,10 @@ class TestCriterion4DirectionalBenchmark:
         assert ordering
         assert bands
         assert per_seed / 10 < 300.0  # well under the per-seed budget
-        # mean open-set score separation on a trained model
-        split = benchmark_split(seed=0)
-        cfg = benchmark_config("full", seed=0)
-        emb, bank, _ = train(split, cfg)
-        from osrkit.losses import classification_logits
-        from osrkit.model import embed_forward
-        from osrkit.evaluate import openset_score
-
-        fk, _ = embed_forward(emb, split.test_known.inputs)
-        fu, _ = embed_forward(emb, split.test_unknown.inputs)
-        sk = openset_score(classification_logits(fk, bank, cfg.loss.classification_metric, cfg.loss.tau))
-        su = openset_score(classification_logits(fu, bank, cfg.loss.classification_metric, cfg.loss.tau))
+        # mean open-set score separation on a trained model (seed 0's)
+        split, loss, emb, bank, _ = runs[0]
+        sk = _max_logit(model_logits(emb, bank, split.test_known.inputs, loss))
+        su = _max_logit(model_logits(emb, bank, split.test_unknown.inputs, loss))
         assert sk.mean() > su.mean()
 
 

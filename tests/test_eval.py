@@ -16,18 +16,17 @@ from osrkit.errors import ConfigError, DegenerateInputError, EvalError, NumericE
 from osrkit.evaluate import (
     EvalReport,
     auroc,
+    _max_logit,
     evaluate,
     model_logits,
-    openset_score,
     oscr,
-    predict_closed,
     roc_points,
     write_oscr_csv,
     write_roc_csv,
 )
-from osrkit.losses import LossConfig, classification_logits, classification_loss, total_loss
-from osrkit.model import Embedder, ModelConfig, ReciprocalBank, _forward, embed_forward, init_model
-from osrkit.numerics import Metric
+from osrkit.losses import LossConfig, classification_loss, total_loss
+from osrkit.model import Embedder, ModelConfig, ReciprocalBank, _forward, init_model
+from osrkit.numerics import Metric, _scores
 from osrkit.train import train
 
 
@@ -114,37 +113,41 @@ def assert_same_curve(got, want):
         assert [np.float64(x).tobytes() for x in p] == [np.float64(x).tobytes() for x in q]
 
 
-class TestPredictClosed:
+def unblocked_logits(embedder, bank, x, config):
+    """The classification logits of ``x`` in one pass of the cores: ``_forward``, then tau times
+    ``_scores``."""
+    features = _forward(embedder.weights, embedder.biases, x)[-1]
+    return config.tau * _scores(features, bank.points, config.classification_metric)[0]
+
+
+class TestClosedSetLabels:
+    """The closed-set label of a row is its argmax logit, as ``oscr`` and ``evaluate`` count
+    hits; a hit puts the known row's CCR at 1 here, a miss at 0."""
+
     def test_argmax(self):
-        assert predict_closed([[0.1, 0.9]])[0] == 1
+        assert oscr([[0.1, 0.9], [0.0, 0.0]], [1, 0], [True, False])[0] == 1.0
 
     def test_tie_breaks_low(self):
-        assert predict_closed([[0.5, 0.5]])[0] == 0
+        assert oscr([[0.5, 0.5], [0.0, 0.0]], [0, 0], [True, False])[0] == 1.0
+        assert oscr([[0.5, 0.5], [0.0, 0.0]], [1, 0], [True, False])[0] == 0.0
 
-    def test_empty_batch(self):
-        with pytest.raises(UsageError):
-            predict_closed(np.zeros((0, 3)))
-
-    @pytest.mark.parametrize("call", [
-        predict_closed, openset_score, lambda z: oscr(z, [0, 0, 0], [True, False, True]),
-    ], ids=["predict_closed", "openset_score", "oscr"])
-    def test_zero_columns_rejected(self, call):
+    def test_zero_columns_rejected(self):
         with pytest.raises(UsageError) as info:
-            call(np.zeros((3, 0)))
+            oscr(np.zeros((3, 0)), [0, 0, 0], [True, False, True])
         assert str(info.value) == "logits need at least one column, got shape (3, 0)"
 
     def test_scale_invariant_labels_under_angular_scoring(self):
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((10, 4))
-        bank = ReciprocalBank(rng.standard_normal((3, 4)), np.zeros(3))
-        l1 = classification_logits(feats, bank, Metric.ANGULAR, 1.0)
-        l2 = classification_logits(7.5 * feats, bank, Metric.ANGULAR, 1.0)
-        np.testing.assert_array_equal(predict_closed(l1), predict_closed(l2))
+        points = rng.standard_normal((3, 4))
+        l1 = _scores(feats, points, Metric.ANGULAR)[0]
+        l2 = _scores(7.5 * feats, points, Metric.ANGULAR)[0]
+        np.testing.assert_array_equal(l1.argmax(axis=1), l2.argmax(axis=1))
 
 
 class TestOpensetScore:
     def test_max(self):
-        assert openset_score([[0.2, 0.8]])[0] == pytest.approx(0.8)
+        assert _max_logit(np.array([[0.2, 0.8]]))[0] == pytest.approx(0.8)
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["quantized", "signed_zero", "continuous"]),
            st.integers(1, 6))
@@ -152,7 +155,7 @@ class TestOpensetScore:
     def test_matches_row_max(self, seed, kind, columns):
         logits = random_logits(seed, kind, columns)[0]
         want = logits.max(axis=1)
-        got = openset_score(logits)
+        got = _max_logit(logits)
         assert (got == want).all()
         assert got[want != 0].tobytes() == want[want != 0].tobytes()
         assert not np.shares_memory(got, logits)
@@ -161,7 +164,7 @@ class TestOpensetScore:
         rng = np.random.default_rng(1)
         z = rng.standard_normal((6, 4))
         c = 3.7
-        np.testing.assert_allclose(openset_score(z + c), openset_score(z) + c, atol=1e-12)
+        np.testing.assert_allclose(_max_logit(z + c), _max_logit(z) + c, atol=1e-12)
 
 
 class TestAuroc:
@@ -454,11 +457,10 @@ class TestEvaluate:
         blocks = -(-rows // 1024)
         assert sizes == [rows // blocks + (i < rows % blocks) for i in range(blocks)]
         bounds = np.cumsum([0, *sizes])
-        blocked = np.vstack([
-            classification_logits(embed_forward(emb, x[lo:hi])[0], bank, metric, cfg.tau)
-            for lo, hi in zip(bounds[:-1], bounds[1:])])
+        blocked = np.vstack([unblocked_logits(emb, bank, x[lo:hi], cfg)
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
         assert got.tobytes() == blocked.tobytes()
-        one_pass = classification_logits(embed_forward(emb, x)[0], bank, metric, cfg.tau)
+        one_pass = unblocked_logits(emb, bank, x, cfg)
         assert np.abs(got - one_pass).max() <= 16 * np.finfo(float).eps * np.abs(one_pass).max()
 
     def test_euclidean_peak_memory_at_angular_level(self):
@@ -510,7 +512,7 @@ class TestEvaluate:
         inputs[1300] *= 1e160
         unknown = LabeledDataset(inputs, large.test_unknown.labels, large.test_unknown.group_ids)
         cfg = LossConfig(classification_metric=Metric.EUCLIDEAN)
-        assert np.isfinite(embed_forward(emb, inputs)[0]).all()
+        assert np.isfinite(_forward(emb.weights, emb.biases, inputs)[-1]).all()
         with pytest.raises(NumericError) as info:
             evaluate(emb, bank, replace(large, test_unknown=unknown), cfg)
         assert str(info.value) == "logits contains non-finite entries"
@@ -533,17 +535,16 @@ class TestEvaluate:
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=2), 4)
         cfg = LossConfig()
         report = evaluate(emb, bank, split, cfg)
-        lk, lu = (
-            classification_logits(embed_forward(emb, d.inputs)[0], bank,
-                                  cfg.classification_metric, cfg.tau)
-            for d in (split.test_known, split.test_unknown)
-        )
+        lk, lu = (unblocked_logits(emb, bank, d.inputs, cfg)
+                  for d in (split.test_known, split.test_unknown))
         logits = np.vstack([lk, lu])
         is_known = np.arange(len(logits)) < len(lk)
         labels = np.concatenate([split.test_known.labels, np.full(len(lu), -1)])
-        assert report.closed_accuracy == float((predict_closed(lk) == split.test_known.labels).mean())
-        assert report.auroc == auroc(openset_score(logits), is_known)
-        assert report.roc_curve.tobytes() == roc_points(openset_score(logits), is_known).tobytes()
+        scores = _max_logit(logits)
+        hits = lk.argmax(axis=1) == split.test_known.labels
+        assert report.closed_accuracy == float(hits.mean())
+        assert report.auroc == auroc(scores, is_known)
+        assert report.roc_curve.tobytes() == roc_points(scores, is_known).tobytes()
         value, curve = oscr(logits, labels, is_known)
         assert report.oscr == value and report.oscr_curve.tobytes() == curve.tobytes()
 
@@ -593,22 +594,19 @@ class TestEvaluate:
 
 
 def public_block_report(embedder, bank, split, config):
-    """``evaluate``'s report built from public calls: each test set in ``np.array_split``
-    blocks of at most 1,024 rows, each scored by ``embed_forward`` and
-    ``classification_logits``, then ``predict_closed``, ``openset_score``, ``auroc``,
-    ``roc_points`` and ``oscr``."""
+    """``evaluate``'s report built from separate calls: each test set in ``np.array_split``
+    blocks of at most 1,024 rows, each scored by ``unblocked_logits`` with untiled biases, then
+    the argmax, ``_max_logit``, ``auroc``, ``roc_points`` and ``oscr``."""
     def logits(x):
-        return np.vstack([
-            classification_logits(embed_forward(embedder, block)[0], bank,
-                                  config.classification_metric, config.tau)
-            for block in np.array_split(x, max(1, -(-len(x) // 1024)))])
+        return np.vstack([unblocked_logits(embedder, bank, block, config)
+                          for block in np.array_split(x, max(1, -(-len(x) // 1024)))])
     known, unknown = logits(split.test_known.inputs), logits(split.test_unknown.inputs)
     z = np.vstack([known, unknown])
     is_known = np.arange(len(z)) < len(known)
     labels = np.concatenate([split.test_known.labels, np.full(len(unknown), -1)])
-    scores = openset_score(z)
+    scores = _max_logit(z)
     area, curve = oscr(z, labels, is_known)
-    return EvalReport(float((predict_closed(known) == split.test_known.labels).mean()),
+    return EvalReport(float((known.argmax(axis=1) == split.test_known.labels).mean()),
                       auroc(scores, is_known), area, roc_points(scores, is_known), curve)
 
 
@@ -644,13 +642,12 @@ SCORING_ENTRIES = {
     "evaluate": evaluate,
     "model_logits": lambda emb, bank, split, cfg: model_logits(
         emb, bank, split.test_known.inputs, cfg),
-    "classification_logits": lambda emb, bank, split, cfg: classification_logits(
-        embed_forward(emb, split.test_known.inputs)[0], bank, cfg.classification_metric, cfg.tau),
     "classification_loss": lambda emb, bank, split, cfg: classification_loss(
-        embed_forward(emb, split.test_known.inputs)[0], bank, split.test_known.labels,
-        cfg.classification_metric, cfg.tau),
+        _forward(emb.weights, emb.biases, split.test_known.inputs)[-1], bank,
+        split.test_known.labels, cfg.classification_metric, cfg.tau),
     "total_loss": lambda emb, bank, split, cfg: total_loss(
-        embed_forward(emb, split.test_known.inputs)[0], bank, split.test_known.labels, cfg),
+        _forward(emb.weights, emb.biases, split.test_known.inputs)[-1], bank,
+        split.test_known.labels, cfg),
 }
 # scoring heads that ``LossConfig.validate`` refuses: (layer_dims, config)
 BAD_HEADS = {
@@ -678,8 +675,8 @@ class TestPublicBlockPath:
     @given(scored_splits())
     @settings(max_examples=60, deadline=None)
     def test_report_bits_equal_public_block_path(self, case):
-        """``evaluate`` checks once and scores through the unchecked cores, with every bit of
-        the public calls on the same blocks."""
+        """``evaluate`` checks once and scores blocks with tiled biases, with every bit of
+        separate calls on the same blocks: the cores with untiled biases, then the metrics."""
         emb, bank, split, cfg = case
         assert evaluate(emb, bank, split, cfg) == public_block_report(emb, bank, split, cfg)
 

@@ -2,9 +2,10 @@
 module, apart from the unchecked kernel cores that a caller runs after validating once
 (or, as ``checks`` runs ``train._Run``'s step, on inputs that are valid by construction), and
 every such permission names an import the package makes; every name a module imports is
-used there or re-exported; every ``raise`` raises a toolkit error, which ``cli.main``
-maps to an exit code, unless its caller converts it; and each ``ConfigError`` rule is raised
-from one place."""
+used there or re-exported; every public function or class is reached from another place in
+the package or exported; every ``raise`` raises a toolkit error, which ``cli.main`` maps to an
+exit code, unless its caller converts it; each ``ConfigError`` rule is raised from one place;
+and no message is raised under two error classes."""
 
 import ast
 from pathlib import Path
@@ -72,11 +73,16 @@ def raises(node, function=""):
         yield from raises(child, child.name if inner else function)
 
 
+def error_classes() -> set[str]:
+    """The classes ``errors.py`` defines."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
 def foreign_raises():
     """(module, function, statement) for each ``raise`` of a class that ``errors.py`` does
     not define; a bare re-raise is not listed."""
-    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
-    errors = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    errors = error_classes()
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for function, node in raises(ast.parse(path.read_text(encoding="utf-8"))):
@@ -91,6 +97,13 @@ def test_every_raise_is_a_toolkit_error():
     assert {(module, function) for module, function, _ in found} == RAISE_ALLOWED, found
 
 
+def exported(tree) -> set:
+    """The names a module's ``__all__`` lists."""
+    return {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+
+
 def unused_imports():
     """(module, name) for each name a module's top-level import binds that the module
     neither reads nor lists in its ``__all__``."""
@@ -101,10 +114,7 @@ def unused_imports():
                  for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                  and getattr(node, "module", None) != "__future__" for alias in node.names]
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
-        found += [(path.stem, name) for name in bound if name not in read | exported]
+        found += [(path.stem, name) for name in bound if name not in read | exported(tree)]
     return found
 
 
@@ -142,3 +152,40 @@ def test_each_config_rule_is_raised_from_one_place():
     found = raised_templates("ConfigError")
     assert "tau must be > 0, got {}" in found  # the walk reached the package
     assert {t: where for t, where in found.items() if len(where) > 1} == {}
+
+
+def test_each_message_is_raised_under_one_class():
+    # one condition under two classes gets two exit codes, or two ways to be caught
+    classes: dict[str, dict[str, list[str]]] = {}
+    for error in sorted(error_classes()):
+        for template, where in raised_templates(error).items():
+            classes.setdefault(template, {})[error] = where
+    assert "DataError" in classes["empty batch"]  # the walk reached the package
+    assert {t: by_class for t, by_class in classes.items() if len(by_class) > 1} == {}
+
+
+# the pinned benchmark recipe: perfbench and the acceptance suite call it, nothing in the package
+RECIPE = {"benchmark_split", "benchmark_config"}
+
+
+def unreached_public_names() -> list[str]:
+    """``module.name`` for each public top-level function or class that no code in the package
+    reads outside its own definition (an import alone is not a read) and that ``osrkit.__all__``
+    does not export."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            read |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    public = exported(trees["__init__"])
+    return [f"{module}.{top.name}" for module, tree in trees.items() for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
+            and top.name not in read | public | RECIPE]
+
+
+def test_every_public_name_is_reached_or_exported():
+    # a public function that no command and no other function runs is dead API
+    assert unreached_public_names() == []

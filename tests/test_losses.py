@@ -11,7 +11,6 @@ from osrkit.config import VARIANTS
 from osrkit.errors import ConfigError, DataError, DegenerateInputError, NumericError
 from osrkit.losses import (
     LossConfig,
-    classification_logits,
     classification_loss,
     margin_loss,
     overconfidence_loss,
@@ -24,8 +23,8 @@ from osrkit.numerics import (
     _log_softmax,
     _scores,
     _scores_backward,
-    pairwise_scores,
 )
+from test_numerics import scores
 
 
 def assert_sum_of_terms(actual, *terms):
@@ -69,8 +68,7 @@ class TestClassificationLoss:
         features, bank, labels = random_case(rng, b=4, d=3, k=3)
         v1 = classification_loss(features, bank, labels, Metric.EUCLIDEAN, 2.0).value
         # loss at (scores s, tau=2) must equal the cross-entropy of the logits 2s
-        scores = pairwise_scores(features, bank.points, Metric.EUCLIDEAN)
-        logp = _log_softmax(2.0 * scores)
+        logp = _log_softmax(2.0 * scores(features, bank.points, Metric.EUCLIDEAN))
         v2 = float(-logp[np.arange(4), labels].mean())
         assert v1 == pytest.approx(v2, abs=1e-12)
 
@@ -329,7 +327,7 @@ class TestTotalLoss:
         features, bank, labels = random_case(rng, b=4, d=3, k=3)
         cfg = LossConfig(alpha=0.0, beta=1.0, gap_threshold=0.1, tau=1.7)
         out = total_loss(features, bank, labels, cfg)
-        logits = classification_logits(features, bank, cfg.classification_metric, cfg.tau)
+        logits = cfg.tau * scores(features, bank.points, cfg.classification_metric)
         oc_value, _ = overconfidence_loss(logits, 0.1)
         cls = classification_loss(
             features, bank, labels, cfg.classification_metric, cfg.tau
@@ -357,7 +355,7 @@ class TestTotalLoss:
             out = total_loss(features, bank, labels, cfg)
             cls = classification_loss(features, bank, labels, metric, cfg.tau)
             mar = margin_loss(features, bank, labels, cfg.margin_metric)
-            logits = classification_logits(features, bank, metric, cfg.tau)
+            logits = cfg.tau * scores(features, bank.points, metric)
             _, grad_oc = overconfidence_loss(logits, cfg.gap_threshold)
             oc_active = oc_active or bool(grad_oc.any())
             saved = _scores(features, bank.points, metric)[1]
@@ -377,9 +375,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(16)
         features, bank, labels = random_case(rng, b=5, d=4, k=3)
         cfg = LossConfig()
-        logits_before = classification_logits(features, bank, cfg.classification_metric, cfg.tau)
+        logits_before = cfg.tau * scores(features, bank.points, cfg.classification_metric)
         total_loss(features, bank, labels, cfg)  # must not mutate anything
-        logits_after = classification_logits(features, bank, cfg.classification_metric, cfg.tau)
+        logits_after = cfg.tau * scores(features, bank.points, cfg.classification_metric)
         np.testing.assert_array_equal(
             logits_before.argmax(axis=1), logits_after.argmax(axis=1)
         )

@@ -3,13 +3,15 @@ import struct
 import numpy as np
 import pytest
 
-from osrkit.errors import ConfigError, DataError, UsageError
+from osrkit.errors import ConfigError, DataError
+from osrkit.evaluate import model_logits
+from osrkit.losses import LossConfig
 from osrkit.model import (
     Embedder,
     ModelConfig,
     ReciprocalBank,
-    embed_backward,
-    embed_forward,
+    _backward_into,
+    _forward,
     flatten,
     init_model,
     load_checkpoint,
@@ -55,28 +57,42 @@ class TestInitModel:
             init_model(ModelConfig([4, 2], seed=0), 1)
 
 
+def features(emb, x):
+    """The embedder's output on ``x``: ``_forward``'s last activation."""
+    return _forward(emb.weights, emb.biases, np.asarray(x, dtype=np.float64))[-1]
+
+
+def embed_gradients(embedder, activations, grad_features):
+    """The parameter gradients of ``_forward``'s ``activations`` under the upstream
+    ``grad_features``, by ``_backward_into``, as an ``Embedder``."""
+    grads = Embedder([np.empty(w.shape) for w in embedder.weights],
+                     [np.empty(b.shape) for b in embedder.biases])
+    _backward_into(embedder.weights, activations, grad_features, grads.weights, grads.biases)
+    return grads
+
+
 class TestForward:
     def test_zero_params_zero_features(self):
         emb = Embedder([np.zeros((2, 3))], [np.zeros(3)])
-        feats, _ = embed_forward(emb, [[1.0, 2.0], [3.0, 4.0]])
+        feats = features(emb, [[1.0, 2.0], [3.0, 4.0]])
         assert (feats == 0).all()
 
     def test_identity_layer(self):
         emb = Embedder([np.eye(2)], [np.zeros(2)])
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        feats, _ = embed_forward(emb, x)
+        feats = features(emb, x)
         np.testing.assert_array_equal(feats, x)
 
     def test_hand_computed_single_layer(self):
         emb = Embedder([np.array([[1.0], [1.0]])], [np.array([0.5])])
-        feats, _ = embed_forward(emb, [[1.0, 2.0]])
+        feats = features(emb, [[1.0, 2.0]])
         assert feats[0, 0] == pytest.approx(3.5)
 
     def test_deterministic(self):
         emb, _ = init_model(ModelConfig([3, 4, 2], seed=9), 2)
         x = np.random.default_rng(0).standard_normal((5, 3))
-        f1, _ = embed_forward(emb, x)
-        f2, _ = embed_forward(emb, x)
+        f1 = features(emb, x)
+        f2 = features(emb, x)
         assert (f1 == f2).all()
 
     @pytest.mark.parametrize("rows", [1, 2, 1000, 4096])
@@ -90,46 +106,30 @@ class TestForward:
         for i, (w, b) in enumerate(zip(emb.weights, emb.biases)):
             a = want[-1] @ w + b
             want.append(np.maximum(a, 0.0) if i < len(emb.weights) - 1 else a)
-        feats, cache = embed_forward(emb, x)
-        assert feats.tobytes() == want[-1].tobytes()
-        assert [a.tobytes() for a in cache.activations] == [a.tobytes() for a in want]
+        activations = _forward(emb.weights, emb.biases, x)
+        assert [a.tobytes() for a in activations] == [a.tobytes() for a in want]
         assert x.tobytes() == x_before.tobytes()
         assert [b.tobytes() for b in emb.biases] == [b.tobytes() for b in biases_before]
 
+    # ``model_logits`` checks its inputs before the forward pass
     def test_dim_mismatch(self):
-        emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
-        with pytest.raises(ConfigError):
-            embed_forward(emb, [[1.0, 2.0]])
+        emb, bank = init_model(ModelConfig([3, 2], seed=0), 2)
+        with pytest.raises(ConfigError, match=r"^input dim 2 != embedder input dim 3$"):
+            model_logits(emb, bank, [[1.0, 2.0]], LossConfig())
 
     def test_one_dim_inputs_rejected(self):
-        emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
+        emb, bank = init_model(ModelConfig([3, 2], seed=0), 2)
         with pytest.raises(ConfigError, match=r"^inputs must be 2-D, got shape \(3,\)$"):
-            embed_forward(emb, [1.0, 2.0, 3.0])
+            model_logits(emb, bank, [1.0, 2.0, 3.0], LossConfig())
 
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         emb, _ = init_model(ModelConfig([3, 4, 2], seed=1), 2)
         x = np.random.default_rng(1).standard_normal((4, 3))
-        feats, cache = embed_forward(emb, x)
-        grads, gx = embed_backward(cache, np.zeros_like(feats))
+        grads = embed_gradients(emb, _forward(emb.weights, emb.biases, x), np.zeros((4, 2)))
         assert all((g == 0).all() for g in grads.weights)
         assert all((g == 0).all() for g in grads.biases)
-        assert (gx == 0).all()
-
-    def test_identity_layer_passthrough(self):
-        emb = Embedder([np.eye(2)], [np.zeros(2)])
-        x = np.array([[1.0, -2.0]])
-        _, cache = embed_forward(emb, x)
-        g = np.array([[0.3, -0.7]])
-        _, gx = embed_backward(cache, g)
-        np.testing.assert_array_equal(gx, g)
-
-    def test_stale_cache_rejected(self):
-        emb, _ = init_model(ModelConfig([3, 2], seed=0), 2)
-        _, cache = embed_forward(emb, np.zeros((4, 3)))
-        with pytest.raises(UsageError):
-            embed_backward(cache, np.zeros((5, 2)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -147,11 +147,9 @@ class TestBackward:
             for b in emb.biases:
                 bs.append(vec[off : off + b.size])
                 off += b.size
-            feats, _ = embed_forward(Embedder(ws, bs), x)
-            return float(feats.sum())
+            return float(features(Embedder(ws, bs), x).sum())
 
-        feats, cache = embed_forward(emb, x)
-        grads, _ = embed_backward(cache, np.ones_like(feats))
+        grads = embed_gradients(emb, _forward(emb.weights, emb.biases, x), np.ones((4, 2)))
         analytic = np.concatenate(
             [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]
         )
@@ -169,9 +167,9 @@ class TestBackward:
         emb.biases[0][:] = -100.0  # kill some units outright
         emb.biases[0][0] = 100.0   # keep one alive
         x = rng.standard_normal((5, 4))
-        _, cache = embed_forward(emb, x)
-        grads, _ = embed_backward(cache, rng.standard_normal((5, 3)))
-        dead = (cache.activations[1] <= 0).all(axis=0)
+        acts = _forward(emb.weights, emb.biases, x)
+        grads = embed_gradients(emb, acts, rng.standard_normal((5, 3)))
+        dead = (acts[1] <= 0).all(axis=0)
         assert dead[1:].all() and not dead[0]
         assert (grads.biases[0][dead] == 0).all()
         assert (grads.weights[0][:, dead] == 0).all()

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osrkit.errors import ConfigError, DegenerateInputError, NumericError
+from osrkit.losses import classification_loss
+from osrkit.model import ReciprocalBank
 from osrkit.numerics import (
     Metric,
     _log_softmax,
@@ -12,7 +14,6 @@ from osrkit.numerics import (
     _scores,
     _scores_backward,
     grad_check,
-    pairwise_scores,
 )
 
 
@@ -20,30 +21,35 @@ def rand_matrix(rng, rows, cols, scale=1.0):
     return scale * rng.standard_normal((rows, cols))
 
 
+def scores(features, points, metric):
+    """The B x K classification scores of ``features`` against ``points``, by ``_scores``."""
+    return _scores(np.asarray(features, dtype=float), np.asarray(points, dtype=float), metric)[0]
+
+
+def classification_loss_of(features, points, metric=Metric.EUCLIDEAN):
+    """``classification_loss`` of ``features`` against a bank of ``points``, every label 0: it
+    checks its operands with the same ``_score_operands`` as every public loss."""
+    bank = ReciprocalBank(np.asarray(points, dtype=float), np.zeros(len(points)))
+    return classification_loss(features, bank, np.zeros(len(features), dtype=int), metric)
+
+
 class TestPairwiseScores:
     def test_angular_orthogonal(self):
-        s = pairwise_scores([[1.0, 0.0]], [[0.0, 1.0]], Metric.ANGULAR)
+        s = scores([[1.0, 0.0]], [[0.0, 1.0]], Metric.ANGULAR)
         assert s[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_angular_parallel_scale_invariant(self):
-        s = pairwise_scores([[2.0, 0.0]], [[1.0, 0.0]], Metric.ANGULAR)
+        s = scores([[2.0, 0.0]], [[1.0, 0.0]], Metric.ANGULAR)
         assert s[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_euclidean_composite_hand_value(self):
         # ((2^2 + 2^2)/2) - (1*3 + 2*4) = 4 - 11 = -7
-        s = pairwise_scores([[1.0, 2.0]], [[3.0, 4.0]], Metric.EUCLIDEAN)
+        s = scores([[1.0, 2.0]], [[3.0, 4.0]], Metric.EUCLIDEAN)
         assert s[0, 0] == pytest.approx(-7.0, abs=1e-12)
 
-    @pytest.mark.parametrize("metric", [Metric.MANHATTAN, Metric.CHEBYSHEV])
-    def test_hinge_only_metrics_rejected(self, metric):
-        f = [[1.0, -2.0]]
-        p = [[4.0, 2.0]]
-        with pytest.raises(ConfigError, match="euclidean or angular"):
-            pairwise_scores(f, p, metric)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            pairwise_scores([[1.0, 2.0]], [[1.0, 2.0, 3.0]], Metric.EUCLIDEAN)
+        with pytest.raises(ConfigError, match=r"^feature dim 2 != point dim 3$"):
+            classification_loss_of([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("features,points,message", [
         ([1.0, 2.0], [[1.0, 2.0]], r"^features must be 2-D, got shape \(2,\)$"),
@@ -51,20 +57,20 @@ class TestPairwiseScores:
     ], ids=["1-d-features", "width-0"])
     def test_malformed_operands_rejected(self, features, points, message):
         with pytest.raises(ConfigError, match=message):
-            pairwise_scores(features, points, Metric.EUCLIDEAN)
+            classification_loss_of(features, points)
 
     def test_zero_norm_rejected_for_angular(self):
         with pytest.raises(DegenerateInputError):
-            pairwise_scores([[0.0, 0.0]], [[1.0, 0.0]], Metric.ANGULAR)
+            scores([[0.0, 0.0]], [[1.0, 0.0]], Metric.ANGULAR)
         with pytest.raises(DegenerateInputError):
-            pairwise_scores([[1.0, 0.0]], [[0.0, 0.0]], Metric.ANGULAR)
+            scores([[1.0, 0.0]], [[0.0, 0.0]], Metric.ANGULAR)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            pairwise_scores([[np.nan, 0.0]], [[1.0, 0.0]], Metric.EUCLIDEAN)
+        with pytest.raises(NumericError, match="^features contains non-finite entries$"):
+            classification_loss_of([[np.nan, 0.0]], [[1.0, 0.0]])
 
     def test_zero_feature_rows_score_as_empty_for_angular(self):
-        assert pairwise_scores(np.zeros((0, 4)), np.ones((3, 4)), Metric.ANGULAR).shape == (0, 3)
+        assert scores(np.zeros((0, 4)), np.ones((3, 4)), Metric.ANGULAR).shape == (0, 3)
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_overflowing_norm_rejected_for_angular(self, paired):
@@ -80,15 +86,15 @@ class TestPairwiseScores:
         rng = np.random.default_rng(seed)
         f = rand_matrix(rng, 4, 5) + 0.1
         p = rand_matrix(rng, 3, 5) + 0.1
-        base = pairwise_scores(f, p, Metric.ANGULAR)
-        scaled = pairwise_scores(c * f, p, Metric.ANGULAR)
+        base = scores(f, p, Metric.ANGULAR)
+        scaled = scores(c * f, p, Metric.ANGULAR)
         np.testing.assert_allclose(scaled, base, atol=1e-10)
 
     def test_angular_entries_bounded(self):
         rng = np.random.default_rng(7)
         f = rand_matrix(rng, 20, 3)
         p = rand_matrix(rng, 6, 3)
-        s = pairwise_scores(f, p, Metric.ANGULAR)
+        s = scores(f, p, Metric.ANGULAR)
         assert (s >= -1.0).all() and (s <= 1.0).all()
 
     def test_euclidean_translation_covariance(self):
@@ -99,7 +105,7 @@ class TestPairwiseScores:
         p = rand_matrix(rng, 2, 3)
         shift = rng.standard_normal(3)
         base_sq = ((f[:, None, :] - p[None, :, :]) ** 2).sum(-1) / 3
-        got = pairwise_scores(f + shift, p + shift, Metric.EUCLIDEAN)
+        got = scores(f + shift, p + shift, Metric.EUCLIDEAN)
         expected = base_sq - (f + shift) @ (p + shift).T
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -200,10 +206,10 @@ class TestKernelGradients:
         gf, gp = _scores_backward(f, p, metric, g, _scores(f, p, metric)[1])
 
         def loss_f(vec):
-            return float((pairwise_scores(vec.reshape(3, 4), p, metric) * g).sum())
+            return float((scores(vec.reshape(3, 4), p, metric) * g).sum())
 
         def loss_p(vec):
-            return float((pairwise_scores(f, vec.reshape(2, 4), metric) * g).sum())
+            return float((scores(f, vec.reshape(2, 4), metric) * g).sum())
 
         assert grad_check(loss_f, f.ravel(), gf.ravel(), 1e-5) < 1e-6
         assert grad_check(loss_p, p.ravel(), gp.ravel(), 1e-5) < 1e-6

@@ -13,11 +13,10 @@ from osrkit.cli import build_parser
 from osrkit.config import (GRIDS, PRESETS, VARIANTS, TrainConfig, _cast, cartesian_cells, key_text,
                            named, param_cells, with_keys)
 from osrkit.data import SplitSpec, apply_split, gen_synthetic
-from osrkit.errors import ConfigError, DegenerateInputError, NumericError, OsrkitError, UsageError
-from osrkit.evaluate import predict_closed
-from osrkit.losses import LossConfig, classification_logits, total_loss
-from osrkit.model import (ModelConfig, bind_parameters, embed_backward, embed_forward, flatten,
-                          init_model)
+from osrkit.errors import (ConfigError, DataError, DegenerateInputError, NumericError, OsrkitError,
+                           UsageError)
+from osrkit.losses import LossConfig, total_loss
+from osrkit.model import ModelConfig, _forward, bind_parameters, flatten, init_model
 from osrkit.numerics import Metric
 from osrkit.train import (
     Adam,
@@ -29,6 +28,8 @@ from osrkit.train import (
     write_history_csv,
     write_sweep_csv,
 )
+from test_eval import unblocked_logits
+from test_model import embed_gradients
 
 # the package re-exports the function ``train``, which hides the module
 train_module = importlib.import_module("osrkit.train")
@@ -120,8 +121,8 @@ def sgd_per_array(params, grads, state, lr, t):
 
 @np.errstate(over="ignore", invalid="ignore")  # as on ``train``: divergence raises, not warns
 def train_per_step_public(split, config):
-    """``train`` as its loop was written on the public kernels: a validated
-    ``total_loss``, ``embed_backward`` and a ``flatten``ed gradient per step.
+    """``train`` as its loop was written on the public loss: ``_forward``, a validated
+    ``total_loss``, ``embed_gradients`` and a ``flatten``ed gradient per step.
     Returns (embedder, bank, history records)."""
     embedder, bank = init_model(config.model, split.num_known)
     params = bind_parameters(embedder, bank)
@@ -135,9 +136,9 @@ def train_per_step_public(split, config):
         sums = {"classification": 0.0, "margin": 0.0, "overconfidence": 0.0}
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            feats, cache = embed_forward(embedder, split.train.inputs[batch])
-            out = total_loss(feats, bank, split.train.labels[batch], config.loss)
-            egrads, _ = embed_backward(cache, out.grad_features)
+            acts = _forward(embedder.weights, embedder.biases, split.train.inputs[batch])
+            out = total_loss(acts[-1], bank, split.train.labels[batch], config.loss)
+            egrads = embed_gradients(embedder, acts, out.grad_features)
             grads = flatten(*egrads.weights, *egrads.biases, out.grad_points, out.grad_margins)
             optimizer.step(grads)
             bank.project_margins()
@@ -145,10 +146,8 @@ def train_per_step_public(split, config):
                 sums[key] += out.parts[key] * len(batch)
         means = {key: sums[key] / n for key in sums}
         total = means["classification"] + alpha * means["margin"] + beta * means["overconfidence"]
-        feats, _ = embed_forward(embedder, split.test_known.inputs)
-        logits = classification_logits(feats, bank, config.loss.classification_metric,
-                                       config.loss.tau)
-        val_acc = float((predict_closed(logits) == split.test_known.labels).mean())
+        logits = unblocked_logits(embedder, bank, split.test_known.inputs, config.loss)
+        val_acc = float((logits.argmax(axis=1) == split.test_known.labels).mean())
         records.append(EpochRecord(epoch, total, means["classification"], means["margin"],
                                    means["overconfidence"], val_acc))
     return embedder, bank, records
@@ -398,9 +397,9 @@ class TestTrain:
         emb, bank, _ = train(split, cfg)
         emb0, bank0 = init_model(cfg.model, split.num_known)
         batch = np.random.default_rng(cfg.seed).permutation(len(split.train))
-        feats, cache = embed_forward(emb0, split.train.inputs[batch])
-        out = total_loss(feats, bank0, split.train.labels[batch], cfg.loss)
-        egrads, _ = embed_backward(cache, out.grad_features)
+        acts = _forward(emb0.weights, emb0.biases, split.train.inputs[batch])
+        out = total_loss(acts[-1], bank0, split.train.labels[batch], cfg.loss)
+        egrads = embed_gradients(emb0, acts, out.grad_features)
         pairs = [*zip(emb.weights, emb0.weights, egrads.weights),
                  *zip(emb.biases, emb0.biases, egrads.biases),
                  (bank.points, bank0.points, out.grad_points)]
@@ -603,7 +602,7 @@ class TestTrainErrors:
         split.test_known.inputs = split.test_known.inputs[:0]
         split.test_known.labels = split.test_known.labels[:0]
         monkeypatch.setattr(train_module._Run, "step", lambda *args: pytest.fail("a step ran"))
-        with pytest.raises(UsageError) as info:
+        with pytest.raises(DataError) as info:
             train(split, small_config(epochs=1))
         assert str(info.value) == "empty batch"
         assert train(split, small_config(epochs=0))[2] == []  # no epoch scores it
