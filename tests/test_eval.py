@@ -131,6 +131,15 @@ class TestClosedSetLabels:
         assert oscr([[0.5, 0.5], [0.0, 0.0]], [0, 0], [True, False])[0] == 1.0
         assert oscr([[0.5, 0.5], [0.0, 0.0]], [1, 0], [True, False])[0] == 0.0
 
+    @pytest.mark.parametrize("metric", [Metric.ANGULAR, Metric.EUCLIDEAN])
+    def test_empty_batch(self, metric):
+        """Zero rows score as a (0, K) logit matrix, which has no known row to label."""
+        emb, bank = init_model(ModelConfig([3, 4, 2], seed=0), 3)
+        logits = model_logits(emb, bank, np.zeros((0, 3)), LossConfig(classification_metric=metric))
+        assert logits.shape == (0, 3) and logits.dtype == np.float64
+        with pytest.raises(EvalError, match="^need at least one known and one unknown sample$"):
+            oscr(logits, [], [])
+
     def test_zero_columns_rejected(self):
         with pytest.raises(UsageError) as info:
             oscr(np.zeros((3, 0)), [0, 0, 0], [True, False, True])
@@ -648,6 +657,10 @@ SCORING_ENTRIES = {
     "total_loss": lambda emb, bank, split, cfg: total_loss(
         _forward(emb.weights, emb.biases, split.test_known.inputs)[-1], bank,
         split.test_known.labels, cfg),
+    # ``train`` scores its epochs through ``model_logits``; its config check comes first
+    "train": lambda emb, bank, split, cfg: train(split, TrainConfig(
+        ModelConfig([emb.weights[0].shape[0], *(w.shape[1] for w in emb.weights)]),
+        cfg, epochs=1)),
 }
 # scoring heads that ``LossConfig.validate`` refuses: (layer_dims, config)
 BAD_HEADS = {

@@ -131,6 +131,27 @@ class TestBackward:
         assert all((g == 0).all() for g in grads.weights)
         assert all((g == 0).all() for g in grads.biases)
 
+    def test_identity_layer_hand_gradients(self):
+        emb = Embedder([np.eye(2)], [np.zeros(2)])
+        x = np.array([[1.0, -2.0], [0.5, 3.0]])
+        g = np.array([[0.3, -0.7], [0.25, 0.5]])
+        grads = embed_gradients(emb, _forward(emb.weights, emb.biases, x), g)
+        np.testing.assert_array_equal(grads.weights[0], x.T @ g)
+        np.testing.assert_array_equal(grads.biases[0], g.sum(axis=0))
+
+    def test_stale_buffers_overwritten(self):
+        """``train`` reuses one set of gradient buffers: each call writes every entry."""
+        emb, _ = init_model(ModelConfig([3, 4, 2], seed=0), 2)
+        rng = np.random.default_rng(2)
+        x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        acts = _forward(emb.weights, emb.biases, x)
+        want = embed_gradients(emb, acts, g)
+        grad_w = [np.full(w.shape, np.nan) for w in emb.weights]
+        grad_b = [np.full(b.shape, np.nan) for b in emb.biases]
+        _backward_into(emb.weights, acts, g, grad_w, grad_b)
+        assert [a.tobytes() for a in grad_w + grad_b] == [
+            a.tobytes() for a in want.weights + want.biases]
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         dims = [3, 5, 2]

@@ -47,6 +47,14 @@ class TestPairwiseScores:
         s = scores([[1.0, 2.0]], [[3.0, 4.0]], Metric.EUCLIDEAN)
         assert s[0, 0] == pytest.approx(-7.0, abs=1e-12)
 
+    # ``LossConfig.validate`` refuses them for every classification score
+    @pytest.mark.parametrize("metric", [Metric.MANHATTAN, Metric.CHEBYSHEV])
+    def test_hinge_only_metrics_rejected(self, metric):
+        with pytest.raises(ConfigError) as info:
+            classification_loss_of([[1.0, -2.0]], [[4.0, 2.0]], metric)
+        assert str(info.value) == ("classification_metric must be euclidean or angular, got "
+                                   f"{metric.value}")
+
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError, match=r"^feature dim 2 != point dim 3$"):
             classification_loss_of([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
