@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EvalError, NumericError, UsageError
 from .losses import LossConfig
 from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
-from .numerics import _checked_points, _scores, as_matrix
+from .numerics import _scores, as_matrix
 
 Curve = np.ndarray  # (T+1)x3 float64 rows (threshold, fpr, tpr-or-ccr), row 0 is (inf, 0, 0)
 
@@ -60,8 +60,7 @@ def _as_score_flags(scores, is_known) -> tuple[np.ndarray, np.ndarray]:
     k = np.asarray(is_known, dtype=bool)
     if s.ndim != 1 or k.shape != s.shape:
         raise EvalError("scores and is_known must be 1-D of equal length")
-    if not np.isfinite(s).all():
-        raise EvalError("scores contain non-finite entries")
+    as_matrix(s[None], "scores")  # a non-finite score: NumericError, as for the logits
     if not k.any() or k.all():
         raise EvalError("need at least one known and one unknown sample")
     return s, k
@@ -148,7 +147,7 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
     there. Each bias is tiled to the largest block's rows once; blocks keep the public ops."""
     config.validate(embedder.weights[-1].shape[1])
     xs = [_checked_inputs(embedder, x) for x in parts.values()]
-    points = _checked_points(bank.points, embedder.weights[-1].shape[1])
+    points = bank.checked_points(embedder.weights[-1].shape[1])
     metric, tau = config.classification_metric, config.tau
     counts = [max(1, -(-len(x) // 1024)) for x in xs]
     rows = max(-(-len(x) // c) for x, c in zip(xs, counts))  # the largest block

@@ -16,8 +16,10 @@ Three ingredients, each differentiable by hand:
 beta * overconfidence. It computes each piece of a batch once: the scores
 and norms, the tau-scaled logits both logit terms share (their gradients
 are summed and chained by one backward), and the margin hinge's differences.
-Each public loss checks its inputs, and its settings with ``LossConfig.validate``, then calls
-a trusting core (``_total``, ``_margin_hinge``, ...); ``train`` checks once, then calls ``_total``.
+Each public loss checks, in this order, its features, its bank with
+``ReciprocalBank.checked_points``, its settings with ``LossConfig.validate`` and its labels,
+then calls a trusting core (``_total``, ``_margin_hinge``, ...); ``train`` checks once, then
+calls ``_total``.
 A model's tau-scaled logits, without a loss, are ``evaluate.model_logits``.
 """
 
@@ -29,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .model import ReciprocalBank
-from .numerics import (Metric, _log_softmax, _paired, _paired_backward,
-                       _score_operands, _scores, _scores_backward, as_matrix)
+from .numerics import (Metric, _log_softmax, _paired, _paired_backward, _scores,
+                       _scores_backward, as_matrix)
 
 
 @dataclass
@@ -83,12 +85,6 @@ def _check_labels(labels, num_classes: int, batch: int) -> np.ndarray:
     return y
 
 
-def _check_margins(bank: ReciprocalBank) -> None:
-    if np.shape(bank.margins) != (bank.num_classes,):
-        raise ConfigError(f"margins have shape {np.shape(bank.margins)}, not ({bank.num_classes},)")
-    as_matrix([bank.margins], "margins")  # a non-finite margin: NumericError, as for the points
-
-
 def _cross_entropy(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
     """(mean cross-entropy of y under softmax(z), its grad w.r.t. z); ``rows`` is ``arange(B)``."""
     logp = _log_softmax(z)
@@ -103,12 +99,13 @@ def classification_loss(
     features, bank: ReciprocalBank, labels, metric: Metric, tau: float = 1.0
 ) -> LossOutput:
     """Mean cross-entropy of the true class under softmax(tau * scores)."""
-    f, _ = _score_operands(features, bank.points)
-    y = _check_labels(labels, bank.num_classes, f.shape[0])
+    f = as_matrix(features, "features")
+    p = bank.checked_points(f.shape[1])
     LossConfig(tau, classification_metric=metric).validate(f.shape[1])
-    scores, saved = _scores(f, bank.points, metric)
+    y = _check_labels(labels, bank.num_classes, f.shape[0])
+    scores, saved = _scores(f, p, metric)
     value, grad_logits = _cross_entropy(tau * scores, y, np.arange(f.shape[0]))
-    grad_f, grad_p = _scores_backward(f, bank.points, metric, tau * grad_logits, saved)
+    grad_f, grad_p = _scores_backward(f, p, metric, tau * grad_logits, saved)
     return LossOutput(value, grad_f, grad_p, np.zeros(bank.num_classes))
 
 
@@ -121,8 +118,9 @@ def margin_loss(
     Inactive samples (d <= margin) contribute nothing, including to the
     margin gradient; the kink at exactly zero takes subgradient 0.
     """
-    f, _ = _score_operands(features, bank.points)
-    _check_margins(bank)
+    f = as_matrix(features, "features")
+    bank.checked_points(f.shape[1])
+    LossConfig(margin_metric=metric).validate()
     y = _check_labels(labels, bank.num_classes, f.shape[0])
     return LossOutput(*_margin_hinge(f, bank, y, metric))
 
@@ -183,8 +181,8 @@ def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> Lo
     uses, so the batch is scored once and both terms' logit gradients are chained
     by one backward. The value is not checked: ``train`` raises on a non-finite one.
     """
-    f, _ = _score_operands(features, bank.points)
-    _check_margins(bank)
+    f = as_matrix(features, "features")
+    bank.checked_points(f.shape[1])
     config.validate(f.shape[1])
     y = _check_labels(labels, bank.num_classes, f.shape[0])
     grads = ReciprocalBank(np.empty_like(bank.points), np.empty(bank.num_classes))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .numerics import as_matrix
 
 CHECKPOINT_MAGIC = b"OSRP"
 CHECKPOINT_VERSION = 1
@@ -59,6 +60,19 @@ class ReciprocalBank:
     @property
     def num_classes(self) -> int:
         return self.points.shape[0]
+
+    def checked_points(self, width: int) -> np.ndarray:
+        """The points as a finite 2-D float64 array of the features' positive ``width``, once the
+        margins are checked to be one finite value per point: the rule every scoring entry runs."""
+        p = as_matrix(self.points, "points")
+        if width != p.shape[1]:
+            raise ConfigError(f"feature dim {width} != point dim {p.shape[1]}")
+        if width < 1:
+            raise ConfigError("feature dimension must be >= 1")
+        if np.shape(self.margins) != (len(p),):
+            raise ConfigError(f"margins have shape {np.shape(self.margins)}, not ({len(p)},)")
+        as_matrix([self.margins], "margins")  # a non-finite margin: NumericError, as for the points
+        return p
 
     def project_margins(self) -> None:
         """Clamp margins back to >= 0 in place (run after optimizer steps)."""

@@ -2,8 +2,9 @@
 
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
 The private cores (``_scores``, ``_paired``, ``_log_softmax``, ...) trust their
-inputs: the public losses and ``evaluate`` check them first, with ``_score_operands``
-and ``_checked_points``. Gradients are hand-derived and must pass ``grad_check``.
+inputs and settings: the public losses and ``evaluate`` check them first, the bank with
+``ReciprocalBank.checked_points`` and the metrics with ``LossConfig.validate``. Gradients
+are hand-derived and must pass ``grad_check``.
 """
 
 from __future__ import annotations
@@ -62,22 +63,6 @@ def _row_norms(a: np.ndarray, name: str, first: int = 0) -> np.ndarray:
     return norms
 
 
-def _score_operands(features, points) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of the public losses' operands: finite 2-D inputs of one positive width."""
-    f = as_matrix(features, "features")
-    return f, _checked_points(points, f.shape[1])
-
-
-def _checked_points(points, width: int) -> np.ndarray:
-    """``points`` as a finite 2-D float64 array of the features' positive ``width``."""
-    p = as_matrix(points, "points")
-    if width != p.shape[1]:
-        raise ConfigError(f"feature dim {width} != point dim {p.shape[1]}")
-    if width < 1:
-        raise ConfigError("feature dimension must be >= 1")
-    return p
-
-
 def _scores(f: np.ndarray, p: np.ndarray, metric: Metric, name: str = "features",
             first: int = 0):
     """Score every checked feature row against every point row, under a classification
@@ -127,9 +112,7 @@ def _paired(f: np.ndarray, p: np.ndarray, metric: Metric):
         return np.add.reduce(diff * diff, axis=1) / f.shape[1], diff
     if metric is Metric.MANHATTAN:
         return np.add.reduce(np.abs(diff), axis=1), diff
-    if metric is Metric.CHEBYSHEV:
-        return np.maximum.reduce(np.abs(diff), axis=1), diff
-    raise ConfigError(f"unknown metric {metric!r}")
+    return np.maximum.reduce(np.abs(diff), axis=1), diff  # CHEBYSHEV
 
 
 def _paired_backward(f: np.ndarray, p: np.ndarray, metric: Metric, g: np.ndarray, saved):

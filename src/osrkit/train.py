@@ -47,25 +47,25 @@ class SGD:
         """Update the bound vector in place."""
         if grads.shape != self.params.shape:
             raise UsageError(f"params shape {self.params.shape} != grad shape {grads.shape}")
-        self.params -= self.learning_rate * grads
+        self.params -= self._update(grads)
+
+    def _update(self, grads: np.ndarray) -> np.ndarray:
+        """The step to subtract from the parameters."""
+        return self.learning_rate * grads
 
 
-class Adam:
+class Adam(SGD):
     """Adam with bias correction (Kingma & Ba, ICLR 2015). Its constants
     are the class attributes BETA1 = 0.9, BETA2 = 0.999 and EPS = 1e-8."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, learning_rate: float, params: np.ndarray):
-        self.learning_rate = float(learning_rate)
-        self.params = params
+        super().__init__(learning_rate, params)
         self.t = 0
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
 
-    def step(self, grads: np.ndarray) -> None:
-        """Update the bound vector in place."""
-        if grads.shape != self.params.shape:
-            raise UsageError(f"params shape {self.params.shape} != grad shape {grads.shape}")
+    def _update(self, grads: np.ndarray) -> np.ndarray:
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
@@ -73,7 +73,7 @@ class Adam:
         self.m += (1.0 - self.BETA1) * grads
         self.v *= self.BETA2
         self.v += (1.0 - self.BETA2) * grads * grads
-        self.params -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
+        return self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
 class _Run:

@@ -193,13 +193,15 @@ class TestAuroc:
         with pytest.raises(EvalError):
             auroc([1.0, 2.0], [True, True])
 
-    @pytest.mark.parametrize("scores,is_known,message", [
-        ([0.1, 0.2], [True], "scores and is_known must be 1-D of equal length"),
-        ([0.1, np.nan], [True, False], "scores contain non-finite entries"),
+    @pytest.mark.parametrize("scores,is_known,error,message", [
+        ([0.1, 0.2], [True], EvalError, "scores and is_known must be 1-D of equal length"),
+        ([0.1, np.nan], [True, False], NumericError, "scores contains non-finite entries"),
     ], ids=["length-mismatch", "nan-score"])
-    def test_malformed_scores_rejected(self, scores, is_known, message):
-        with pytest.raises(EvalError) as info:
-            auroc(scores, is_known)
+    @pytest.mark.parametrize("metric", [auroc, roc_points], ids=["auroc", "roc_points"])
+    def test_malformed_scores_rejected(self, metric, scores, is_known, error, message):
+        # a non-finite score is a NumericError, as oscr's non-finite logits are
+        with pytest.raises(error) as info:
+            metric(scores, is_known)
         assert str(info.value) == message
 
     @given(st.integers(0, 2 ** 32 - 1))

@@ -4,8 +4,8 @@ module, apart from the unchecked kernel cores that a caller runs after validatin
 every such permission names an import the package makes; every name a module imports is
 used there or re-exported; every public function or class is reached from another place in
 the package or exported; every ``raise`` raises a toolkit error, which ``cli.main`` maps to an
-exit code, unless its caller converts it; each ``ConfigError`` rule is raised from one place;
-and no message is raised under two error classes."""
+exit code, unless its caller converts it; a kernel core raises no setting's error; each rule
+is raised from one place; and no message is raised under two error classes."""
 
 import ast
 from pathlib import Path
@@ -16,7 +16,6 @@ ALLOWED = {
     ("losses", "numerics", "_log_softmax"),
     ("losses", "numerics", "_paired"),
     ("losses", "numerics", "_paired_backward"),
-    ("losses", "numerics", "_score_operands"),
     ("losses", "numerics", "_scores"),
     ("losses", "numerics", "_scores_backward"),
     ("train", "losses", "_total"),
@@ -26,7 +25,6 @@ ALLOWED = {
     ("checks", "train", "_Run"),
     ("evaluate", "model", "_checked_inputs"),
     ("evaluate", "model", "_forward"),
-    ("evaluate", "numerics", "_checked_points"),
     ("evaluate", "numerics", "_scores"),
 }
 
@@ -79,6 +77,12 @@ def error_classes() -> set[str]:
     return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
 
 
+def raised_name(node) -> str | None:
+    """The name a ``raise`` statement raises (``X`` or ``X(...)``), else None."""
+    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return target.id if isinstance(target, ast.Name) else None
+
+
 def foreign_raises():
     """(module, function, statement) for each ``raise`` of a class that ``errors.py`` does
     not define; a bare re-raise is not listed."""
@@ -86,8 +90,7 @@ def foreign_raises():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for function, node in raises(ast.parse(path.read_text(encoding="utf-8"))):
-            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if node.exc is not None and not (isinstance(target, ast.Name) and target.id in errors):
+            if node.exc is not None and raised_name(node) not in errors:
                 found.append((path.stem, function, ast.unparse(node)))
     return found
 
@@ -147,11 +150,35 @@ def raised_templates(error: str) -> dict[str, list[str]]:
     return found
 
 
-def test_each_config_rule_is_raised_from_one_place():
+# a message that names one condition per input it is read from, each checked where it is read
+ONE_RULE_PER_SITE = {
+    "empty batch": "the rules for labels, logits and the test set",
+    "{}: no data rows": "one rule per feature format",
+}
+
+
+def test_each_rule_is_raised_from_one_place():
     # a rule written twice can drift apart, or be missed by an entry that holds the other copy
-    found = raised_templates("ConfigError")
-    assert "tau must be > 0, got {}" in found  # the walk reached the package
-    assert {t: where for t, where in found.items() if len(where) > 1} == {}
+    found = {(error, template): where for error in sorted(error_classes())
+             for template, where in raised_templates(error).items()}
+    assert ("ConfigError", "tau must be > 0, got {}") in found  # the walk reached the package
+    assert {key: where for key, where in found.items()
+            if len(where) > 1 and key[1] not in ONE_RULE_PER_SITE} == {}
+
+
+def test_kernel_cores_check_no_setting():
+    # a core trusts its settings: the entry that runs it checks them once, so a core raises
+    # only on the numbers it computes
+    cores = {(module, name) for _, module, name in ALLOWED if not name.startswith("_check")}
+    seen, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.stem, getattr(top, "name", None)) in cores:
+                seen.add((path.stem, top.name))
+                found += [f"{path.stem}.{top.name}: {ast.unparse(node)}" for _, node in raises(top)
+                          if raised_name(node) not in {"NumericError", "DegenerateInputError"}]
+    assert seen == cores
+    assert found == []
 
 
 def test_each_message_is_raised_under_one_class():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from osrkit.checks import DEFAULT_TOL, gradient_cases, run_gradient_suite
 from osrkit.config import VARIANTS
+from osrkit.data import LabeledDataset, OpenSetSplit
 from osrkit.errors import ConfigError, DataError, DegenerateInputError, NumericError
+from osrkit.evaluate import evaluate, model_logits
 from osrkit.losses import (
     LossConfig,
     classification_loss,
@@ -17,7 +19,7 @@ from osrkit.losses import (
     total_loss,
     vacuous_overconfidence,
 )
-from osrkit.model import ReciprocalBank
+from osrkit.model import Embedder, ReciprocalBank
 from osrkit.numerics import (
     Metric,
     _log_softmax,
@@ -179,7 +181,7 @@ class TestMarginLoss:
 
     def test_str_metric_rejected(self):
         features, bank, labels = random_case(np.random.default_rng(8))
-        with pytest.raises(ConfigError, match="^unknown metric 'euclidean'$"):
+        with pytest.raises(ConfigError, match="^bad margin_metric 'euclidean'$"):
             margin_loss(features, bank, labels, "euclidean")
 
     @pytest.mark.parametrize("metric", list(Metric))
@@ -190,6 +192,18 @@ class TestMarginLoss:
             assert margin_loss(features, bank, labels, metric).value >= 0
 
 
+def identity(features):
+    """An embedder that passes ``features`` through unchanged."""
+    d = features.shape[1]
+    return Embedder([np.eye(d)], [np.zeros(d)])
+
+
+def split_of(features, labels):
+    """A 3-class split with ``features`` as both its known and unknown test sets."""
+    known = LabeledDataset(features, labels, np.zeros(len(labels)))
+    return OpenSetSplit(known, known, known, {0: 0, 1: 1, 2: 2})
+
+
 @pytest.mark.parametrize("margins, error, message", [
     (np.zeros(2), ConfigError, r"^margins have shape \(2,\), not \(3,\)$"),
     (np.zeros((3, 1)), ConfigError, r"^margins have shape \(3, 1\), not \(3,\)$"),
@@ -197,14 +211,34 @@ class TestMarginLoss:
     (np.array([0.0, 0.0, np.nan]), NumericError, "^margins contains non-finite entries$"),
 ], ids=["short", "column", "inf", "nan"])
 @pytest.mark.parametrize("loss", [
-    margin_loss, lambda f, bank, y: total_loss(f, bank, y, LossConfig())
-], ids=["margin_loss", "total_loss"])
+    margin_loss,
+    lambda f, bank, y: total_loss(f, bank, y, LossConfig()),
+    lambda f, bank, y: classification_loss(f, bank, y, Metric.ANGULAR),
+    lambda f, bank, y: model_logits(identity(f), bank, f, LossConfig()),
+    lambda f, bank, y: evaluate(identity(f), bank, split_of(f, y), LossConfig()),
+], ids=["margin_loss", "total_loss", "classification_loss", "model_logits", "evaluate"])
 def test_bad_margins_rejected(loss, margins, error, message):
     # at K = 3: a short bank escaped as IndexError, a column as TypeError, and an
-    # infinite margin switched its hinge off
+    # infinite margin switched its hinge off; the scoring entries ignored the margins
     features, bank, _ = random_case(np.random.default_rng(4), b=5, d=3, k=3)
     with pytest.raises(error, match=message):
         loss(features, ReciprocalBank(bank.points, margins), [0, 1, 2, 0, 2])
+
+
+@pytest.mark.parametrize("loss, message", [
+    (lambda f, bank, y: classification_loss(f, bank, y, Metric.ANGULAR, 0.0),
+     "tau must be > 0, got 0.0"),
+    (lambda f, bank, y: total_loss(f, bank, y, LossConfig(tau=0.0)), "tau must be > 0, got 0.0"),
+    (lambda f, bank, y: margin_loss(f, bank, y, "euclidean"), "bad margin_metric 'euclidean'"),
+    (lambda f, bank, y: total_loss(f, bank, y, LossConfig(margin_metric="euclidean")),
+     "bad margin_metric 'euclidean'"),
+], ids=["classification_loss", "total_loss-tau", "margin_loss", "total_loss-metric"])
+def test_config_is_checked_before_labels(loss, message):
+    # every bank loss checks features, bank, config, then labels: one first error per batch
+    features, bank, _ = random_case(np.random.default_rng(4), b=5, d=3, k=3)
+    with pytest.raises(ConfigError) as info:
+        loss(features, bank, [0, 1, 2, 0, 7])
+    assert str(info.value) == message
 
 
 class TestOverconfidenceLoss:

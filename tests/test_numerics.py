@@ -28,7 +28,7 @@ def scores(features, points, metric):
 
 def classification_loss_of(features, points, metric=Metric.EUCLIDEAN):
     """``classification_loss`` of ``features`` against a bank of ``points``, every label 0: it
-    checks its operands with the same ``_score_operands`` as every public loss."""
+    checks its bank with the same ``ReciprocalBank.checked_points`` as every scoring entry."""
     bank = ReciprocalBank(np.asarray(points, dtype=float), np.zeros(len(points)))
     return classification_loss(features, bank, np.zeros(len(features), dtype=int), metric)
 
