@@ -40,22 +40,15 @@ class GradCaseResult:
         return self.max_error < DEFAULT_TOL
 
 
-def _random_instance(rng: np.random.Generator):
-    b = int(rng.integers(1, 9))
-    d = int(rng.integers(2, 9))
-    k = int(rng.integers(2, 6))
-    features = rng.standard_normal((b, d))
-    points = rng.standard_normal((k, d))
-    margins = rng.uniform(0.0, 2.0, k)
-    labels = rng.integers(0, k, b)
-    return features, points, margins, labels
-
-
 def _bank_loss_case(loss_fn) -> Callable[[np.random.Generator], float]:
     """Check d(loss)/d(features, points, margins) for a bank-based loss."""
 
     def run(rng: np.random.Generator) -> float:
-        features, points, margins, labels = _random_instance(rng)
+        b, d, k = int(rng.integers(1, 9)), int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        features = rng.standard_normal((b, d))
+        points = rng.standard_normal((k, d))
+        margins = rng.uniform(0.0, 2.0, k)
+        labels = rng.integers(0, k, b)
         like = [features, points, margins]
 
         def value_at(vec: np.ndarray) -> float:

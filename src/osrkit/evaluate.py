@@ -24,8 +24,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EvalError, NumericError, UsageError
-from .losses import LossConfig
+from .errors import EvalError, NumericError
+from .losses import LossConfig, _check_logits
 from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
 from .numerics import _scores, as_matrix
 
@@ -117,9 +117,7 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
     and score >= t; FPR(t) is the fraction of unknown samples scoring
     >= t. ``true_labels`` is only consulted at known positions.
     """
-    z = as_matrix(logits, "logits")
-    if z.shape[1] == 0:
-        raise UsageError(f"logits need at least one column, got shape {z.shape}")
+    z = _check_logits(logits)
     s, k = _as_score_flags(_max_logit(z), is_known)
     y = np.asarray(true_labels)
     if y.shape != (z.shape[0],):
@@ -147,7 +145,7 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
     there. Each bias is tiled to the largest block's rows once; blocks keep the public ops."""
     config.validate(embedder.weights[-1].shape[1])
     xs = [_checked_inputs(embedder, x) for x in parts.values()]
-    points = bank.checked_points(embedder.weights[-1].shape[1])
+    points = bank.checked(embedder.weights[-1].shape[1]).points
     metric, tau = config.classification_metric, config.tau
     counts = [max(1, -(-len(x) // 1024)) for x in xs]
     rows = max(-(-len(x) // c) for x, c in zip(xs, counts))  # the largest block

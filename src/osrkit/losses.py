@@ -16,10 +16,10 @@ Three ingredients, each differentiable by hand:
 beta * overconfidence. It computes each piece of a batch once: the scores
 and norms, the tau-scaled logits both logit terms share (their gradients
 are summed and chained by one backward), and the margin hinge's differences.
-Each public loss checks, in this order, its features, its bank with
-``ReciprocalBank.checked_points``, its settings with ``LossConfig.validate`` and its labels,
-then calls a trusting core (``_total``, ``_margin_hinge``, ...); ``train`` checks once, then
-calls ``_total``.
+The bank losses share one boundary, ``_checked``: it checks the features, the bank with
+``ReciprocalBank.checked``, the settings with ``LossConfig.validate`` and the labels, in this
+order. Each loss runs a trusting core (``_total``, ``_margin_hinge``, ...) on what it returns;
+``train`` checks once, then calls ``_total``. Logits are checked by ``_check_logits``.
 A model's tau-scaled logits, without a loss, are ``evaluate.model_logits``.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, UsageError
 from .model import ReciprocalBank
 from .numerics import (Metric, _log_softmax, _paired, _paired_backward, _scores,
                        _scores_backward, as_matrix)
@@ -77,12 +77,29 @@ def _check_labels(labels, num_classes: int, batch: int) -> np.ndarray:
         raise DataError(f"labels must be 1-D of length {batch}, got shape {y.shape}")
     if y.size == 0:
         raise DataError("empty batch")
-    y = y.astype(np.int64)
+    kind = y.dtype.kind  # bool, int, uint, float: a float label must be a whole number
+    if kind not in "biuf" or (kind == "f" and not (np.isfinite(y) & (np.trunc(y) == y)).all()):
+        raise DataError(f"labels must be integer-valued, got dtype {y.dtype}")
     if (y < 0).any() or (y >= num_classes).any():
-        raise DataError(
-            f"labels out of range [0, {num_classes}): min {y.min()}, max {y.max()}"
-        )
-    return y
+        raise DataError(f"labels out of range [0, {num_classes}): "
+                        f"min {int(y.min())}, max {int(y.max())}")
+    return y.astype(np.int64)
+
+
+def _checked(features, bank: ReciprocalBank, labels, config: LossConfig):
+    """The bank losses' boundary: features, bank, ``config``, labels, checked in this order."""
+    f = as_matrix(features, "features")
+    bank = bank.checked(f.shape[1])
+    config.validate(f.shape[1])
+    return f, bank, _check_labels(labels, bank.num_classes, f.shape[0])
+
+
+def _check_logits(logits) -> np.ndarray:
+    """``logits`` as a finite 2-D float64 array with at least one column."""
+    z = as_matrix(logits, "logits")
+    if z.shape[1] == 0:
+        raise UsageError(f"logits need at least one column, got shape {z.shape}")
+    return z
 
 
 def _cross_entropy(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
@@ -95,34 +112,27 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[floa
     return value, grad_logits
 
 
-def classification_loss(
-    features, bank: ReciprocalBank, labels, metric: Metric, tau: float = 1.0
-) -> LossOutput:
+def classification_loss(features, bank: ReciprocalBank, labels, metric: Metric,
+                        tau: float = 1.0) -> LossOutput:
     """Mean cross-entropy of the true class under softmax(tau * scores)."""
-    f = as_matrix(features, "features")
-    p = bank.checked_points(f.shape[1])
-    LossConfig(tau, classification_metric=metric).validate(f.shape[1])
-    y = _check_labels(labels, bank.num_classes, f.shape[0])
-    scores, saved = _scores(f, p, metric)
+    f, bank, y = _checked(features, bank, labels, LossConfig(tau, classification_metric=metric))
+    scores, saved = _scores(f, bank.points, metric)
     value, grad_logits = _cross_entropy(tau * scores, y, np.arange(f.shape[0]))
-    grad_f, grad_p = _scores_backward(f, p, metric, tau * grad_logits, saved)
+    grad_f, grad_p = _scores_backward(f, bank.points, metric, tau * grad_logits, saved)
     return LossOutput(value, grad_f, grad_p, np.zeros(bank.num_classes))
 
 
-def margin_loss(
-    features, bank: ReciprocalBank, labels, metric: Metric = Metric.EUCLIDEAN
-) -> LossOutput:
+def margin_loss(features, bank: ReciprocalBank, labels,
+                metric: Metric = Metric.EUCLIDEAN) -> LossOutput:
     """Mean hinge max(d(f, p_own) - margin_own, 0) over the batch.
 
     For EUCLIDEAN the distance is the pure squared form |f - p|^2 / D.
     Inactive samples (d <= margin) contribute nothing, including to the
     margin gradient; the kink at exactly zero takes subgradient 0.
     """
-    f = as_matrix(features, "features")
-    bank.checked_points(f.shape[1])
-    LossConfig(margin_metric=metric).validate()
-    y = _check_labels(labels, bank.num_classes, f.shape[0])
-    return LossOutput(*_margin_hinge(f, bank, y, metric))
+    # no classification head, so no angular width rule: a 1-wide hinge is valid
+    config = LossConfig(classification_metric=Metric.EUCLIDEAN, margin_metric=metric)
+    return LossOutput(*_margin_hinge(*_checked(features, bank, labels, config), metric))
 
 
 def _margin_hinge(f: np.ndarray, bank: ReciprocalBank, y: np.ndarray, metric: Metric):
@@ -149,7 +159,7 @@ def overconfidence_loss(logits, gap_threshold: float) -> tuple[float, np.ndarray
     class has gap 0 and never contributes when the threshold is >= 0.
     Returns (value, grad_logits).
     """
-    z = as_matrix(logits, "logits")
+    z = _check_logits(logits)
     LossConfig(gap_threshold=gap_threshold).validate()
     if z.shape[0] == 0:
         raise DataError("empty batch")
@@ -181,10 +191,7 @@ def total_loss(features, bank: ReciprocalBank, labels, config: LossConfig) -> Lo
     uses, so the batch is scored once and both terms' logit gradients are chained
     by one backward. The value is not checked: ``train`` raises on a non-finite one.
     """
-    f = as_matrix(features, "features")
-    bank.checked_points(f.shape[1])
-    config.validate(f.shape[1])
-    y = _check_labels(labels, bank.num_classes, f.shape[0])
+    f, bank, y = _checked(features, bank, labels, config)
     grads = ReciprocalBank(np.empty_like(bank.points), np.empty(bank.num_classes))
     (cls, mar, oc), grad_f = _total(f, bank, y, config, grads)
     return LossOutput(cls + config.alpha * mar + config.beta * oc, grad_f, grads.points,

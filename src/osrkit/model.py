@@ -59,11 +59,12 @@ class ReciprocalBank:
 
     @property
     def num_classes(self) -> int:
-        return self.points.shape[0]
+        return len(self.points)
 
-    def checked_points(self, width: int) -> np.ndarray:
-        """The points as a finite 2-D float64 array of the features' positive ``width``, once the
-        margins are checked to be one finite value per point: the rule every scoring entry runs."""
+    def checked(self, width: int) -> ReciprocalBank:
+        """The bank as float64 arrays, points K x D and margins K, once checked: finite 2-D points
+        of the features' positive ``width`` and one finite margin per point. The rule every
+        scoring entry runs, and the bank it scores."""
         p = as_matrix(self.points, "points")
         if width != p.shape[1]:
             raise ConfigError(f"feature dim {width} != point dim {p.shape[1]}")
@@ -71,8 +72,8 @@ class ReciprocalBank:
             raise ConfigError("feature dimension must be >= 1")
         if np.shape(self.margins) != (len(p),):
             raise ConfigError(f"margins have shape {np.shape(self.margins)}, not ({len(p)},)")
-        as_matrix([self.margins], "margins")  # a non-finite margin: NumericError, as for the points
-        return p
+        # a non-finite margin raises NumericError, as for the points
+        return ReciprocalBank(p, as_matrix([self.margins], "margins")[0])
 
     def project_margins(self) -> None:
         """Clamp margins back to >= 0 in place (run after optimizer steps)."""

@@ -3,8 +3,8 @@
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
 The private cores (``_scores``, ``_paired``, ``_log_softmax``, ...) trust their
 inputs and settings: the public losses and ``evaluate`` check them first, the bank with
-``ReciprocalBank.checked_points`` and the metrics with ``LossConfig.validate``. Gradients
-are hand-derived and must pass ``grad_check``.
+``ReciprocalBank.checked`` and the metrics with ``LossConfig.validate``, then score the bank
+that check returns. Gradients are hand-derived and must pass ``grad_check``.
 """
 
 from __future__ import annotations

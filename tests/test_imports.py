@@ -23,6 +23,7 @@ ALLOWED = {
     ("train", "model", "_backward_into"),
     ("train", "model", "_forward"),
     ("checks", "train", "_Run"),
+    ("evaluate", "losses", "_check_logits"),
     ("evaluate", "model", "_checked_inputs"),
     ("evaluate", "model", "_forward"),
     ("evaluate", "numerics", "_scores"),

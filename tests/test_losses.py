@@ -1,5 +1,6 @@
 import math
 import zlib
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from osrkit.checks import DEFAULT_TOL, gradient_cases, run_gradient_suite
 from osrkit.config import VARIANTS
 from osrkit.data import LabeledDataset, OpenSetSplit
-from osrkit.errors import ConfigError, DataError, DegenerateInputError, NumericError
+from osrkit.errors import ConfigError, DataError, DegenerateInputError, NumericError, UsageError
 from osrkit.evaluate import evaluate, model_logits
 from osrkit.losses import (
     LossConfig,
@@ -19,7 +20,7 @@ from osrkit.losses import (
     total_loss,
     vacuous_overconfidence,
 )
-from osrkit.model import Embedder, ReciprocalBank
+from osrkit.model import Embedder, ReciprocalBank, save_checkpoint
 from osrkit.numerics import (
     Metric,
     _log_softmax,
@@ -225,6 +226,66 @@ def test_bad_margins_rejected(loss, margins, error, message):
         loss(features, ReciprocalBank(bank.points, margins), [0, 1, 2, 0, 2])
 
 
+def checkpoint_bytes(features, bank, path):
+    save_checkpoint(path, identity(features), bank)
+    return path.read_bytes()
+
+
+# the entries that score or store a bank, each called as (features, bank, labels, a file path)
+BANK_ENTRIES = {
+    "classification_loss": lambda f, bank, y, path: classification_loss(
+        f, bank, y, Metric.ANGULAR, 2.0),
+    "margin_loss": lambda f, bank, y, path: margin_loss(f, bank, y, Metric.EUCLIDEAN),
+    "total_loss": lambda f, bank, y, path: total_loss(f, bank, y, LossConfig(alpha=0.5)),
+    "model_logits": lambda f, bank, y, path: model_logits(identity(f), bank, f, LossConfig()),
+    "evaluate": lambda f, bank, y, path: evaluate(identity(f), bank, split_of(f, y),
+                                                  LossConfig()),
+    "save_checkpoint": lambda f, bank, y, path: checkpoint_bytes(f, bank, path),
+}
+BANK_LOSSES = ["classification_loss", "margin_loss", "total_loss"]
+
+
+def bits(out):
+    """An entry's output as its bytes: arrays and floats by shape and bits, field by field."""
+    if isinstance(out, bytes):
+        return out
+    if is_dataclass(out):
+        return [bits(getattr(out, f.name)) for f in fields(out)]
+    if isinstance(out, dict):
+        return {key: bits(value) for key, value in out.items()}
+    a = np.asarray(out, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("entry", sorted(BANK_ENTRIES))
+def test_a_bank_of_lists_scores_as_its_arrays(entry, tmp_path):
+    # the bank rule accepts nested lists; an entry that scored the unchecked bank raised a bare
+    # AttributeError or TypeError on them
+    features, bank, _ = random_case(np.random.default_rng(6), b=5, d=3, k=3)
+    labels = [0, 1, 2, 0, 2]
+    listed = ReciprocalBank(bank.points.tolist(), bank.margins.tolist())
+    got = BANK_ENTRIES[entry](features, listed, labels, tmp_path / "listed.osrp")
+    want = BANK_ENTRIES[entry](features, bank, labels, tmp_path / "arrays.osrp")
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1, 2, 0.7, 2], ["a", "b", "c", "a", "c"], [0, 1, 2, 0, np.nan],
+], ids=["fraction", "text", "nan"])
+@pytest.mark.parametrize("entry", BANK_LOSSES)
+def test_labels_must_be_integer_valued(entry, labels):
+    # a fraction was cast to its class (0.7 scored class 0) and text escaped as a bare
+    # ValueError; whole floats keep scoring as the integers they equal
+    features, bank, _ = random_case(np.random.default_rng(4), b=5, d=3, k=3)
+    loss = BANK_ENTRIES[entry]
+    whole = np.array([0, 1, 2, 0, 2])
+    assert bits(loss(features, bank, whole.astype(float), None)) == bits(
+        loss(features, bank, whole, None))
+    with pytest.raises(DataError) as info:
+        loss(features, bank, labels, None)
+    assert str(info.value) == f"labels must be integer-valued, got dtype {np.asarray(labels).dtype}"
+
+
 @pytest.mark.parametrize("loss, message", [
     (lambda f, bank, y: classification_loss(f, bank, y, Metric.ANGULAR, 0.0),
      "tau must be > 0, got 0.0"),
@@ -278,6 +339,12 @@ class TestOverconfidenceLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError, match="^empty batch$"):
             overconfidence_loss(np.zeros((0, 3)), 0.5)
+
+    def test_zero_columns_rejected(self):
+        # the logits rule of ``oscr``; the argmax of an empty row escaped as a bare ValueError
+        with pytest.raises(UsageError) as info:
+            overconfidence_loss(np.zeros((3, 0)), 0.5)
+        assert str(info.value) == "logits need at least one column, got shape (3, 0)"
 
     def test_nonnegative(self):
         rng = np.random.default_rng(21)

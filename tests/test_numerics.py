@@ -28,7 +28,8 @@ def scores(features, points, metric):
 
 def classification_loss_of(features, points, metric=Metric.EUCLIDEAN):
     """``classification_loss`` of ``features`` against a bank of ``points``, every label 0: it
-    checks its bank with the same ``ReciprocalBank.checked_points`` as every scoring entry."""
+    checks its bank with the same ``ReciprocalBank.checked`` as every scoring entry, and scores
+    the bank that check returns."""
     bank = ReciprocalBank(np.asarray(points, dtype=float), np.zeros(len(points)))
     return classification_loss(features, bank, np.zeros(len(features), dtype=int), metric)
 
