@@ -63,8 +63,7 @@ def _bank_loss_case(loss_fn) -> Callable[[np.random.Generator], float]:
 
 
 def _overconfidence_case(rng: np.random.Generator) -> float:
-    b = int(rng.integers(1, 9))
-    k = int(rng.integers(2, 6))
+    b, k = int(rng.integers(1, 9)), int(rng.integers(2, 6))
     logits = rng.standard_normal((b, k)) * 2.0
     threshold = float(rng.uniform(0.0, 1.5))
     value, grad = overconfidence_loss(logits, threshold)
@@ -80,11 +79,7 @@ def _through_embedder_case(config: LossConfig) -> Callable[[np.random.Generator]
     probed through the parameter vector that the optimizer steps on."""
 
     def run(rng: np.random.Generator) -> float:
-        b = int(rng.integers(2, 6))
-        d_in = int(rng.integers(2, 5))
-        h = int(rng.integers(2, 6))
-        d = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 5))
+        b, d_in, h, d, k = (int(rng.integers(2, high)) for high in (6, 5, 6, 5, 5))
         weights = [rng.standard_normal((d_in, h)), rng.standard_normal((h, d))]
         biases = [rng.standard_normal(h), rng.standard_normal(d)]
         embedder = Embedder(weights, biases)
@@ -131,8 +126,5 @@ def run_gradient_suite(seed: int = 0, instances: int = 20) -> list[GradCaseResul
     results = []
     for name, case in gradient_cases().items():
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(instances):
-            worst = max(worst, case(rng))
-        results.append(GradCaseResult(name, worst))
+        results.append(GradCaseResult(name, max(0.0, *(case(rng) for _ in range(instances)))))
     return results

@@ -127,12 +127,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     results = run_gradient_suite(seed=args.seed, instances=args.instances)
-    worst_failed = False
     for r in results:
         status = "ok  " if r.passed else "FAIL"
         print(f"{status} {r.name:28s} max_rel_err={r.max_error:.3e} (tol {DEFAULT_TOL:g})")
-        worst_failed = worst_failed or not r.passed
-    if worst_failed:
+    if not all(r.passed for r in results):
         raise NumericError("gradient check failed")
     return 0
 

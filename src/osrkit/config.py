@@ -275,16 +275,8 @@ def load_config(path) -> FullConfig:
 def build_dataset(data: DataConfig) -> LabeledDataset:
     if data.features_path:
         return load_features(data.features_path)
-    return gen_synthetic(
-        num_classes=data.num_classes,
-        samples_per_class=data.samples_per_class,
-        dim=data.dim,
-        separation=data.separation,
-        overlap=data.overlap,
-        seed=data.seed,
-        hard=data.hard,
-        num_groups=data.num_groups,
-    )
+    return gen_synthetic(data.num_classes, data.samples_per_class, data.dim, data.separation,
+                         data.overlap, data.seed, data.hard, data.num_groups)
 
 
 def build_split(data: DataConfig) -> OpenSetSplit:

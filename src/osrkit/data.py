@@ -4,7 +4,9 @@ Synthetic classes are isotropic Gaussians whose means are random unit
 directions scaled to a common length, so class similarity is controlled
 by the angles between mean directions. The "hard" mode deliberately
 plants two low-index classes within a small angle of one conventionally
-unknown class to make known/unknown confusion realistic.
+unknown class to make known/unknown confusion realistic. A
+``LabeledDataset`` converts its inputs with ``numerics.as_array`` and its
+labels and group ids with ``numerics.integer_valued``: 0.7 is no label.
 
 Feature files round-trip bit-exactly in two formats selected by
 extension: ``.csv`` (header ``label,group,f0..f{D-1}``) and the OSSF
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .numerics import as_array, integer_valued
 
 FEATURES_MAGIC = b"OSSF"
 FEATURES_VERSION = 1
@@ -46,9 +49,9 @@ class LabeledDataset:
     group_ids: np.ndarray  # B, written to both feature-file formats
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.group_ids = np.asarray(self.group_ids, dtype=np.int64)
+        self.inputs = as_array(self.inputs, "inputs")
+        self.labels = integer_valued(self.labels, "labels")
+        self.group_ids = integer_valued(self.group_ids, "group_ids")
         if self.inputs.ndim != 2 or self.inputs.size == 0:
             raise DataError(f"inputs must be a non-empty 2-D matrix, got {self.inputs.shape}")
         n = self.inputs.shape[0]
@@ -279,9 +282,7 @@ def _load_csv(path) -> LabeledDataset:
     d = len(header) - 2
     if [h for h in header[2:]] != [f"f{i}" for i in range(d)]:
         raise DataError(f"{path}: malformed feature columns in header")
-    labels = []
-    groups = []
-    blocks = []
+    labels, groups, blocks = [], [], []
     for start in range(1, len(lines), _CSV_BLOCK_LINES):
         chunk = lines[start:start + _CSV_BLOCK_LINES]
         block = list(filter(None, chunk))  # blank lines are skipped

@@ -9,7 +9,9 @@ score a threshold (a run of zeros is named +0.0, whatever their signs),
 and AUROC as the Mann-Whitney U in integer counts (ties credited 0.5),
 cross-checked in tests against the trapezoid under the ROC curve.
 OSCR integrates the correct classification rate on knowns against the
-false positive rate on unknowns.
+false positive rate on unknowns. Every metric needs a known and an
+unknown row (``_check_known_unknown``), and a known row's label must be a
+logit column (``losses._check_labels``).
 
 ``_logits``, the one blocked scoring core, checks the loss config at the
 embedder's width, the inputs and the bank once per call, scores block by
@@ -25,9 +27,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EvalError, NumericError
-from .losses import LossConfig, _check_logits
+from .losses import LossConfig, _check_labels, _check_logits
 from .model import Embedder, ReciprocalBank, _checked_inputs, _forward
-from .numerics import _scores, as_matrix
+from .numerics import _scores, as_array, as_matrix
 
 Curve = np.ndarray  # (T+1)x3 float64 rows (threshold, fpr, tpr-or-ccr), row 0 is (inf, 0, 0)
 
@@ -56,14 +58,19 @@ def _max_logit(z: np.ndarray) -> np.ndarray:
 
 
 def _as_score_flags(scores, is_known) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=np.float64)
-    k = np.asarray(is_known, dtype=bool)
+    s = as_array(scores, "scores")
+    k = as_array(is_known, "is_known", bool)
     if s.ndim != 1 or k.shape != s.shape:
         raise EvalError("scores and is_known must be 1-D of equal length")
     as_matrix(s[None], "scores")  # a non-finite score: NumericError, as for the logits
-    if not k.any() or k.all():
+    return s, _check_known_unknown(k)
+
+
+def _check_known_unknown(k: np.ndarray) -> np.ndarray:
+    """The known flags ``k`` of a set that can be scored: at least one known and one unknown."""
+    if np.count_nonzero(k) in (0, k.size):
         raise EvalError("need at least one known and one unknown sample")
-    return s, k
+    return k
 
 
 def _sweep(s: np.ndarray, k: np.ndarray, hits: np.ndarray) -> tuple[Curve, Curve, float]:
@@ -115,14 +122,17 @@ def oscr(logits, true_labels, is_known) -> tuple[float, Curve]:
 
     CCR(t) is the fraction of known samples that are correctly classified
     and score >= t; FPR(t) is the fraction of unknown samples scoring
-    >= t. ``true_labels`` is only consulted at known positions.
+    >= t. ``true_labels`` is only consulted at known positions, where each
+    must be a logit column in [0, K).
     """
     z = _check_logits(logits)
     s, k = _as_score_flags(_max_logit(z), is_known)
-    y = np.asarray(true_labels)
+    y = as_array(true_labels, "true_labels", None)
     if y.shape != (z.shape[0],):
         raise EvalError(f"true_labels must have length {z.shape[0]}")
-    curve = _sweep(s, k, k & (z.argmax(axis=1) == y))[1]
+    hits = k.copy()
+    hits[k] = z[k].argmax(axis=1) == _check_labels(y[k], z.shape[1], np.count_nonzero(k))
+    curve = _sweep(s, k, hits)[1]
     return _curve_area(curve), curve
 
 
@@ -144,7 +154,7 @@ def _logits(embedder: Embedder, bank: ReciprocalBank, config: LossConfig,
     check at the embedder's width; a bad feature row is named by its part's key and its row
     there. Each bias is tiled to the largest block's rows once; blocks keep the public ops."""
     config.validate(embedder.weights[-1].shape[1])
-    xs = [_checked_inputs(embedder, x) for x in parts.values()]
+    xs = [_checked_inputs(x, embedder.weights[0].shape[0]) for x in parts.values()]
     points = bank.checked(embedder.weights[-1].shape[1]).points
     metric, tau = config.classification_metric, config.tau
     counts = [max(1, -(-len(x) // 1024)) for x in xs]
@@ -175,24 +185,23 @@ def evaluate(embedder: Embedder, bank: ReciprocalBank, split, config: LossConfig
             f"model has {bank.num_classes} classes but the split has {split.num_known} known"
         )
     n_known, n_unknown = len(split.test_known), len(split.test_unknown)
-    if n_known == 0 or n_unknown == 0:
-        raise EvalError("split must contain known and unknown test samples")
+    k = _check_known_unknown(np.arange(n_known + n_unknown) < n_known)
+    labels = _check_labels(split.test_known.labels, bank.num_classes, n_known)
     logits = _logits(embedder, bank, config, {
         "test_known: features": split.test_known.inputs,
         "test_unknown: features": split.test_unknown.inputs})
-    k = np.arange(n_known + n_unknown) < n_known
     correct = np.zeros(n_known + n_unknown, dtype=bool)  # no unknown row is a hit
-    np.equal(logits[:n_known].argmax(axis=1), split.test_known.labels, out=correct[:n_known])
+    np.equal(logits[:n_known].argmax(axis=1), labels, out=correct[:n_known])
     roc_curve, oscr_curve, auroc_value = _sweep(_max_logit(logits), k, correct)
     return EvalReport(float(np.count_nonzero(correct) / n_known), auroc_value,
                       _curve_area(oscr_curve), roc_curve, oscr_curve)
 
 
-def _write_curve_csv(path, header: str, curve) -> None:
-    """``header``, then each row of ``curve`` (a 2-D array-like, or empty) as ``%.17g`` values:
-    one ``%`` over a row template repeated per row, the same bytes as formatting each value on
-    its own."""
-    values = np.asarray(curve, dtype=np.float64)
+def write_csv(path, header: str, rows) -> None:
+    """``header``, then each of ``rows`` (a 2-D array-like, or empty) as ``%.17g`` values: one
+    ``%`` over a row template repeated per row, the same bytes as formatting each value on its
+    own. The ROC, OSCR and history CSVs are written by it."""
+    values = np.asarray(rows, dtype=np.float64)
     row = ",".join(["%.17g"] * (values.shape[1] if len(values) else 0)) + "\n"
     body = (row * len(values)) % tuple(values.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
@@ -200,8 +209,8 @@ def _write_curve_csv(path, header: str, curve) -> None:
 
 
 def write_roc_csv(path, curve: Curve) -> None:
-    _write_curve_csv(path, "threshold,fpr,tpr", curve)
+    write_csv(path, "threshold,fpr,tpr", curve)
 
 
 def write_oscr_csv(path, curve: Curve) -> None:
-    _write_curve_csv(path, "threshold,fpr,ccr", curve)
+    write_csv(path, "threshold,fpr,ccr", curve)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DataError, UsageError
 from .model import ReciprocalBank
 from .numerics import (Metric, _log_softmax, _paired, _paired_backward, _scores,
-                       _scores_backward, as_matrix)
+                       _scores_backward, as_matrix, integer_valued)
 
 
 @dataclass
@@ -72,18 +72,17 @@ class LossOutput:
 
 
 def _check_labels(labels, num_classes: int, batch: int) -> np.ndarray:
-    y = np.asarray(labels)
+    """``labels`` as int64 class indices: integer-valued, ``batch`` of them (at least one), each
+    a logit column in [0, num_classes). The losses, ``train``, ``oscr`` and ``evaluate`` run it."""
+    y = integer_valued(labels, "labels")
     if y.ndim != 1 or y.shape[0] != batch:
         raise DataError(f"labels must be 1-D of length {batch}, got shape {y.shape}")
     if y.size == 0:
         raise DataError("empty batch")
-    kind = y.dtype.kind  # bool, int, uint, float: a float label must be a whole number
-    if kind not in "biuf" or (kind == "f" and not (np.isfinite(y) & (np.trunc(y) == y)).all()):
-        raise DataError(f"labels must be integer-valued, got dtype {y.dtype}")
     if (y < 0).any() or (y >= num_classes).any():
         raise DataError(f"labels out of range [0, {num_classes}): "
                         f"min {int(y.min())}, max {int(y.max())}")
-    return y.astype(np.int64)
+    return y
 
 
 def _checked(features, bank: ReciprocalBank, labels, config: LossConfig):

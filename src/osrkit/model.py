@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import as_matrix
+from .numerics import as_array, as_matrix
 
 CHECKPOINT_MAGIC = b"OSRP"
 CHECKPOINT_VERSION = 1
@@ -62,14 +62,15 @@ class ReciprocalBank:
         return len(self.points)
 
     def checked(self, width: int) -> ReciprocalBank:
-        """The bank as float64 arrays, points K x D and margins K, once checked: finite 2-D points
-        of the features' positive ``width`` and one finite margin per point. The rule every
-        scoring entry runs, and the bank it scores."""
+        """The bank as float64 arrays, points K x D and margins K, once checked: at least 2 finite
+        points of the features' positive ``width``, and one finite margin per point. The rule
+        every scoring entry runs, and the bank it scores."""
         p = as_matrix(self.points, "points")
         if width != p.shape[1]:
             raise ConfigError(f"feature dim {width} != point dim {p.shape[1]}")
         if width < 1:
             raise ConfigError("feature dimension must be >= 1")
+        _check_classes(len(p))
         if np.shape(self.margins) != (len(p),):
             raise ConfigError(f"margins have shape {np.shape(self.margins)}, not ({len(p)},)")
         # a non-finite margin raises NumericError, as for the points
@@ -80,6 +81,12 @@ class ReciprocalBank:
         np.maximum(self.margins, 0.0, out=self.margins)
 
 
+def _check_classes(k: int) -> None:
+    """The bank's size rule, run by ``ReciprocalBank.checked`` and by ``init_model`` first."""
+    if k < 2:
+        raise ConfigError(f"need at least 2 classes, got {k}")
+
+
 def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, ReciprocalBank]:
     """Seeded init: weights and points uniform in +-init_scale/sqrt(fan_in).
 
@@ -87,8 +94,7 @@ def init_model(config: ModelConfig, num_classes: int) -> tuple[Embedder, Recipro
     always yields bit-identical parameters.
     """
     config.validate()
-    if num_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {num_classes}")
+    _check_classes(num_classes)
     dims = [int(d) for d in config.layer_dims]
     rng = np.random.default_rng(int(config.seed))
     weights, biases = [], []
@@ -126,15 +132,14 @@ def bind_parameters(embedder: Embedder, bank: ReciprocalBank) -> np.ndarray:
     return vec
 
 
-def _checked_inputs(embedder: Embedder, inputs) -> np.ndarray:
-    """``inputs`` as a 2-D float64 array of the embedder's input width: the checks that
-    ``evaluate._logits`` runs once per call, before ``_forward``."""
-    x = np.asarray(inputs, dtype=np.float64)
+def _checked_inputs(inputs, width: int) -> np.ndarray:
+    """``inputs`` as a 2-D float64 array as wide as the model's first layer, ``width``: the
+    checks that ``train`` and ``evaluate._logits`` run once per call, before ``_forward``."""
+    x = as_array(inputs, "inputs")
     if x.ndim != 2:
         raise ConfigError(f"inputs must be 2-D, got shape {x.shape}")
-    d_in = embedder.weights[0].shape[0]
-    if x.shape[1] != d_in:
-        raise ConfigError(f"input dim {x.shape[1]} != embedder input dim {d_in}")
+    if x.shape[1] != width:
+        raise ConfigError(f"input dim {x.shape[1]} != model input dim {width}")
     return x
 
 
@@ -175,9 +180,7 @@ def _pack_array(a: np.ndarray) -> bytes:
 
 class _Reader:
     def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.off = 0
-        self.path = path
+        self.blob, self.off, self.path = blob, 0, path
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.blob):
@@ -186,15 +189,13 @@ class _Reader:
         self.off += n
         return out
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def number(self, fmt: str) -> int:
+        """The next unsigned integer of struct format ``fmt`` (``<H`` or ``<I``)."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
     def block(self, name: str, *shape: int) -> np.ndarray:
         """A length-prefixed float64 block: finite, then of ``shape``'s size, then shaped."""
-        n = self.u32()
+        n = self.number("<I")
         a = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
         if not np.isfinite(a).all():
             raise DataError(f"{self.path}: checkpoint holds non-finite parameters")
@@ -205,16 +206,13 @@ class _Reader:
 
 def save_checkpoint(path, embedder: Embedder, bank: ReciprocalBank) -> None:
     """Write the OSRP binary checkpoint (little-endian, u32 length prefixes)."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
     dims = embedder.layer_dims
-    parts.append(struct.pack("<I", len(dims)))
-    parts.extend(struct.pack("<I", int(d)) for d in dims)
+    header = struct.pack(f"<HI{len(dims)}I", CHECKPOINT_VERSION, len(dims), *dims)
+    parts = [CHECKPOINT_MAGIC, header]
     for w, b in zip(embedder.weights, embedder.biases):
-        parts.append(_pack_array(w))
-        parts.append(_pack_array(b))
-    parts.append(struct.pack("<I", bank.num_classes))
-    parts.append(_pack_array(bank.points))
-    parts.append(_pack_array(bank.margins))
+        parts += [_pack_array(w), _pack_array(b)]
+    parts += [struct.pack("<I", bank.num_classes), _pack_array(bank.points),
+              _pack_array(bank.margins)]
     _parse_checkpoint(blob := b"".join(parts), path)  # load's checks, before the file opens
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -230,18 +228,17 @@ def _parse_checkpoint(blob: bytes, path) -> tuple[Embedder, ReciprocalBank]:
     r = _Reader(blob, str(path))
     if r.take(4) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic, not an OSRP checkpoint")
-    version = r.u16()
+    version = r.number("<H")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    n_dims = r.u32()
-    dims = [r.u32() for _ in range(n_dims)]
+    dims = [r.number("<I") for _ in range(r.number("<I"))]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError(f"{path}: invalid layer dims {dims}")
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weights.append(r.block("weight", d_in, d_out))
         biases.append(r.block("bias", d_out))
-    k = r.u32()
+    k = r.number("<I")
     if k < 2:
         raise DataError(f"{path}: checkpoint has {k} reciprocal point(s), need >= 2")
     points, margins = r.block("point", k, dims[-1]), r.block("margin", k)

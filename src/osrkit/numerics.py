@@ -1,6 +1,8 @@
 """Dense float64 kernels: distance scores, stable log-softmax, gradient checking.
 
 Matrices are plain numpy float64 arrays, row-major, one sample per row.
+Caller input becomes an array in ``as_array`` alone: text or ragged rows raise a ``DataError``
+that names the array. ``integer_valued`` is the rule of labels and group ids.
 The private cores (``_scores``, ``_paired``, ``_log_softmax``, ...) trust their
 inputs and settings: the public losses and ``evaluate`` check them first, the bank with
 ``ReciprocalBank.checked`` and the metrics with ``LossConfig.validate``, then score the bank
@@ -14,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, NumericError
+from .errors import ConfigError, DataError, DegenerateInputError, NumericError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -37,9 +39,26 @@ class Metric(Enum):
     CHEBYSHEV = "chebyshev"
 
 
+def as_array(x, name: str, dtype=np.float64) -> np.ndarray:
+    """``x`` as a numpy array of ``dtype`` (None: numpy's choice), or a ``DataError`` naming it."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):  # text, ragged rows, or an object that is no number
+        raise DataError(f"{name} is not a rectangular array of numbers") from None
+
+
+def integer_valued(x, name: str) -> np.ndarray:
+    """``x`` as int64 if each entry is a whole number that an int64 holds, else a ``DataError``."""
+    y = as_array(x, name, None)
+    if y.dtype.kind not in "biuf" or y.dtype.kind in "uf" and not (
+            (np.trunc(y) == y) & (-2.0**63 <= y) & (y < 2.0**63)).all():
+        raise DataError(f"{name} must be integer-valued, got dtype {y.dtype}")
+    return y.astype(np.int64, copy=False)
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array or raise."""
-    a = np.asarray(x, dtype=np.float64)
+    a = as_array(x, name)
     if a.ndim != 2:
         raise ConfigError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -147,12 +166,8 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float] | np.ndarray,
-    analytic_grad: Sequence[float] | np.ndarray,
-    eps: float = 1e-5,
-) -> float:
+def grad_check(f: Callable[[np.ndarray], float], x: Sequence[float] | np.ndarray,
+               analytic_grad: Sequence[float] | np.ndarray, eps: float = 1e-5) -> float:
     """Max relative error between central differences and an analytic gradient.
 
     Error per coordinate is |g_fd - g_an| / max(1, |g_fd| + |g_an|), so
@@ -160,20 +175,16 @@ def grad_check(
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ConfigError(f"eps must be in [1e-7, 1e-3], got {eps}")
-    x0 = np.asarray(x, dtype=np.float64).copy()
-    g_an = np.asarray(analytic_grad, dtype=np.float64)
+    x0 = as_array(x, "parameters").copy()
+    g_an = as_array(analytic_grad, "analytic gradient")
     if x0.shape != g_an.shape:
-        raise ConfigError(
-            f"analytic gradient shape {g_an.shape} != parameter shape {x0.shape}"
-        )
+        raise ConfigError(f"analytic gradient shape {g_an.shape} != parameter shape {x0.shape}")
     g_fd = np.empty_like(x0)
     for i in range(x0.size):
-        xp = x0.copy()
-        xm = x0.copy()
+        xp, xm = x0.copy(), x0.copy()
         xp.flat[i] += eps
         xm.flat[i] -= eps
-        fp = float(f(xp))
-        fm = float(f(xm))
+        fp, fm = float(f(xp)), float(f(xm))
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise NumericError(f"non-finite evaluation while probing coordinate {i}")
         g_fd.flat[i] = (fp - fm) / (2.0 * eps)

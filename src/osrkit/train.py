@@ -8,7 +8,7 @@ run state, ``_Run``: the model and its gradient twin, each bound to one vector. 
 ``_Run.step``, which ``grad-check`` probes: ``model._forward``, the fused loss (see
 ``losses``) and ``model._backward_into`` fill the gradient vector. The optimizer updates the
 parameters, margins are clamped to >= 0, and each scored epoch takes the argmax of the public
-``evaluate.model_logits`` on ``split.test_known``, which ``train`` checks non-empty up front.
+``evaluate.model_logits`` on ``split.test_known``, whose labels ``train`` checks up front.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .config import TrainConfig, key_text, with_keys
-from .errors import (ConfigError, DataError, DegenerateInputError, NumericError, OsrkitError,
-                     UsageError)
-from .evaluate import evaluate, model_logits
+from .errors import DegenerateInputError, NumericError, OsrkitError, UsageError
+from .evaluate import evaluate, model_logits, write_csv
 from .losses import LossConfig, _check_labels, _total
-from .model import Embedder, ReciprocalBank, _backward_into, _forward, bind_parameters, init_model
+from .model import (Embedder, ReciprocalBank, _backward_into, _checked_inputs, _forward,
+                    bind_parameters, init_model)
 from .numerics import as_matrix
 
 
@@ -101,14 +101,12 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
     are validated once; each batch runs ``_Run.step`` on them, unchecked."""
     config.validate()
     k = split.num_known
-    inputs = as_matrix(split.train.inputs, "training inputs")
-    if config.model.layer_dims[0] != inputs.shape[1]:
-        raise ConfigError(f"model input dim {config.model.layer_dims[0]} != "
-                          f"data dim {inputs.shape[1]}")
+    inputs = _checked_inputs(as_matrix(split.train.inputs, "training inputs"),
+                             config.model.layer_dims[0])
     n = len(inputs)
     labels = _check_labels(split.train.labels, k, n)
-    if config.epochs and len(split.test_known) == 0:  # the last epoch scores it
-        raise DataError("empty batch")
+    if config.epochs:  # the last epoch scores split.test_known against these
+        test_labels = _check_labels(split.test_known.labels, k, len(split.test_known))
     embedder, bank = init_model(config.model, k)
     run = _Run(embedder, bank, config.loss)
     optimizer = (SGD if config.optimizer == "sgd" else Adam)(config.learning_rate, run.params)
@@ -138,14 +136,13 @@ def train(split, config: TrainConfig) -> tuple[Embedder, ReciprocalBank, list[Ep
         acc = math.nan  # on split.test_known, scored as ``evaluate`` scores it
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
             logits = model_logits(embedder, bank, split.test_known.inputs, config.loss)
-            acc = float((logits.argmax(axis=1) == split.test_known.labels).mean())
+            acc = float((logits.argmax(axis=1) == test_labels).mean())
         history.append(EpochRecord(epoch, cls + alpha * mar + beta * oc, cls, mar, oc, acc))
     return embedder, bank, history
 
 
 def write_history_csv(path, history: list[EpochRecord]) -> None:
-    np.savetxt(path, [astuple(r) for r in history], "%.17g", ",",  # no rows: the header alone
-               header="epoch,total,cls,amc,coc,val_acc", comments="", encoding="utf-8")
+    write_csv(path, "epoch,total,cls,amc,coc,val_acc", [astuple(r) for r in history])
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +185,7 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
         raise UsageError("no sweep rows to write")
     names = list(rows[0].overrides.keys())
     results = lambda r: ["error"] * 3 if r.error is not None else [r.accuracy, r.auroc, r.oscr]
-    # object cells: a numpy string array would drop a cell's trailing NULs
-    cells = np.array([[key_text(v) for v in [*(r.overrides[n] for n in names), *results(r)]]
-                      for r in rows], dtype=object)
-    np.savetxt(path, cells, "%s", ",", header=",".join(names + ["acc", "auroc", "oscr"]),
-               comments="", encoding="utf-8")
+    lines = [names + ["acc", "auroc", "oscr"]]
+    lines += [[key_text(v) for v in [*(r.overrides[n] for n in names), *results(r)]] for r in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(",".join(line) + "\n" for line in lines))

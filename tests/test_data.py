@@ -320,6 +320,20 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="^labels and group_ids must be non-negative$"):
             LabeledDataset(np.zeros((2, 2)), np.array([0, -1]), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("ids", [
+        [0.7, 1.2], ["a", "b"], [1e30, 0.0], np.array([2**64 - 1, 0], dtype=np.uint64),
+    ], ids=["fraction", "text", "float-past-int64", "uint-past-int64"])
+    @pytest.mark.parametrize("field", ["labels", "group_ids"])
+    def test_ids_must_be_integer_valued(self, field, ids):
+        # a fraction was truncated ([0.7, 1.2] became [0, 1]); text raised a bare ValueError, and
+        # 1e30 an OverflowError; a uint past int64's range wrapped to a negative id
+        given = {"labels": [0, 1], "group_ids": [0, 0], field: ids}
+        with pytest.raises(DataError) as info:
+            LabeledDataset(np.zeros((2, 2)), **given)
+        assert str(info.value) == f"{field} must be integer-valued, got dtype {np.asarray(ids).dtype}"
+        whole = LabeledDataset(np.zeros((2, 2)), **{**given, field: [1.0, 0.0]})
+        assert getattr(whole, field).dtype == np.int64 and getattr(whole, field).tolist() == [1, 0]
+
 
 class TestFeatureIO:
     @pytest.fixture()

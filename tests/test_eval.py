@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from osrkit.benchmark import benchmark_split
 from osrkit.config import VARIANTS, TrainConfig, with_keys
 from osrkit.data import LabeledDataset, OpenSetSplit, SplitSpec, apply_split, gen_synthetic
-from osrkit.errors import ConfigError, DegenerateInputError, EvalError, NumericError, UsageError
+from osrkit.errors import (ConfigError, DataError, DegenerateInputError, EvalError, NumericError,
+                           UsageError)
 from osrkit.evaluate import (
     EvalReport,
     auroc,
@@ -438,7 +439,25 @@ class TestEvaluate:
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
         with pytest.raises(EvalError) as info:
             evaluate(emb, bank, replace(split, test_unknown=unknown), LossConfig())
-        assert str(info.value) == "split must contain known and unknown test samples"
+        assert str(info.value) == "need at least one known and one unknown sample"
+
+    def test_emptied_known_test_set_rejected_before_its_labels(self, split):
+        # the rule of ``auroc``, ``roc_points`` and ``oscr`` runs before the known labels' rule
+        known = copy.copy(split.test_known)
+        known.inputs = known.inputs[:0]
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
+        with pytest.raises(EvalError) as info:
+            evaluate(emb, bank, replace(split, test_known=known), LossConfig())
+        assert str(info.value) == "need at least one known and one unknown sample"
+
+    def test_known_label_past_the_last_class_rejected(self, split):
+        # no argmax equals it, so it was scored as a miss
+        known = copy.copy(split.test_known)
+        known.labels = np.where(np.arange(len(known)) == 3, 4, known.labels)
+        emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
+        with pytest.raises(DataError) as info:
+            evaluate(emb, bank, replace(split, test_known=known), LossConfig())
+        assert str(info.value) == f"labels out of range [0, 4): min {known.labels.min()}, max 4"
 
     def test_matches_per_set_scoring(self, split):
         self.check_matches_per_set_scoring(split)
@@ -757,3 +776,17 @@ class TestTrainedInvariances:
         for new, old in ((got.roc_curve, report.roc_curve), (got.oscr_curve, report.oscr_curve)):
             assert new[:, 1:].tobytes() == old[:, 1:].tobytes()
             assert new[:, 0].tobytes() == (old[:, 0] * c * c).tobytes()
+
+
+@pytest.mark.parametrize("label, message", [
+    (0.5, "labels must be integer-valued, got dtype float64"),
+    ("a", "labels must be integer-valued, got dtype <U21"),  # numpy's text of 'a', 1 and 9
+    (7, "labels out of range [0, 2): min 1, max 7"),
+], ids=["fraction", "text", "past-the-last-column"])
+def test_oscr_known_labels_must_be_logit_columns(label, message):
+    # each was counted as a miss; an unknown row's label is not read, so 9 is no class here
+    logits, is_known = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [True, True, False]
+    assert oscr(logits, [0, 1, 9], is_known)[0] == 1.0
+    with pytest.raises(DataError) as info:
+        oscr(logits, [label, 1, 9], is_known)
+    assert str(info.value) == message

@@ -21,8 +21,10 @@ ALLOWED = {
     ("train", "losses", "_total"),
     ("train", "losses", "_check_labels"),
     ("train", "model", "_backward_into"),
+    ("train", "model", "_checked_inputs"),
     ("train", "model", "_forward"),
     ("checks", "train", "_Run"),
+    ("evaluate", "losses", "_check_labels"),
     ("evaluate", "losses", "_check_logits"),
     ("evaluate", "model", "_checked_inputs"),
     ("evaluate", "model", "_forward"),
@@ -153,7 +155,7 @@ def raised_templates(error: str) -> dict[str, list[str]]:
 
 # a message that names one condition per input it is read from, each checked where it is read
 ONE_RULE_PER_SITE = {
-    "empty batch": "the rules for labels, logits and the test set",
+    "empty batch": "the rules for labels and logits",
     "{}: no data rows": "one rule per feature format",
 }
 

@@ -269,6 +269,17 @@ def test_a_bank_of_lists_scores_as_its_arrays(entry, tmp_path):
     assert bits(got) == bits(want)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("entry", [*BANK_LOSSES, "model_logits"])
+def test_a_bank_needs_two_points(entry, k):
+    # model_logits scored a 0-point bank as a (B, 0) array, and a 1-point bank's loss was 0.0
+    features = np.random.default_rng(5).standard_normal((4, 3))
+    bank = ReciprocalBank(np.ones((k, 3)), np.zeros(k))
+    with pytest.raises(ConfigError) as info:
+        BANK_ENTRIES[entry](features, bank, np.zeros(4, dtype=int), None)
+    assert str(info.value) == f"need at least 2 classes, got {k}"
+
+
 @pytest.mark.parametrize("labels", [
     [0, 1, 2, 0.7, 2], ["a", "b", "c", "a", "c"], [0, 1, 2, 0, np.nan],
 ], ids=["fraction", "text", "nan"])

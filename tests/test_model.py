@@ -53,8 +53,9 @@ class TestInitModel:
             init_model(ModelConfig([4, 0], seed=0), 3)
         with pytest.raises(ConfigError):
             init_model(ModelConfig([4, 2], seed=0, init_scale=0.0), 3)
-        with pytest.raises(ConfigError):
-            init_model(ModelConfig([4, 2], seed=0), 1)
+        for num_classes in (-1, 0, 1):  # the bank rule, before the draw
+            with pytest.raises(ConfigError, match=f"^need at least 2 classes, got {num_classes}$"):
+                init_model(ModelConfig([4, 2], seed=0), num_classes)
 
 
 def features(emb, x):
@@ -114,7 +115,7 @@ class TestForward:
     # ``model_logits`` checks its inputs before the forward pass
     def test_dim_mismatch(self):
         emb, bank = init_model(ModelConfig([3, 2], seed=0), 2)
-        with pytest.raises(ConfigError, match=r"^input dim 2 != embedder input dim 3$"):
+        with pytest.raises(ConfigError, match=r"^input dim 2 != model input dim 3$"):
             model_logits(emb, bank, [[1.0, 2.0]], LossConfig())
 
     def test_one_dim_inputs_rejected(self):

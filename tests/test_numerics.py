@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osrkit.errors import ConfigError, DegenerateInputError, NumericError
-from osrkit.losses import classification_loss
-from osrkit.model import ReciprocalBank
+from osrkit.data import LabeledDataset
+from osrkit.errors import ConfigError, DataError, DegenerateInputError, NumericError
+from osrkit.evaluate import model_logits, oscr, roc_points
+from osrkit.losses import LossConfig, classification_loss
+from osrkit.model import Embedder, ReciprocalBank
 from osrkit.numerics import (
     Metric,
     _log_softmax,
@@ -13,6 +15,7 @@ from osrkit.numerics import (
     _paired_backward,
     _scores,
     _scores_backward,
+    as_matrix,
     grad_check,
 )
 
@@ -51,8 +54,8 @@ class TestPairwiseScores:
     # ``LossConfig.validate`` refuses them for every classification score
     @pytest.mark.parametrize("metric", [Metric.MANHATTAN, Metric.CHEBYSHEV])
     def test_hinge_only_metrics_rejected(self, metric):
-        with pytest.raises(ConfigError) as info:
-            classification_loss_of([[1.0, -2.0]], [[4.0, 2.0]], metric)
+        with pytest.raises(ConfigError) as info:  # a valid bank holds at least 2 points
+            classification_loss_of([[1.0, -2.0]], [[4.0, 2.0], [1.0, 1.0]], metric)
         assert str(info.value) == ("classification_metric must be euclidean or angular, got "
                                    f"{metric.value}")
 
@@ -243,3 +246,24 @@ class TestKernelGradients:
     def test_paired_euclidean_is_pure_squared_distance(self):
         d, _ = _paired(np.array([[1.0, 0.0]]), np.zeros((1, 2)), Metric.EUCLIDEAN)
         assert d[0] == pytest.approx(0.5)  # (1^2 + 0^2) / 2
+
+
+CONVERSION_SITES = {  # each converts caller input through ``as_array``; the array it names
+    "as_matrix": (lambda v: as_matrix(v, "features"), "features"),
+    "_as_score_flags": (lambda v: roc_points(v, [True, False]), "scores"),
+    "oscr": (lambda v: oscr(v, [0, 0], [True, False]), "logits"),
+    "_checked_inputs": (lambda v: model_logits(Embedder([np.eye(2)], [np.zeros(2)]), ReciprocalBank(
+        np.eye(2), np.zeros(2)), v, LossConfig()), "inputs"),
+    "grad_check": (lambda v: grad_check(lambda x: 0.0, v, [0.0, 0.0]), "parameters"),
+    "LabeledDataset": (lambda v: LabeledDataset(v, [0, 1], [0, 0]), "inputs"),
+}
+
+
+@pytest.mark.parametrize("value", [["x", "y"], [[1.0], [1.0, 2.0]]], ids=["text", "ragged"])
+@pytest.mark.parametrize("site", sorted(CONVERSION_SITES))
+def test_text_or_ragged_input_is_a_toolkit_error(site, value):
+    # each raised numpy's bare ValueError, which ``cli.main`` maps to no exit code
+    run, name = CONVERSION_SITES[site]
+    with pytest.raises(DataError) as info:
+        run(value)
+    assert str(info.value) == f"{name} is not a rectangular array of numbers"

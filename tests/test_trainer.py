@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import dataclasses
 import importlib
@@ -606,6 +607,24 @@ class TestTrainErrors:
             train(split, small_config(epochs=1))
         assert str(info.value) == "empty batch"
         assert train(split, small_config(epochs=0))[2] == []  # no epoch scores it
+
+    def test_input_width_is_the_scoring_entries_rule(self):
+        # one message for ``train`` and ``model_logits``: ``model._checked_inputs``
+        cfg = small_config()
+        cfg.model.layer_dims[0] = 7
+        with pytest.raises(ConfigError) as info:
+            train(small_split(), cfg)
+        assert str(info.value) == "input dim 5 != model input dim 7"
+
+    def test_known_test_label_past_the_last_class_rejected(self, monkeypatch):
+        # the epoch accuracy scored it as a miss; checked with the other inputs, before any step
+        split = small_split()
+        known = copy.copy(split.test_known)
+        known.labels = np.where(np.arange(len(known)) == 2, 2, known.labels)
+        monkeypatch.setattr(train_module._Run, "step", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(DataError) as info:
+            train(dataclasses.replace(split, test_known=known), small_config(epochs=1))
+        assert str(info.value) == f"labels out of range [0, 2): min {known.labels.min()}, max 2"
 
     def test_one_dim_embedding_under_angular_scores_is_a_config_error(self):
         # every cosine in one dimension is +-1: the run would score every sample alike
