@@ -5,19 +5,22 @@ directions scaled to a common length, so class similarity is controlled
 by the angles between mean directions. The "hard" mode deliberately
 plants two low-index classes within a small angle of one conventionally
 unknown class to make known/unknown confusion realistic. A
-``LabeledDataset`` converts its inputs with ``numerics.as_array`` and its
-labels and group ids with ``numerics.integer_valued``: 0.7 is no label.
+``LabeledDataset`` checks itself: a finite, non-empty B x D matrix of inputs
+(``numerics.as_array``) and one non-negative label and group id per row
+(``numerics.integer_valued``: 0.7 is no label); a message names the first
+bad row, counted from 0.
 
 Feature files round-trip bit-exactly in two formats selected by
 extension: ``.csv`` (header ``label,group,f0..f{D-1}``) and the OSSF
 binary layout (magic ``OSSF``, u16 version, u32 counts, int64 labels and
-groups, float64 features, all little-endian). A CSV body is parsed in
-blocks of 1,024 lines, each split and checked at once, so the memory the
-parse needs beyond the text is bounded by a block; the lines of a block
-that fails a check are checked again one at a time by the same checks, so
-the first defect in file order is still the one reported. A field must be
-plain ASCII: the underscores, spaces, tabs and non-ASCII digits that
-Python's ``int`` and ``float`` accept are errors.
+groups, float64 features, all little-endian). A reader checks only its
+format and returns arrays; ``load_features`` builds the dataset from them
+and names the path in any ``DataError``. A CSV body is parsed in blocks of
+1,024 lines, so the memory the parse needs beyond the text is bounded by a
+block; the lines of a block that fails a check are checked again one at a
+time, so the first text defect in file order is reported, naming its line.
+A field must be plain ASCII: the underscores, spaces, tabs and non-ASCII
+digits that Python's ``int`` and ``float`` accept are errors.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .model import _check_classes
 from .numerics import as_array, integer_valued
 
 FEATURES_MAGIC = b"OSSF"
@@ -57,8 +61,12 @@ class LabeledDataset:
         n = self.inputs.shape[0]
         if self.labels.shape != (n,) or self.group_ids.shape != (n,):
             raise DataError("labels and group_ids must match the number of rows")
-        if (self.labels < 0).any() or (self.group_ids < 0).any():
-            raise DataError("labels and group_ids must be non-negative")
+        if not np.isfinite(self.inputs).all():
+            bad = int(np.argmin(np.isfinite(self.inputs).all(axis=1)))
+            raise DataError(f"row {bad} contains non-finite values")
+        negative = (self.labels < 0) | (self.group_ids < 0)
+        if negative.any():
+            raise DataError(f"row {int(np.argmax(negative))} has a negative label or group")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -75,8 +83,7 @@ class SplitSpec:
     def validate(self, present: set[int]) -> None:
         known = [int(c) for c in self.known_classes]
         unknown = [int(c) for c in self.unknown_classes]
-        if len(known) < 2:
-            raise ConfigError("need at least 2 known classes")
+        _check_classes(len(known))
         if not unknown:
             raise ConfigError("unknown class list must not be empty")
         if set(known) & set(unknown):
@@ -249,10 +256,13 @@ def save_features(path, dataset: LabeledDataset) -> None:
 
 
 def load_features(path) -> LabeledDataset:
-    """Read a feature file written by save_features; bit-exact round-trip."""
-    if str(path).lower().endswith(".csv"):
-        return _load_csv(path)
-    return _load_binary(path)
+    """Read a feature file written by save_features; bit-exact round-trip. A ``DataError``, of
+    the file's format or of the dataset it holds, names the path."""
+    read = _load_csv if str(path).lower().endswith(".csv") else _load_binary
+    try:
+        return LabeledDataset(*read(path))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _save_csv(path, ds: LabeledDataset) -> None:
@@ -266,23 +276,23 @@ def _save_csv(path, ds: LabeledDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_csv(path) -> LabeledDataset:
+def _load_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse the body a block at a time; in a block that fails, check its non-blank lines
     again one at a time and raise the first one's reason, naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        raise DataError(f"not UTF-8 text: {exc}") from None
     if not lines:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
     header = lines[0].split(",")
     if len(header) < 3 or header[0] != "label" or header[1] != "group":
-        raise DataError(f"{path}: malformed header {lines[0]!r}")
+        raise DataError(f"malformed header {lines[0]!r}")
     d = len(header) - 2
     if [h for h in header[2:]] != [f"f{i}" for i in range(d)]:
-        raise DataError(f"{path}: malformed feature columns in header")
-    labels, groups, blocks = [], [], []
+        raise DataError("malformed feature columns in header")
+    labels, groups, blocks = [], [], [np.empty((0, d))]  # a body with no rows is a (0, D) matrix
     for start in range(1, len(lines), _CSV_BLOCK_LINES):
         chunk = lines[start:start + _CSV_BLOCK_LINES]
         block = list(filter(None, chunk))  # blank lines are skipped
@@ -291,14 +301,12 @@ def _load_csv(path) -> LabeledDataset:
             if isinstance(parsed, str):  # every check is of one line, so name the first to fail
                 for ln, line in enumerate(chunk, start=start + 1):
                     if line and isinstance(reason := _parse_block([line], d), str):
-                        raise DataError(f"{path}: row {ln} {reason}")
+                        raise DataError(f"line {ln} {reason}")
             block_labels, block_groups, feats = parsed
             labels += block_labels
             groups += block_groups
             blocks.append(feats)
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
-    return LabeledDataset(np.vstack(blocks), np.array(labels), np.array(groups))
+    return np.vstack(blocks), np.array(labels), np.array(groups)
 
 
 def _parse_block(block: list[str], d: int):
@@ -321,10 +329,8 @@ def _parse_block(block: list[str], d: int):
         feats = np.array(list(map(float, fields)))
     except ValueError as exc:
         return f"unparsable: {exc}"
-    if not (0 <= min(ints) and max(ints) < 2**63):
-        return "label or group outside [0, 2**63)"
-    if not np.isfinite(feats).all():
-        return "contains non-finite values"
+    if not (-2**63 <= min(ints) and max(ints) < 2**63):
+        return "label or group outside int64's range"
     return ints[:len(block)], ints[len(block):], feats.reshape(len(block), d)
 
 
@@ -343,28 +349,17 @@ def _save_binary(path, ds: LabeledDataset) -> None:
         fh.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())
 
 
-def _load_binary(path) -> LabeledDataset:
+def _load_binary(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] != FEATURES_MAGIC:
-        raise DataError(f"{path}: not an OSSF feature file")
+        raise DataError("not an OSSF feature file")
     _, version, b, d = _HEADER.unpack_from(blob)
     if version != FEATURES_VERSION:
-        raise DataError(f"{path}: unsupported OSSF version {version}")
-    if d == 0:
-        raise DataError(f"{path}: no feature columns (D = 0)")
+        raise DataError(f"unsupported OSSF version {version}")
     need = _HEADER.size + 8 * b * (2 + d)
     if len(blob) != need:
-        raise DataError(f"{path}: expected {need} bytes, found {len(blob)}")
-    if b == 0:
-        raise DataError(f"{path}: no data rows")
+        raise DataError(f"expected {need} bytes, found {len(blob)}")
     ints = np.frombuffer(blob, "<i8", 2 * b, _HEADER.size).astype(np.int64).reshape(2, b)
     feats = np.frombuffer(blob, "<f8", b * d, _HEADER.size + 16 * b).astype(np.float64)
-    feats = feats.reshape(b, d)
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}: row {int(np.argmin(finite))} contains non-finite values")
-    negative = (ints < 0).any(axis=0)
-    if negative.any():
-        raise DataError(f"{path}: row {int(np.argmax(negative))} has a negative label or group")
-    return LabeledDataset(feats, ints[0], ints[1])
+    return feats.reshape(b, d), ints[0], ints[1]

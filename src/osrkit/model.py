@@ -82,7 +82,8 @@ class ReciprocalBank:
 
 
 def _check_classes(k: int) -> None:
-    """The bank's size rule, run by ``ReciprocalBank.checked`` and by ``init_model`` first."""
+    """The bank's size rule, run by ``ReciprocalBank.checked``, by ``init_model`` first and by
+    ``data.SplitSpec.validate``, whose known classes fix the size."""
     if k < 2:
         raise ConfigError(f"need at least 2 classes, got {k}")
 

@@ -134,7 +134,7 @@ BAD_CONFIG_VALUES = {
     "data.num_groups": ("0", "num_groups must be >= 1"),
     "data.test_fraction": ("1", "test_fraction must be in (0, 1), got 1.0"),
     "data.hard": ("maybe", "bad value for hard: 'maybe' (not a boolean: maybe)"),
-    "data.known_classes": ("0", "need at least 2 known classes"),
+    "data.known_classes": ("0", "need at least 2 classes, got 1"),
     "data.known_classes#duplicate": ("0,0,1", "duplicate class ids in split spec"),
 }
 
@@ -541,12 +541,15 @@ class TestCli:
         )
         assert proc.returncode == status, proc.stderr
 
-    @pytest.mark.parametrize("row", ["-1,0", "99999999999999999999,0", "0,-3"])
-    def test_csv_label_or_group_out_of_range_exit_one(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("row,message", [
+        ("-1,0", "row 0 has a negative label or group"),
+        ("99999999999999999999,0", "line 2 label or group outside int64's range"),
+        ("0,-3", "row 0 has a negative label or group"),
+    ], ids=["-1,0", "99999999999999999999,0", "0,-3"])
+    def test_csv_label_or_group_out_of_range_exit_one(self, tmp_path, capsys, row, message):
         argv, path = _train_on_csv(tmp_path, text=f"label,group,f0,f1,f2,f3,f4\n{row},1,2,3,4,5\n")
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err and "row 2" in err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @given(csv_texts())
     @settings(max_examples=50, deadline=None)
@@ -569,7 +572,8 @@ class TestCli:
         ossf.write_bytes(struct.pack("<4sHII", b"OSSF", 1, 0, 5))  # B = 0 rows, D = 5
         cfg.write_text(FAST_CONFIG + f"features_path = {ossf}\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == f"error: {ossf}: no data rows\n"
+        assert capsys.readouterr().err == (
+            f"error: {ossf}: inputs must be a non-empty 2-D matrix, got (0, 5)\n")
 
     def test_train_zero_inputs_under_angular_exit_one(self, tmp_path, capsys):
         argv, _ = _train_on_csv(tmp_path, scale=0.0)

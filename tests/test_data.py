@@ -1,4 +1,3 @@
-import math
 import sys
 
 import numpy as np
@@ -20,6 +19,7 @@ from osrkit.data import (
     save_features,
 )
 from osrkit.errors import ConfigError, DataError, NumericError
+from osrkit.model import ModelConfig, init_model
 
 
 def per_element_csv(path, ds):
@@ -34,8 +34,10 @@ def per_element_csv(path, ds):
 
 
 def per_row_load_csv(path):
-    """The feature CSV reader as it was, one parse and one set of checks per line, and as strict
-    as ``_save_csv``'s text, since ``int`` and ``float`` take what it never writes: the oracle."""
+    """The feature CSV reader as one parse and one set of text checks per line, each naming
+    its line, and as strict as ``_save_csv``'s text, since ``int`` and ``float`` take what it
+    never writes; then the rows make a ``LabeledDataset``, whose rules name a row counted from
+    0: the oracle."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -54,25 +56,24 @@ def per_row_load_csv(path):
             continue
         parts = line.split(",")
         if len(parts) != d + 2:
-            raise DataError(f"{path}: row {ln} has {len(parts)} fields, expected {d + 2}")
+            raise DataError(f"{path}: line {ln} has {len(parts)} fields, expected {d + 2}")
         for part in parts:
             if not part.isascii() or "_" in part or " " in part or "\t" in part:
-                raise DataError(f"{path}: row {ln} unparsable: field {part!r} holds '_', a space, "
+                raise DataError(f"{path}: line {ln} unparsable: field {part!r} holds '_', a space, "
                                 "a tab or non-ASCII text")
         try:
             labels.append(int(parts[0]))
             groups.append(int(parts[1]))
             vals = list(map(float, parts[2:]))
         except ValueError as exc:
-            raise DataError(f"{path}: row {ln} unparsable: {exc}") from None
-        if not (0 <= labels[-1] < 2**63 and 0 <= groups[-1] < 2**63):
-            raise DataError(f"{path}: row {ln} label or group outside [0, 2**63)")
-        if not all(map(math.isfinite, vals)):
-            raise DataError(f"{path}: row {ln} contains non-finite values")
+            raise DataError(f"{path}: line {ln} unparsable: {exc}") from None
+        if not (-2**63 <= labels[-1] < 2**63 and -2**63 <= groups[-1] < 2**63):
+            raise DataError(f"{path}: line {ln} label or group outside int64's range")
         rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return LabeledDataset(np.array(rows), np.array(labels), np.array(groups))
+    try:
+        return LabeledDataset(np.array(rows).reshape(-1, d), np.array(labels), np.array(groups))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def per_class_synthetic(num_classes, samples_per_class, dim, separation, overlap, seed,
@@ -261,6 +262,14 @@ class TestApplySplit:
         assert split.label_map == {5: 0, 2: 1, 0: 2}
         assert set(np.unique(split.train.labels)) == {0, 1, 2}
 
+    def test_one_known_class_is_the_bank_size_rule(self, dataset):
+        # the split fixes the bank's size, so it refuses one class as init_model does
+        with pytest.raises(ConfigError) as split_error:
+            apply_split(dataset, SplitSpec([0], [1]), 0.25, seed=0)
+        with pytest.raises(ConfigError) as model_error:
+            init_model(ModelConfig([8, 4]), 1)
+        assert str(split_error.value) == str(model_error.value) == "need at least 2 classes, got 1"
+
     def test_empty_unknown_rejected(self, dataset):
         with pytest.raises(ConfigError):
             apply_split(dataset, SplitSpec([0, 1, 2], []), 0.25, seed=0)
@@ -312,12 +321,18 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match=r"non-empty 2-D matrix, got \(2, 0\)"):
             LabeledDataset(np.zeros((2, 0)), np.zeros(2, dtype=int), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, value):
+        # save_features wrote such a dataset, and load_features then refused the file
+        with pytest.raises(DataError, match="^row 1 contains non-finite values$"):
+            LabeledDataset([[0.0, 1.0], [value, 1.0], [np.nan, 0.0]], [0, 0, 0], [0, 0, 0])
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
             LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros(3, dtype=int))
 
     def test_negative_label_rejected(self):
-        with pytest.raises(DataError, match="^labels and group_ids must be non-negative$"):
+        with pytest.raises(DataError, match="^row 1 has a negative label or group$"):
             LabeledDataset(np.zeros((2, 2)), np.array([0, -1]), np.zeros(2, dtype=int))
 
     @pytest.mark.parametrize("ids", [
@@ -376,24 +391,31 @@ class TestFeatureIO:
     def test_csv_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,group,f0,f1\n0,0,1.0,2.0\n1,0,3.0\n")
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match="line 3"):
             load_features(path)
 
     def test_csv_first_defect_in_file_order_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
+        path.write_text("label,group,f0,f1\n0,0,1e,2.0\n1,0,3.0\n")
+        with pytest.raises(DataError, match="line 2 unparsable"):
+            load_features(path)
+        # a value rule is the dataset's, run once the whole text has parsed
         path.write_text("label,group,f0,f1\n0,0,inf,2.0\n1,0,3.0\n")
-        with pytest.raises(DataError, match="row 2 contains non-finite"):
+        with pytest.raises(DataError, match="line 3 has 3 fields, expected 4$"):
             load_features(path)
 
-    @pytest.mark.parametrize("row", [
-        "-1,0,1.0", "0,-1,1.0", "99999999999999999999,0,1.0", "0,9223372036854775808,1.0",
-    ])
-    def test_csv_label_or_group_out_of_range_names_file_and_row(self, tmp_path, row):
+    @pytest.mark.parametrize("row,message", [
+        ("-1,0,1.0", "row 1 has a negative label or group"),
+        ("0,-1,1.0", "row 1 has a negative label or group"),
+        ("99999999999999999999,0,1.0", "line 3 label or group outside int64's range"),
+        ("0,9223372036854775808,1.0", "line 3 label or group outside int64's range"),
+    ], ids=["-1,0,1.0", "0,-1,1.0", "99999999999999999999,0,1.0", "0,9223372036854775808,1.0"])
+    def test_csv_label_or_group_out_of_range_names_file_and_row(self, tmp_path, row, message):
+        # a negative id is the dataset's rule (a row counted from 0); one past int64 is the
+        # text's, which its conversion needs (a line)
         path = tmp_path / "bad.csv"
-        path.write_text(f"label,group,f0\n0,0,1.0\n{row}\n1,0,nan\n")
-        with pytest.raises(DataError, match="row 3 label or group outside") as info:
-            load_features(path)
-        assert str(path) in str(info.value)
+        path.write_text(f"label,group,f0\n0,0,1.0\n{row}\n1,0,2.0\n")
+        assert load_outcome(load_features, path) == f"{path}: {message}"
 
     def test_csv_largest_int64_label_loads(self, tmp_path):
         path = tmp_path / "edge.csv"
@@ -443,7 +465,7 @@ class TestFeatureIO:
     def test_csv_non_finite_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,group,f0\n0,0,nan\n")
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match="row 0 contains non-finite values$"):
             load_features(path)
 
     def test_csv_bad_header(self, tmp_path):
@@ -489,7 +511,8 @@ OSSF_CORRUPTIONS = {  # id: (corrupt the golden bytes, the message after "<path>
     "byte-long": (lambda b: b + b"\x00", "expected 78 bytes, found 79"),
     "nan-row-1": (lambda b: b[:-16] + np.array([np.nan]).tobytes() + b[-8:],
                   "row 1 contains non-finite values"),
-    "no-rows": (lambda b: b[:6] + b"\x00" * 4 + b[10:14], "no data rows"),  # header only
+    "no-rows": (lambda b: b[:6] + b"\x00" * 4 + b[10:14],  # header only
+                "inputs must be a non-empty 2-D matrix, got (0, 2)"),
 }
 
 CSV_DEFECTS = {  # id: (file text, the message after "<path>: ")
@@ -497,8 +520,8 @@ CSV_DEFECTS = {  # id: (file text, the message after "<path>: ")
     "header": ("label,grp,f0\n0,0,1.0\n", "malformed header 'label,grp,f0'"),
     "columns": ("label,group,f1\n0,0,1.0\n", "malformed feature columns in header"),
     "unparsable": ("label,group,f0\n0,0,1.0\n\n1,x,2.0\n",
-                   "row 4 unparsable: invalid literal for int() with base 10: 'x'"),
-    "no-rows": ("label,group,f0\n\n", "no data rows"),
+                   "line 4 unparsable: invalid literal for int() with base 10: 'x'"),
+    "no-rows": ("label,group,f0\n\n", "inputs must be a non-empty 2-D matrix, got (0, 1)"),
 }
 
 
@@ -531,7 +554,7 @@ class TestFeatureFileMessages:
         path.write_bytes(zero_dim)
         with pytest.raises(DataError) as info:
             load_features(path)
-        assert str(info.value) == f"{path}: no feature columns (D = 0)"
+        assert str(info.value) == f"{path}: inputs must be a non-empty 2-D matrix, got (2, 0)"
         path.write_bytes(zero_dim[:4] + b"\x02" + zero_dim[5:])  # the version is checked first
         with pytest.raises(DataError, match="unsupported OSSF version 2$"):
             load_features(path)
@@ -570,10 +593,18 @@ class TestFeatureFileMessages:
         path = tmp_path / "lenient.csv"
         clean = "0,0,1.0\n" if line == 3 else ""
         path.write_text(f"label,group,f0\n{clean}{row}\n", encoding="utf-8")
-        message = (f"{path}: row {line} unparsable: field {field!r} holds '_', a space, a tab "
+        message = (f"{path}: line {line} unparsable: field {field!r} holds '_', a space, a tab "
                    "or non-ASCII text")
         assert load_outcome(load_features, path) == message
         assert load_outcome(per_row_load_csv, path) == message
+
+    def test_both_formats_name_a_non_finite_row_alike(self, tmp_path):
+        # one NaN row by hand in each format: the dataset's rule names it, counted from 0
+        csv, ossf = tmp_path / "nan.csv", tmp_path / "nan.ossf"
+        csv.write_text("label,group,f0,f1\n0,0,nan,1.0\n")
+        ossf.write_bytes(GOLDEN_OSSF[:-32] + np.array([np.nan, 1.0, 0.0, 0.0]).tobytes())
+        assert load_outcome(load_features, csv) == f"{csv}: row 0 contains non-finite values"
+        assert load_outcome(load_features, ossf) == f"{ossf}: row 0 contains non-finite values"
 
     def test_csv_blank_line_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
@@ -660,7 +691,7 @@ class TestBlockedCsvReader:
         ragged_line = 2400 + 1 + 3  # the header and the blank lines come before it
         lines[ragged_line - 1] = lines[ragged_line - 1].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
-        message = f"{path}: row {ragged_line} has 4 fields, expected 5"
+        message = f"{path}: line {ragged_line} has 4 fields, expected 5"
         assert load_outcome(load_features, path) == message
         assert load_outcome(per_row_load_csv, path) == message
         # two kinds of defect in the 2nd block: the first line wins, not the first check
@@ -668,11 +699,17 @@ class TestBlockedCsvReader:
         same_block[1199] = "x" + same_block[1199][same_block[1199].index(","):]  # line 1,200
         same_block[1299] = same_block[1299].rsplit(",", 1)[0]  # line 1,300
         path.write_text("\n".join(same_block) + "\n")
-        message = f"{path}: row 1200 unparsable: invalid literal for int() with base 10: 'x'"
+        message = f"{path}: line 1200 unparsable: invalid literal for int() with base 10: 'x'"
         assert load_outcome(load_features, path) == message
         assert load_outcome(per_row_load_csv, path) == message
-        lines[1100] = lines[1100].rsplit(",", 1)[0] + ",nan"  # data row 1,100 is line 1,101
+        # a value defect is named by its row counted from 0, once no line has a text defect
+        lines[1100] = lines[1100].rsplit(",", 1)[0] + ",nan"  # line 1,101 is data row 1,099
         path.write_text("\n".join(lines) + "\n")
-        message = f"{path}: row 1101 contains non-finite values"
+        message = f"{path}: line {ragged_line} has 4 fields, expected 5"
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
+        lines[ragged_line - 1] += ",1.0"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: row 1099 contains non-finite values"
         assert load_outcome(load_features, path) == message
         assert load_outcome(per_row_load_csv, path) == message

@@ -524,9 +524,10 @@ class TestEvaluate:
         features."""
         emb, bank = init_model(ModelConfig([8, 32, 8], seed=0), 4)
         data = getattr(large, part)
-        inputs = data.inputs.copy()
-        inputs[1300] *= scale
-        bad = replace(large, **{part: LabeledDataset(inputs, data.labels, data.group_ids)})
+        bad_part = LabeledDataset(data.inputs.copy(), data.labels, data.group_ids)
+        bad_part.inputs[1300] *= scale  # after construction: a dataset refuses a NaN row
+        inputs = bad_part.inputs
+        bad = replace(large, **{part: bad_part})
         with pytest.raises(error) as info:
             evaluate(emb, bank, bad, LossConfig())
         assert str(info.value) == f"{part}: features row 1300 {tail}"

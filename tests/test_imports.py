@@ -24,6 +24,7 @@ ALLOWED = {
     ("train", "model", "_checked_inputs"),
     ("train", "model", "_forward"),
     ("checks", "train", "_Run"),
+    ("data", "model", "_check_classes"),
     ("evaluate", "losses", "_check_labels"),
     ("evaluate", "losses", "_check_logits"),
     ("evaluate", "model", "_checked_inputs"),
@@ -156,7 +157,6 @@ def raised_templates(error: str) -> dict[str, list[str]]:
 # a message that names one condition per input it is read from, each checked where it is read
 ONE_RULE_PER_SITE = {
     "empty batch": "the rules for labels and logits",
-    "{}: no data rows": "one rule per feature format",
 }
 
 
