@@ -179,6 +179,8 @@ def grad_check(f: Callable[[np.ndarray], float], x: Sequence[float] | np.ndarray
     g_an = as_array(analytic_grad, "analytic gradient")
     if x0.shape != g_an.shape:
         raise ConfigError(f"analytic gradient shape {g_an.shape} != parameter shape {x0.shape}")
+    if x0.size == 0:
+        raise ConfigError("grad_check needs at least one parameter, got none")
     g_fd = np.empty_like(x0)
     for i in range(x0.size):
         xp, xm = x0.copy(), x0.copy()

@@ -199,6 +199,12 @@ class TestGradCheck:
                                               r"\(3,\)$"):
             grad_check(lambda x: 0.0, [1.0, 2.0, 3.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("x", [[], np.zeros((0, 3))], ids=["empty-list", "0x3"])
+    def test_empty_parameter_vector_rejected(self, x):
+        # the last max over no coordinates escaped as numpy's bare ValueError, with no exit code
+        with pytest.raises(ConfigError, match="^grad_check needs at least one parameter, got none$"):
+            grad_check(lambda v: 0.0, x, np.zeros(np.shape(x)))
+
     def test_eps_range_enforced(self):
         with pytest.raises(ConfigError):
             grad_check(lambda x: 0.0, [1.0], [0.0], 1e-2)
