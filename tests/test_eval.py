@@ -526,13 +526,12 @@ class TestEvaluate:
         data = getattr(large, part)
         bad_part = LabeledDataset(data.inputs.copy(), data.labels, data.group_ids)
         bad_part.inputs[1300] *= scale  # after construction: a dataset refuses a NaN row
-        inputs = bad_part.inputs
         bad = replace(large, **{part: bad_part})
         with pytest.raises(error) as info:
             evaluate(emb, bank, bad, LossConfig())
         assert str(info.value) == f"{part}: features row 1300 {tail}"
         with pytest.raises(error) as info:
-            model_logits(emb, bank, inputs, LossConfig())
+            model_logits(emb, bank, bad_part.inputs, LossConfig())
         assert str(info.value) == f"features row 1300 {tail}"
 
     def test_overflowing_euclidean_logits_rejected(self, large):
