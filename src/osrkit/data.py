@@ -17,15 +17,18 @@ groups, float64 features, all little-endian). A reader checks only its
 format and returns arrays; ``load_features`` builds the dataset from them
 and names the path in any ``DataError``. A CSV body is parsed in blocks of
 1,024 lines, so the memory the parse needs beyond the text is bounded by a
-block; the lines of a block that fails a check are checked again one at a
-time, so the first text defect in file order is reported, naming its line.
-A field must be plain ASCII: the underscores, spaces, tabs and non-ASCII
-digits that Python's ``int`` and ``float`` accept are errors.
+block. numpy's text reader converts a block's features, and ``int`` its
+labels and groups. A block that fails, or that holds an ASCII control
+character (numpy's reader takes ``\x1f`` for white space, which ``float``
+refuses), has its lines checked again one at a time, so the first text
+defect in file order is reported, naming its line; ``int`` and ``float``
+word its message. A field must be plain ASCII: the underscores, spaces,
+tabs and non-ASCII digits that Python's ``int`` and ``float`` accept are
+errors.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ FEATURES_MAGIC = b"OSSF"
 FEATURES_VERSION = 1
 _HEADER = struct.Struct("<4sHII")  # magic, version, rows B, feature dim D
 _CSV_BLOCK_LINES = 1024  # a feature CSV is parsed this many lines at a time
+_PRINTABLE = bytes(range(0x20, 0x7F))  # ASCII without its control characters
 
 # Non-hard class means are kept at least this far apart (degrees); the
 # hard trio uses HARD_ANGLE_DEG instead.
@@ -292,46 +296,59 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = len(header) - 2
     if [h for h in header[2:]] != [f"f{i}" for i in range(d)]:
         raise DataError("malformed feature columns in header")
-    labels, groups, blocks = [], [], [np.empty((0, d))]  # a body with no rows is a (0, D) matrix
+    no_ids = np.empty(0, np.int64)
+    blocks = [(np.empty((0, d)), no_ids, no_ids)]  # a body with no rows is a (0, D) matrix
     for start in range(1, len(lines), _CSV_BLOCK_LINES):
         chunk = lines[start:start + _CSV_BLOCK_LINES]
         block = list(filter(None, chunk))  # blank lines are skipped
         if block:
             parsed = _parse_block(block, d)
-            if isinstance(parsed, str):  # every check is of one line, so name the first to fail
+            if parsed is None:  # every check is of one line, so name the first to fail
                 for ln, line in enumerate(chunk, start=start + 1):
-                    if line and isinstance(reason := _parse_block([line], d), str):
+                    if line and (reason := _defect(line, d)):
                         raise DataError(f"line {ln} {reason}")
-            block_labels, block_groups, feats = parsed
-            labels += block_labels
-            groups += block_groups
-            blocks.append(feats)
-    return np.vstack(blocks), np.array(labels), np.array(groups)
+            blocks.append(parsed)
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _parse_block(block: list[str], d: int):
-    """Labels, groups and the B x D features of non-blank CSV lines, one call per check over
-    the whole block; or, if a line fails a check, the reason as text. Each check is a property
-    of one line, so a block fails just when one of its lines fails alone, and a one-line
-    block's reason is that of the first check its line fails."""
-    width = d + 2
-    commas = set(map(str.count, block, itertools.repeat(",")))
-    if commas != {d + 1}:
-        return f"has {max(commas - {d + 1}) + 1} fields, expected {width}"
+    """The B x D features, labels and groups of non-blank CSV lines, or None if a line fails a
+    check. numpy's reader converts the features. It takes ``\x1f`` for white space and an
+    empty feature text for no row, and ``float`` refuses both, so a block that holds an ASCII
+    control character or an empty feature text fails here."""
     text = ",".join(block)
-    fields = text.split(",")
-    if not _plain(text):
-        field = next(f for f in fields if not _plain(f))
-        return f"unparsable: field {field!r} holds '_', a space, a tab or non-ASCII text"
+    if not _plain(text) or text.encode("ascii").translate(None, _PRINTABLE):
+        return None
     try:
-        ints = list(map(int, fields[0::width] + fields[1::width]))
-        del fields[0::width], fields[0::width - 1]  # the labels, then the groups
-        feats = np.array(list(map(float, fields)))
+        label_texts, group_texts, feature_texts = zip(*(line.split(",", 2) for line in block))
+        ints = list(map(int, label_texts + group_texts))
+        if "" in feature_texts or not -2**63 <= min(ints) <= max(ints) < 2**63:
+            return None
+        feats = np.loadtxt(feature_texts, np.float64, comments=None, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if feats.shape != (len(block), d):
+        return None
+    return feats, ints[:len(block)], ints[len(block):]
+
+
+def _defect(line: str, d: int) -> str | None:
+    """The first check a non-blank CSV line fails, in the order field count, plain text,
+    ``int`` and ``float``, int64 range, as the text after its line number; None if it passes."""
+    fields = line.split(",")
+    if len(fields) != d + 2:
+        return f"has {len(fields)} fields, expected {d + 2}"
+    for field in fields:
+        if not _plain(field):
+            return f"unparsable: field {field!r} holds '_', a space, a tab or non-ASCII text"
+    try:
+        ints = [int(fields[0]), int(fields[1])]
+        list(map(float, fields[2:]))
     except ValueError as exc:
         return f"unparsable: {exc}"
-    if not (-2**63 <= min(ints) and max(ints) < 2**63):
+    if not -2**63 <= min(ints) <= max(ints) < 2**63:
         return "label or group outside int64's range"
-    return ints[:len(block)], ints[len(block):], feats.reshape(len(block), d)
+    return None
 
 
 def _plain(text: str) -> bool:

@@ -630,6 +630,9 @@ CSV_FIELD_DEFECTS = {  # kind: (the columns it may hit, replacement texts); "rag
     "range": ("ints", ["-1", str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64)]),
     # texts that int() and float() both read as 1 or 10
     "lenient": ("any", ["1_0", " 1", "1 ", "\t1", "1\t", "\u0661", "\uff11", "1\u00a0", "\u20031"]),
+    # texts that int() and float() refuse and numpy's reader may not: it strips \x1f as white
+    # space, and by default reads '#' as a comment and '"' as a quote
+    "control": ("any", ["\x1f1", "1\x1f", "1\x00", "1\x7f", "#1", '"1"']),
 }
 
 
@@ -676,6 +679,47 @@ class TestBlockedCsvReader:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_CSV_BLOCK_LINES", block_lines)
             assert load_outcome(load_features, path) == load_outcome(per_row_load_csv, path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", CSV_FIELD_DEFECTS["control"][1])
+    @pytest.mark.parametrize("column", [0, 2])
+    @pytest.mark.parametrize("before", ["", "0,0,1.0\n"], ids=["alone", "after-a-row"])
+    def test_control_character_named_as_int_or_float_refuses_it(self, tmp_path, text, column,
+                                                                before):
+        fields = ["1", "2", "0.5"]
+        fields[column] = text
+        path = tmp_path / "control.csv"
+        path.write_text(f"label,group,f0\n{before}{','.join(fields)}\n", encoding="utf-8")
+        refused = f"invalid literal for int() with base 10: {text!r}" if column == 0 else (
+            f"could not convert string to float: {text!r}")
+        message = f"{path}: line {2 + before.count(chr(10))} unparsable: {refused}"
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body,line", [("0,0,\n", 2), ("0,0,1.0\n0,0,\n", 3),
+                                           ("0,0,\n0,0,1.0\n", 2)],
+                             ids=["alone", "after-a-row", "before-a-row"])
+    def test_empty_single_feature_is_unparsable_without_a_warning(self, tmp_path, body, line):
+        # numpy's reader takes an empty line for no row, with a UserWarning when none is left
+        path = tmp_path / "empty.csv"
+        path.write_text(f"label,group,f0\n{body}", encoding="utf-8")
+        message = f"{path}: line {line} unparsable: could not convert string to float: ''"
+        assert load_outcome(load_features, path) == message
+        assert load_outcome(per_row_load_csv, path) == message
+
+    def test_clean_file_never_checks_a_line_alone(self, tmp_path, monkeypatch):
+        # the per-line checks word a defect; a clean file is read by the block parser alone
+        rng = np.random.default_rng(11)
+        ds = LabeledDataset(rng.standard_normal((2500, 4)), rng.integers(0, 9, 2500),
+                            rng.integers(0, 4, 2500))
+        path = tmp_path / "clean.csv"
+        _save_csv(path, ds)
+
+        def refuse(line, d):
+            raise AssertionError(f"line {line!r} was checked alone")
+        monkeypatch.setattr(data, "_defect", refuse)
+        assert_same_dataset(load_features(path), ds)
 
     def test_big_file_defects_name_their_lines(self, tmp_path):
         rng = np.random.default_rng(5)

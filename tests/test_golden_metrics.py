@@ -1,6 +1,8 @@
 """The reported numbers, pinned exactly: the README table (closed accuracy, AUROC and OSCR of
 the ``full``, ``uncalibrated`` and ``euclidean`` arms at seeds 0-4 of the benchmark recipe),
-the ``weights`` grid's ``sweep.csv`` on CI's artifact recipe, and one ``optimizer = sgd`` run.
+one ``optimizer = sgd`` run and, on CI's artifact recipe, the ``weights`` and ``gap-threshold``
+grids' ``sweep.csv``, a ``tau`` sweep whose middle cell fails (its lines and its error text) and
+``report.json`` of ``gen-data --csv``, ``train`` and ``eval`` reading that CSV back.
 
 ``golden_metrics.json`` holds each number as a ``float.hex`` string and each ``sweep.csv`` line
 as text, so the comparison is exact. These values were the same under OpenBLAS's Haswell and
@@ -18,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 from osrkit.benchmark import benchmark_config, benchmark_split
+from osrkit.cli import main
 from osrkit.config import GRIDS, build_split, load_config, with_keys
 from osrkit.evaluate import evaluate
 from osrkit.train import sweep, train, write_sweep_csv
@@ -35,13 +38,32 @@ def run_metrics(name, split, config) -> dict[str, str]:
 
 
 def sweep_lines(name, recipe: str, cells) -> dict[str, str]:
+    """Each line of the sweep's ``sweep.csv``, and each failed cell's error text."""
     with tempfile.TemporaryDirectory() as tmp:
         ini, csv = Path(tmp, "recipe.ini"), Path(tmp, "sweep.csv")
         ini.write_text(recipe, encoding="utf-8")
         config = load_config(ini)
-        write_sweep_csv(csv, sweep(config.train, cells, build_split(config.data)))
+        rows = sweep(config.train, cells, build_split(config.data))
+        write_sweep_csv(csv, rows)
         lines = csv.read_text(encoding="utf-8").splitlines()
-    return {f"{name}/line {i}": line for i, line in enumerate(lines, start=1)}
+    errors = {f"{name}/line {i} error": row.error
+              for i, row in enumerate(rows, start=2) if row.error is not None}
+    return {f"{name}/line {i}": line for i, line in enumerate(lines, start=1)} | errors
+
+
+def csv_round_trip_report(name, recipe: str) -> dict[str, str]:
+    """``report.json``'s values after ``gen-data --csv``, then ``train`` and ``eval`` with
+    ``features_path`` naming the CSV that ``gen-data`` wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gen, run, out = Path(tmp, "gen.ini"), Path(tmp, "run.ini"), Path(tmp, "out")
+        gen.write_text(recipe, encoding="utf-8")
+        run.write_text(f"{recipe}features_path = {out / 'dataset.csv'}\n", encoding="utf-8")
+        for argv in (["gen-data", "--config", str(gen), "--csv"],
+                     ["train", "--config", str(run)],
+                     ["eval", "--config", str(run), "--checkpoint", str(out / "model.osrp")]):
+            assert main([*argv, "--out", str(out)]) == 0, argv
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    return {f"{name}/{metric}": value.hex() for metric, value in report.items()}
 
 
 def compute() -> dict[str, str]:
@@ -53,6 +75,9 @@ def compute() -> dict[str, str]:
     sgd = with_keys(benchmark_config("full", 0), {"optimizer": "sgd"})
     values |= run_metrics("sgd/full/seed 0", benchmark_split(0), sgd)
     values |= sweep_lines("sweep weights/ci recipe", CI_RECIPE, GRIDS["weights"])
+    values |= sweep_lines("sweep gap-threshold/ci recipe", CI_RECIPE, GRIDS["gap-threshold"])
+    values |= sweep_lines("sweep tau/ci recipe", CI_RECIPE, [{"tau": t} for t in (0.5, -1.0, 2.0)])
+    values |= csv_round_trip_report("report.json/ci recipe via dataset.csv", CI_RECIPE)
     return values
 
 
@@ -72,7 +97,9 @@ def mismatches(golden: dict[str, str], now: dict[str, str]) -> list[str]:
 
 def test_reported_numbers_match_the_golden_file():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(golden) == 15 * 3 + 3 + 8  # 15 table runs, the sgd run, sweep header + 7 cells
+    # 15 table runs, the sgd run; sweep header + 7, + 5 and + 3 cells, the failed cell's error;
+    # report.json
+    assert len(golden) == 15 * 3 + 3 + 8 + 6 + 4 + 1 + 3
     assert mismatches(golden, compute()) == []
 
 
