@@ -683,16 +683,17 @@ class TestBlockedCsvReader:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", CSV_FIELD_DEFECTS["control"][1])
     @pytest.mark.parametrize("column", [0, 2])
-    @pytest.mark.parametrize("before", ["", "0,0,1.0\n"], ids=["alone", "after-a-row"])
+    @pytest.mark.parametrize("before,line", [("", 2), ("0,0,1.0\n", 3)],
+                             ids=["alone", "after-a-row"])
     def test_control_character_named_as_int_or_float_refuses_it(self, tmp_path, text, column,
-                                                                before):
+                                                                before, line):
         fields = ["1", "2", "0.5"]
         fields[column] = text
         path = tmp_path / "control.csv"
         path.write_text(f"label,group,f0\n{before}{','.join(fields)}\n", encoding="utf-8")
         refused = f"invalid literal for int() with base 10: {text!r}" if column == 0 else (
             f"could not convert string to float: {text!r}")
-        message = f"{path}: line {2 + before.count(chr(10))} unparsable: {refused}"
+        message = f"{path}: line {line} unparsable: {refused}"
         assert load_outcome(load_features, path) == message
         assert load_outcome(per_row_load_csv, path) == message
 
